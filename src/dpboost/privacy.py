@@ -225,12 +225,19 @@ def exponential_mechanism(
     rng: RandomSource,
     label: str = "exponential",
 ) -> int:
-    """Sample an index with probability exp(eps u_i / (2 sens)) / Z."""
+    """Sample an index with probability exp(eps u_i / (2 sens)) / Z.
+
+    Rounding can leave ``cdf[-1]`` below a draw close to 1; such a draw
+    selects the last index of positive probability.
+    """
     probs = exponential_mechanism_probabilities(utilities, sensitivity, epsilon)
     accountant.spend(label, epsilon)
     u = rng.uniform()
     cdf = np.cumsum(probs)
-    return int(np.searchsorted(cdf, u, side="right"))
+    choice = int(np.searchsorted(cdf, u, side="right"))
+    if choice == probs.size:
+        choice = int(np.flatnonzero(probs)[-1])
+    return choice
 
 
 # --- brute-force sensitivity oracle -------------------------------------

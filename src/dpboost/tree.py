@@ -10,6 +10,12 @@ the Laplace mechanism after clamping to the output bound.
 Objective calibration ties the loss parameter to training progress: each
 split uses ``alpha = err(current tree) / err(root)``, so induction starts
 at the Matsushita risk and drifts toward the 0/1 risk as the tree fits.
+
+A split is scored from level-wise histograms (one ``bincount`` per
+attribute over (frontier leaf, bin) keys covers the whole level) and one
+vectorized Bayes-risk pass over the live leaves at the split's alpha.
+Every sum is formed in the order a per-leaf evaluation would use, so the
+released numbers carry the same bits.
 """
 
 from __future__ import annotations
@@ -268,10 +274,15 @@ def _node_from_dict(data: dict, depth: int) -> Node:
     return node
 
 
-def _leaf_risk(w: float, w1: float, alpha: float) -> float:
-    if w <= 0.0:
-        return 0.0
-    return w * float(bayes_risk(LossSpec.malpha(alpha), w1 / w))
+def _leaf_risks(w: np.ndarray, w1: np.ndarray, alpha: float) -> np.ndarray:
+    """Unnormalized risk ``w * bayes_risk(w1 / w)`` of each leaf; 0 when empty.
+
+    One vectorized ``bayes_risk`` call.  Its operations are element-wise
+    and correctly rounded, so each entry has the bits of a scalar call.
+    """
+    nonempty = w > 0.0
+    q = np.clip(w1 / np.where(nonempty, w, 1.0), 0.0, 1.0)
+    return np.where(nonempty, w * bayes_risk(LossSpec.malpha(alpha), q), 0.0)
 
 
 def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray, alpha: float) -> float:
@@ -283,16 +294,11 @@ def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray,
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0.0):
         raise ValueError("weights must be strictly positive")
-    predictions_idx = _leaf_membership(tree, dataset.X)
-    total = 0.0
     pos = dataset.y == 1
-    for leaf, idx in predictions_idx:
-        if idx.size == 0:
-            continue
-        w = float(weights[idx].sum())
-        w1 = float(weights[idx[pos[idx]]].sum())
-        total += _leaf_risk(w, w1, alpha)
-    return total
+    rows = [idx for _, idx in _leaf_membership(tree, dataset.X) if idx.size]
+    w = np.array([weights[idx].sum() for idx in rows])
+    w1 = np.array([weights[idx[pos[idx]]].sum() for idx in rows])
+    return math.fsum(_leaf_risks(w, w1, alpha).tolist())
 
 
 def _leaf_membership(tree: DecisionTree, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
@@ -327,57 +333,54 @@ def objective_calibration_alpha(err_current: float, err_root: float) -> float:
     return min(1.0, max(0.0, err_current / err_root))
 
 
-def _candidate_child_stats(
-    X: np.ndarray, y: np.ndarray, weights: np.ndarray, idx: np.ndarray, domains
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Left-child (weight, positive weight) for every candidate at a leaf.
+def _frontier_histograms(
+    X: np.ndarray,
+    weights: np.ndarray,
+    pos_weights: np.ndarray,
+    leaf_rows: list[np.ndarray],
+    domains,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left-child (weight, positive weight) of every candidate at every leaf.
 
-    Candidates are ordered (attribute, threshold); a left child collects the
-    bins up to and including the threshold.
+    Row ``s`` of each result belongs to the leaf whose rows are
+    ``leaf_rows[s]`` (ascending, disjoint); columns are the candidates in
+    (attribute, threshold) order, and a left child collects the bins up to
+    and including the threshold.  Each attribute takes one ``bincount`` over
+    (leaf, bin) keys, so a bucket adds its rows in ascending order, exactly
+    as a per-leaf ``bincount`` would.  Rows of no leaf fall into a spare
+    slot that is dropped.
     """
-    w_leaf = float(weights[idx].sum()) if idx.size else 0.0
-    pos = y[idx] == 1
-    w1_leaf = float(weights[idx[pos]].sum()) if idx.size else 0.0
-    w_left_parts = []
-    w1_left_parts = []
+    n_slots = len(leaf_rows)
+    slot = np.full(X.shape[0], n_slots, dtype=np.int64)
+    for s, idx in enumerate(leaf_rows):
+        slot[idx] = s
+    w_parts, w1_parts = [], []
     for j, dom in enumerate(domains):
-        bins = X[idx, j] if idx.size else np.zeros(0, dtype=np.int64)
-        w_bin = np.bincount(bins, weights=weights[idx], minlength=dom.nvpriv)
-        w1_bin = np.bincount(
-            bins, weights=weights[idx] * pos, minlength=dom.nvpriv
-        )
-        w_left_parts.append(np.cumsum(w_bin)[: dom.nvpriv - 1])
-        w1_left_parts.append(np.cumsum(w1_bin)[: dom.nvpriv - 1])
-    return (
-        np.concatenate(w_left_parts),
-        np.concatenate(w1_left_parts),
-        w_leaf,
-        w1_leaf,
-    )
-
-
-def _block_risk(w: np.ndarray, w1: np.ndarray, alpha: float) -> np.ndarray:
-    spec = LossSpec.malpha(alpha)
-    safe_w = np.maximum(w, 1e-300)
-    q = np.clip(w1 / safe_w, 0.0, 1.0)
-    return np.where(w > 0.0, w * np.asarray(bayes_risk(spec, q)), 0.0)
+        nv = dom.nvpriv
+        key = slot * nv + X[:, j]
+        for parts, wts in ((w_parts, weights), (w1_parts, pos_weights)):
+            hist = np.bincount(key, weights=wts, minlength=(n_slots + 1) * nv)
+            cum = np.cumsum(hist.reshape(n_slots + 1, nv)[:n_slots], axis=1)
+            parts.append(cum[:, : nv - 1])
+    return np.concatenate(w_parts, axis=1), np.concatenate(w1_parts, axis=1)
 
 
 def _split_utilities(
-    dataset: Dataset,
-    weights: np.ndarray,
-    idx: np.ndarray,
+    w_left: np.ndarray,
+    w1_left: np.ndarray,
+    w_leaf: float,
+    w1_leaf: float,
     alpha: float,
     risk_rest: float,
 ) -> np.ndarray:
     """Utility of every candidate: negative total risk of the grown tree."""
-    w_left, w1_left, w_leaf, w1_leaf = _candidate_child_stats(
-        dataset.X, dataset.y, weights, idx, dataset.domains
+    k = w_left.size
+    child_risk = _leaf_risks(
+        np.concatenate([w_left, w_leaf - w_left]),
+        np.concatenate([w1_left, w1_leaf - w1_left]),
+        alpha,
     )
-    w_right = w_leaf - w_left
-    w1_right = w1_leaf - w1_left
-    child_risk = _block_risk(w_left, w1_left, alpha) + _block_risk(w_right, w1_right, alpha)
-    return -(risk_rest + child_risk)
+    return -(risk_rest + (child_risk[:k] + child_risk[k:]))
 
 
 def root_split_probabilities(
@@ -390,8 +393,13 @@ def root_split_probabilities(
     without sampling.
     """
     weights = np.asarray(weights, dtype=float)
-    idx = np.arange(dataset.n_examples)
-    utilities = _split_utilities(dataset, weights, idx, alpha, risk_rest=0.0)
+    pos = dataset.y == 1
+    w_left, w1_left = _frontier_histograms(
+        dataset.X, weights, weights * pos, [np.arange(dataset.n_examples)], dataset.domains
+    )
+    utilities = _split_utilities(
+        w_left[0], w1_left[0], float(weights.sum()), float(weights[pos].sum()), alpha, 0.0
+    )
     delta = sensitivity_bound(LossSpec.malpha(alpha), dataset.n_examples)
     return exponential_mechanism_probabilities(utilities, delta, epsilon_node)
 
@@ -428,8 +436,8 @@ def induce_tree(
 
     X, y = dataset.X, dataset.y
     m = dataset.n_examples
-    all_idx = np.arange(m)
     pos_mask = y == 1
+    pos_weights = weights * pos_mask
 
     def make_node(depth: int, idx: np.ndarray) -> Node:
         w = float(weights[idx].sum()) if idx.size else 0.0
@@ -437,30 +445,47 @@ def induce_tree(
         n_pos = int(np.count_nonzero(pos_mask[idx]))
         return Node(depth=depth, w=w, w1=w1, n_pos=n_pos, n_neg=int(idx.size) - n_pos)
 
-    root = make_node(0, all_idx)
+    root = make_node(0, np.arange(m))
     tree = DecisionTree(root=root)
-    live: list[Node] = [root]
+    # (w, w1) of the live leaves in their first n_live slots; a split puts
+    # its left child in the leaf's slot and its right child in a new one
+    live_w, live_w1, n_live = np.array([root.w]), np.array([root.w1]), 1
     error_count = root.error_count
     err_root = error_count / m
 
     oc = config.objective_calibration
     stop_all = oc and err_root == 0.0  # already pure: loss ratio undefined
 
-    frontier: list[tuple[Node, np.ndarray]] = [] if stop_all else [(root, all_idx)]
+    # (leaf, its rows in ascending order, its live slot)
+    frontier: list[tuple[Node, np.ndarray, int]] = [] if stop_all else [(root, np.arange(m), 0)]
     for level in range(config.depth):
-        next_frontier: list[tuple[Node, np.ndarray]] = []
-        for leaf, idx in frontier:
-            pure = leaf.w1 <= 0.0 or leaf.w1 >= leaf.w or idx.size == 0
-            if not private and pure:
-                continue
+        if not private:  # pure leaves stay leaves
+            frontier = [
+                (leaf, idx, slot)
+                for leaf, idx, slot in frontier
+                if not (leaf.w1 <= 0.0 or leaf.w1 >= leaf.w or idx.size == 0)
+            ]
+        if not frontier:
+            break
+        w_left, w1_left = _frontier_histograms(
+            X, weights, pos_weights, [idx for _, idx, _ in frontier], dataset.domains
+        )
+        # every frontier leaf splits once, adding one live slot
+        live_w = np.concatenate([live_w, np.empty(len(frontier))])
+        live_w1 = np.concatenate([live_w1, np.empty(len(frontier))])
+        next_frontier: list[tuple[Node, np.ndarray, int]] = []
+        for k, (leaf, idx, slot) in enumerate(frontier):
             if oc:
                 alpha_l = objective_calibration_alpha(error_count / m, err_root)
             else:
                 alpha_l = float(config.alpha)
 
-            risk_before = math.fsum(_leaf_risk(nd.w, nd.w1, alpha_l) for nd in live)
-            risk_rest = risk_before - _leaf_risk(leaf.w, leaf.w1, alpha_l)
-            utilities = _split_utilities(dataset, weights, idx, alpha_l, risk_rest)
+            live_risk = _leaf_risks(live_w[:n_live], live_w1[:n_live], alpha_l).tolist()
+            risk_before = math.fsum(live_risk)
+            risk_rest = risk_before - live_risk[slot]
+            utilities = _split_utilities(
+                w_left[k], w1_left[k], leaf.w, leaf.w1, alpha_l, risk_rest
+            )
 
             if private:
                 eps_node = split_budget(
@@ -480,13 +505,16 @@ def induce_tree(
 
             cand = candidates[choice]
             mask = X[idx, cand.attribute] <= cand.threshold_bin
-            left = make_node(level + 1, idx[mask])
-            right = make_node(level + 1, idx[~mask])
+            left_idx, right_idx = idx[mask], idx[~mask]
+            left = make_node(level + 1, left_idx)
+            right = make_node(level + 1, right_idx)
             leaf.split = cand
             leaf.left, leaf.right = left, right
-            # identity-based removal; dataclass equality could match a twin leaf
-            live = [nd for nd in live if nd is not leaf]
-            live.extend((left, right))
+            live_w[slot], live_w1[slot] = left.w, left.w1
+            live_w[n_live], live_w1[n_live] = right.w, right.w1
+            next_frontier.append((left, left_idx, slot))
+            next_frontier.append((right, right_idx, n_live))
+            n_live += 1
             error_count += left.error_count + right.error_count - leaf.error_count
             tree.records.append(
                 SplitRecord(
@@ -500,8 +528,6 @@ def induce_tree(
                     threshold_bin=cand.threshold_bin,
                 )
             )
-            next_frontier.append((left, idx[mask]))
-            next_frontier.append((right, idx[~mask]))
         frontier = next_frontier
 
     if oc:

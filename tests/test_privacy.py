@@ -156,6 +156,25 @@ class TestExponentialMechanism:
             counts[exponential_mechanism(utilities, 1.0, 2.0, acc, rng)] += 1
         assert np.max(np.abs(counts / n - p)) < 0.02
 
+    def test_largest_uniform_stays_in_range(self):
+        # the largest draw RandomSource.uniform can return lies above the
+        # rounded cdf[-1] here; it must select the last index that has
+        # positive probability, never len(utilities)
+        class LargestUniform:
+            def uniform(self):
+                return 1.0 - 2.0**-53
+
+        utilities = [0.0, 0.75, 0.25]
+        probs = exponential_mechanism_probabilities(utilities, 1.0, 1.0)
+        assert np.cumsum(probs)[-1] < LargestUniform().uniform()
+        acc = BudgetAccountant(11.0)
+        assert exponential_mechanism(utilities, 1.0, 1.0, acc, LargestUniform()) == 2
+        # an underflowed tail is skipped over to the last positive entry
+        tail = [0.0, 0.75, 0.0, -1e6]
+        probs = exponential_mechanism_probabilities(tail, 1.0, 10.0)
+        assert probs[-1] == 0.0 and np.cumsum(probs)[-1] < LargestUniform().uniform()
+        assert exponential_mechanism(tail, 1.0, 10.0, acc, LargestUniform()) == 2
+
 
 class TestBudgetAccountant:
     def test_composition_total(self):

@@ -11,10 +11,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dpboost.tree as tree_module
 from dpboost.dataset import AttributeDomain, Dataset, candidate_splits, make_blocks_dataset
-from dpboost.losses import LossSpec, bayes_risk, canonical_link
-from dpboost.privacy import BudgetAccountant, RandomSource, replacement_neighbors
+from dpboost.losses import LossSpec, bayes_risk, canonical_link, sensitivity_bound
+from dpboost.privacy import (
+    BudgetAccountant,
+    RandomSource,
+    exponential_mechanism_probabilities,
+    replacement_neighbors,
+)
 from dpboost.tree import (
     DecisionTree,
     Q_CLAMP,
@@ -277,6 +285,72 @@ class TestPrivateInduction:
         cfg = self._private_config(2, 1, 1.0)
         tree = induce_tree(ds, np.ones(3), cfg, BudgetAccountant(1.0), RandomSource(5))
         assert {leaf.depth for leaf in tree.leaves()} == {2}
+
+
+def _per_leaf_histogram(X, weights, pos, idx, domains):
+    # reference: one bincount + cumsum per leaf and attribute over the
+    # leaf's own rows
+    w_parts, w1_parts = [], []
+    for j, dom in enumerate(domains):
+        w_bin = np.bincount(X[idx, j], weights=weights[idx], minlength=dom.nvpriv)
+        w1_bin = np.bincount(X[idx, j], weights=weights[idx] * pos[idx], minlength=dom.nvpriv)
+        w_parts.append(np.cumsum(w_bin)[: dom.nvpriv - 1])
+        w1_parts.append(np.cumsum(w1_bin)[: dom.nvpriv - 1])
+    return np.concatenate(w_parts), np.concatenate(w1_parts)
+
+
+class TestFrontierHistograms:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_per_leaf_reference_bit_for_bit(self, data):
+        sizes = data.draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))
+        m = data.draw(st.integers(1, 60))
+        n_leaves = data.draw(st.integers(1, 6))
+        rows = st.tuples(*[st.integers(0, n - 1) for n in sizes])
+        X = np.array(data.draw(st.lists(rows, min_size=m, max_size=m)), dtype=np.int64)
+        weights = np.array(
+            data.draw(st.lists(st.floats(1e-6, 1.0), min_size=m, max_size=m))
+        )
+        pos = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        # slot n_leaves: the row belongs to no frontier leaf; some leaves
+        # may get no rows at all
+        slot = np.array(data.draw(st.lists(st.integers(0, n_leaves), min_size=m, max_size=m)))
+        leaf_rows = [np.flatnonzero(slot == s) for s in range(n_leaves)]
+        domains = [AttributeDomain(f"a{j}", 0.0, 1.0, n) for j, n in enumerate(sizes)]
+
+        w_left, w1_left = tree_module._frontier_histograms(
+            X, weights, weights * pos, leaf_rows, domains
+        )
+        assert w_left.shape == w1_left.shape == (n_leaves, sum(sizes) - len(sizes))
+        for s, idx in enumerate(leaf_rows):
+            ref_w, ref_w1 = _per_leaf_histogram(X, weights, pos, idx, domains)
+            assert np.array_equal(w_left[s], ref_w)
+            assert np.array_equal(w1_left[s], ref_w1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_root_probabilities_are_what_induction_samples(self, monkeypatch, alpha):
+        ds = make_blocks_dataset(90, 3, seed=8)
+        rng = RandomSource(21)
+        weights = np.array([0.05 + 0.95 * rng.uniform() for _ in range(90)])
+        seen = []
+        sampler = tree_module.exponential_mechanism
+
+        def spy(utilities, *args, **kwargs):
+            seen.append(np.array(utilities, copy=True))
+            return sampler(utilities, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "exponential_mechanism", spy)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+        induce_tree(
+            ds, weights, TreeConfig(depth=1, alpha=alpha, privacy=privacy),
+            BudgetAccountant(1.0), RandomSource(3),
+        )
+        eps_node = split_budget(0, 1, 1, 0.5, 1.0)
+        delta = sensitivity_bound(LossSpec.malpha(alpha), 90)
+        assert np.array_equal(
+            root_split_probabilities(ds, weights, alpha, eps_node),
+            exponential_mechanism_probabilities(seen[0], delta, eps_node),
+        )
 
 
 class TestDifferentialPrivacyRatio:
