@@ -89,16 +89,20 @@ class SplitCandidate:
 
 @dataclass
 class Dataset:
-    """Quantized feature matrix with +-1 labels and per-example weights."""
+    """Quantized feature matrix with +-1 labels and per-example weights.
 
-    X: np.ndarray  # (m, n) int bin indices
+    ``X`` is stored column-major (Fortran order, int64): tree induction
+    reads it one attribute at a time, and each column is then contiguous.
+    """
+
+    X: np.ndarray  # (m, n) int bin indices, column-major
     y: np.ndarray  # (m,) labels in {-1, +1}
     domains: list[AttributeDomain]
     weights: np.ndarray | None = None
     clamp_warnings: int = 0
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.int64)
+        self.X = np.asarray(self.X, dtype=np.int64, order="F")
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.ndim != 2 or self.X.shape[0] == 0:
             raise DataError("dataset needs at least one example")
@@ -128,10 +132,10 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
-        return Dataset(
-            self.X[idx], self.y[idx], self.domains, self.weights[idx]
-        )
+        rows = np.arange(self.n_examples)[np.asarray(indices)]
+        # taking columns of X.T keeps the result column-major in one copy
+        X = np.take(self.X.T, rows, axis=1).T
+        return Dataset(X, self.y[rows], self.domains, self.weights[rows])
 
 
 def _parse_kv_lines(path: str) -> list[tuple[int, str, str]]:
@@ -235,7 +239,7 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
     if not labels:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(raw_features, dtype=float)
-    bins = np.empty_like(values, dtype=np.int64)
+    bins = np.empty(values.shape, dtype=np.int64, order="F")
     clamped = 0
     for j, dom in enumerate(spec.attributes):
         bins[:, j], count = dom.quantize(values[:, j])
@@ -299,7 +303,7 @@ def make_blocks_dataset(
     attributes are uninformative.
     """
     rng = RandomSource(seed)
-    X = np.empty((m, n), dtype=np.int64)
+    X = np.empty((m, n), dtype=np.int64, order="F")
     for i in range(m):
         for j in range(n):
             X[i, j] = rng.randint(nvpriv)

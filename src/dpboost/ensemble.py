@@ -203,7 +203,8 @@ def boost_fit(
 
     for t in range(T):
         tree_rng = rng.spawn("tree", t) if rng is not None else None
-        tree = induce_tree(dataset, weights, tree_config, accountant, tree_rng)
+        leaves: list = []  # (leaf, its training rows), filled by induction
+        tree = induce_tree(dataset, weights, tree_config, accountant, tree_rng, _leaf_rows=leaves)
         if private:
             tree = noisify_leaves(
                 tree,
@@ -214,7 +215,11 @@ def boost_fit(
                 accountant,
                 tree_rng,
             )
-        h = np.clip(tree.predict_bins(dataset.X), -M, M)
+        h = np.zeros(m)  # training outputs, read after any noising
+        while leaves:  # popping frees each leaf's rows once used
+            leaf, rows = leaves.pop()
+            h[rows] = leaf.prediction
+        h = np.clip(h, -M, M)
         beta = leveraging_coefficient(a, weights, y, h)
         mean_w = float(np.mean(weights))
         ensemble.traces.mean_weight.append(mean_w)
@@ -250,7 +255,7 @@ class RandomForest:
             if node.is_leaf:
                 out[idx] = node.prediction
             else:
-                mask = X[idx, node.split.attribute] <= node.split.threshold_bin
+                mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
                 stack.append((node.left, idx[mask]))
                 stack.append((node.right, idx[~mask]))
         return out
@@ -317,7 +322,7 @@ def _leaf_index_map(root: Node, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
         if node.is_leaf:
             out.append((node, idx))
         else:
-            mask = X[idx, node.split.attribute] <= node.split.threshold_bin
+            mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
             stack.append((node.right, idx[~mask]))
             stack.append((node.left, idx[mask]))
     # restore left-to-right order (stack pops right first)

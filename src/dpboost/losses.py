@@ -82,8 +82,10 @@ def _as_float(x, like) -> float | np.ndarray:
 
 def _check_unit_interval(q, name: str):
     q = np.asarray(q, dtype=float)
-    if np.any(q < -_DOMAIN_TOL) or np.any(q > 1.0 + _DOMAIN_TOL):
-        raise ValueError(f"{name} must lie in [0, 1]")
+    # min/max decide unless a NaN (which alone passes) made them NaN
+    if q.size and not (q.min() >= -_DOMAIN_TOL and q.max() <= 1.0 + _DOMAIN_TOL):
+        if np.any(q < -_DOMAIN_TOL) or np.any(q > 1.0 + _DOMAIN_TOL):
+            raise ValueError(f"{name} must lie in [0, 1]")
     return np.clip(q, 0.0, 1.0)
 
 

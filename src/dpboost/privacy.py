@@ -275,7 +275,7 @@ def replacement_neighbors(
         for bins in itertools.product(*feature_grid):
             for y in labels:
                 for w in weight_grid:
-                    X = base.X.copy()
+                    X = base.X.copy(order="F")
                     yy = base.y.copy()
                     ww = base.weights.copy()
                     X[i] = bins

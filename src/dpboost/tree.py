@@ -216,7 +216,7 @@ class DecisionTree:
             if node.is_leaf:
                 out[idx] = node.prediction
             else:
-                mask = X[idx, node.split.attribute] <= node.split.threshold_bin
+                mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
                 stack.append((node.left, idx[mask]))
                 stack.append((node.right, idx[~mask]))
         return out
@@ -309,7 +309,7 @@ def _leaf_membership(tree: DecisionTree, X: np.ndarray) -> list[tuple[Node, np.n
         if node.is_leaf:
             out.append((node, idx))
         else:
-            mask = X[idx, node.split.attribute] <= node.split.threshold_bin
+            mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
             stack.append((node.left, idx[mask]))
             stack.append((node.right, idx[~mask]))
     return out
@@ -410,6 +410,8 @@ def induce_tree(
     config: TreeConfig,
     accountant: BudgetAccountant | None = None,
     rng: RandomSource | None = None,
+    *,
+    _leaf_rows: list | None = None,
 ) -> DecisionTree:
     """Grow one tree, breadth-first.
 
@@ -421,6 +423,10 @@ def induce_tree(
 
     Leaf predictions apply the canonical link to the clamped class
     proportion; empty leaves predict 0.
+
+    ``_leaf_rows`` is private to boosting: when given, it receives one
+    ``(leaf, training rows)`` pair per leaf, so the training outputs need
+    no second pass over ``X``.  The rows are never stored on the tree.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dataset.n_examples,):
@@ -457,14 +463,15 @@ def induce_tree(
     stop_all = oc and err_root == 0.0  # already pure: loss ratio undefined
 
     # (leaf, its rows in ascending order, its live slot)
-    frontier: list[tuple[Node, np.ndarray, int]] = [] if stop_all else [(root, np.arange(m), 0)]
-    for level in range(config.depth):
+    frontier: list[tuple[Node, np.ndarray, int]] = [(root, np.arange(m), 0)]
+    final: list[tuple[Node, np.ndarray]] = []  # leaves that stopped early
+    for level in range(0 if stop_all else config.depth):
         if not private:  # pure leaves stay leaves
-            frontier = [
-                (leaf, idx, slot)
-                for leaf, idx, slot in frontier
-                if not (leaf.w1 <= 0.0 or leaf.w1 >= leaf.w or idx.size == 0)
+            pure = [
+                leaf.w1 <= 0.0 or leaf.w1 >= leaf.w or idx.size == 0 for leaf, idx, _ in frontier
             ]
+            final += [(leaf, idx) for (leaf, idx, _), p in zip(frontier, pure) if p]
+            frontier = [f for f, p in zip(frontier, pure) if not p]
         if not frontier:
             break
         w_left, w1_left = _frontier_histograms(
@@ -504,7 +511,7 @@ def induce_tree(
                 choice = int(np.argmax(utilities))
 
             cand = candidates[choice]
-            mask = X[idx, cand.attribute] <= cand.threshold_bin
+            mask = X[:, cand.attribute][idx] <= cand.threshold_bin
             left_idx, right_idx = idx[mask], idx[~mask]
             left = make_node(level + 1, left_idx)
             right = make_node(level + 1, right_idx)
@@ -529,6 +536,8 @@ def induce_tree(
                 )
             )
         frontier = next_frontier
+    if _leaf_rows is not None:
+        _leaf_rows += final + [(leaf, idx) for leaf, idx, _ in frontier]
 
     if oc:
         tree.prediction_alpha = tree.records[-1].alpha if tree.records else 1.0
@@ -594,7 +603,7 @@ def _weight_reaching(current: Node, target: Node, X, weights, idx) -> float | No
         return float(weights[idx].sum()) if idx.size else 0.0
     if current.is_leaf:
         return None
-    mask = X[idx, current.split.attribute] <= current.split.threshold_bin
+    mask = X[:, current.split.attribute][idx] <= current.split.threshold_bin
     found = _weight_reaching(current.left, target, X, weights, idx[mask])
     if found is not None:
         return found

@@ -1,5 +1,7 @@
 """CSV loading, quantization rules, split candidates and stratified folds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from dpboost.dataset import (
     parse_domain_spec,
     stratified_kfold,
 )
-from dpboost.privacy import RandomSource
+from dpboost.privacy import RandomSource, replacement_neighbors
 
 
 @pytest.fixture
@@ -237,3 +239,63 @@ class TestBlocksDataset:
         a = make_blocks_dataset(50, 3, seed=2)
         b = make_blocks_dataset(50, 3, seed=2)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+def _column_major(X) -> bool:
+    return X.flags.f_contiguous and X.dtype == np.int64
+
+
+class TestColumnMajorX:
+    DOMS = [AttributeDomain("a", 0.0, 1.0, 3), AttributeDomain("b", 0.0, 1.0, 4)]
+    ROWS = [[0, 3], [2, 1], [1, 0], [2, 2]]
+    Y = [1, -1, -1, 1]
+
+    @pytest.mark.parametrize(
+        "X",
+        [ROWS, np.array(ROWS, dtype=np.int32), np.array(ROWS, dtype=np.int64),
+         np.asfortranarray(ROWS, dtype=np.int64)],
+        ids=["list", "int32", "c_order", "f_order"],
+    )
+    def test_constructor(self, X):
+        ds = Dataset(X, np.array(self.Y), self.DOMS)
+        assert _column_major(ds.X)
+        assert np.array_equal(ds.X, np.array(self.ROWS))
+
+    def test_constructor_keeps_a_column_major_int64_array(self):
+        X = np.asfortranarray(self.ROWS, dtype=np.int64)
+        assert Dataset(X, np.array(self.Y), self.DOMS).X is X
+
+    @pytest.mark.parametrize(
+        "indices", [[3, 0, 2], np.array([1, 3]), np.array([True, False, True, True])]
+    )
+    def test_subset(self, indices):
+        ds = Dataset(self.ROWS, np.array(self.Y), self.DOMS, np.array([0.1, 0.2, 0.3, 0.4]))
+        sub = ds.subset(indices)
+        assert _column_major(sub.X)
+        assert np.array_equal(sub.X, np.array(self.ROWS)[indices])
+        assert np.array_equal(sub.y, np.array(self.Y)[indices])
+        assert np.array_equal(sub.weights, ds.weights[indices])
+
+    def test_subset_copies_X_once(self):
+        m, n = 20_000, 20
+        ds = Dataset(np.zeros((m, n), dtype=int), np.ones(m, dtype=int),
+                     [AttributeDomain(f"x{j}", 0.0, 1.0, 2) for j in range(n)])
+        tracemalloc.start()
+        try:
+            ds.subset(np.arange(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one copy of X plus index and label arrays; a second copy would double it
+        assert peak < 1.5 * ds.X.nbytes
+
+    def test_load_csv(self, csv_file, spec_file):
+        assert _column_major(load_csv(csv_file, None, parse_domain_spec(spec_file)).X)
+
+    def test_blocks_dataset(self):
+        assert _column_major(make_blocks_dataset(50, 3, seed=1).X)
+
+    def test_replacement_neighbors(self):
+        base = Dataset(self.ROWS[:2], np.array(self.Y[:2]), self.DOMS)
+        neighbors = list(replacement_neighbors(base, weight_grid=(1.0,)))
+        assert neighbors and all(_column_major(n.X) for n in neighbors)

@@ -86,6 +86,29 @@ class TestBayesRisk:
         # within tolerance it clips
         assert bayes_risk(LossSpec.matsushita(), 1.0 + 1e-13) == 0.0
 
+    def test_domain_boundaries(self):
+        spec = LossSpec.malpha(0.5)
+        for q in (1.0 + 1e-12, -1e-12):
+            assert bayes_risk(spec, q) == 0.0
+            assert np.array_equal(bayes_risk(spec, np.array([0.5, q])), [1.0, 0.0])
+        for q in (1.0 + 1e-11, -1e-11):
+            with pytest.raises(ValueError):
+                bayes_risk(spec, q)
+            with pytest.raises(ValueError):
+                bayes_risk(spec, np.array([0.5, q]))
+        assert bayes_risk(spec, np.array([])).shape == (0,)
+
+    def test_nan_passes_the_domain_check(self):
+        # pinned as it is: a NaN is not out of range, and it propagates;
+        # a real value out of range still raises next to it
+        spec = LossSpec.malpha(0.5)
+        assert math.isnan(bayes_risk(spec, math.nan))
+        out = bayes_risk(spec, np.array([math.nan, 0.5]))
+        assert math.isnan(out[0]) and out[1] == 1.0
+        for bad in (2.0, -1.0):
+            with pytest.raises(ValueError):
+                bayes_risk(spec, np.array([math.nan, bad]))
+
 
 class TestCanonicalLink:
     def test_examples(self):

@@ -307,7 +307,9 @@ class TestFrontierHistograms:
         m = data.draw(st.integers(1, 60))
         n_leaves = data.draw(st.integers(1, 6))
         rows = st.tuples(*[st.integers(0, n - 1) for n in sizes])
-        X = np.array(data.draw(st.lists(rows, min_size=m, max_size=m)), dtype=np.int64)
+        # Dataset.X is column-major; a row-major X must give the same bits
+        order = data.draw(st.sampled_from("CF"))
+        X = np.array(data.draw(st.lists(rows, min_size=m, max_size=m)), dtype=np.int64, order=order)
         weights = np.array(
             data.draw(st.lists(st.floats(1e-6, 1.0), min_size=m, max_size=m))
         )
