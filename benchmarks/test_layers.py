@@ -1,4 +1,5 @@
-"""Layer benchmarks for the large fit (m=100k, 20 attributes, nvpriv=32).
+"""Layer benchmarks: the large fit (m=100k, 20 attributes, nvpriv=32), deep-tree
+prediction and the forest baseline.
 
 Run from the repository root with::
 
@@ -9,15 +10,14 @@ Inputs are built from fixed seeds through ``Dataset``, so each commit is
 timed on the feature layout its own ``Dataset`` stores.
 """
 
-import inspect
-
 import numpy as np
 import pytest
 
 import dpboost.tree as tree_module
-from dpboost.dataset import AttributeDomain, Dataset
-from dpboost.ensemble import boost_fit
-from dpboost.tree import TreeConfig, induce_tree
+from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset
+from dpboost.ensemble import boost_fit, predict, rf_fit
+from dpboost.privacy import BudgetAccountant, RandomSource
+from dpboost.tree import TreeConfig, TreePrivacy, induce_tree
 
 M_ROWS, N_ATTRS, NVPRIV, DEPTH, OUTPUT_BOUND = 100_000, 20, 32, 6, 10.0
 
@@ -32,18 +32,12 @@ def wide():
     return Dataset(X, y, domains), np.full(M_ROWS, 0.5)
 
 
-def _reports_leaf_rows() -> bool:
-    # earlier commits have no such output; there the case that needs it is skipped
-    return "_leaf_rows" in inspect.signature(induce_tree).parameters
-
-
 @pytest.fixture(scope="module")
 def fitted(wide):
     """A depth-6 tree on the wide data, with the rows induction routed to each leaf."""
     dataset, weights = wide
     leaf_rows = []
-    kwargs = {"_leaf_rows": leaf_rows} if _reports_leaf_rows() else {}
-    tree = induce_tree(dataset, weights, TreeConfig(depth=DEPTH, alpha="oc"), **kwargs)
+    tree = induce_tree(dataset, weights, TreeConfig(depth=DEPTH, alpha="oc"), _leaf_rows=leaf_rows)
     return tree, leaf_rows
 
 
@@ -76,7 +70,6 @@ def test_training_outputs_by_traversal(benchmark, wide, fitted):
     benchmark(lambda: np.clip(tree.predict_bins(dataset.X), -OUTPUT_BOUND, OUTPUT_BOUND))
 
 
-@pytest.mark.skipif(not _reports_leaf_rows(), reason="induction does not report leaf rows")
 def test_training_outputs_from_induction(benchmark, wide, fitted):
     """Training outputs of one iteration from the leaf rows induction reported."""
     dataset, _ = wide
@@ -92,3 +85,29 @@ def test_training_outputs_from_induction(benchmark, wide, fitted):
         outputs(), np.clip(tree.predict_bins(dataset.X), -OUTPUT_BOUND, OUTPUT_BOUND)
     )
     benchmark(outputs)
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    """Blocks data as in the private workloads: 400 training and 2,000 held-out rows."""
+    return make_blocks_dataset(400, 4, seed=3), make_blocks_dataset(2000, 4, seed=4)
+
+
+def test_predict_deep_private(benchmark, blocks):
+    """``predict`` of a private depth-8 model (T=10): most subtrees are reached by no row."""
+    train, held_out = blocks
+    privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=10)
+    config = TreeConfig(depth=8, alpha="oc", privacy=privacy)
+    model = boost_fit(train, 10, config, accountant=BudgetAccountant(1.0), rng=RandomSource(0))
+    benchmark(predict, model, held_out.X)
+
+
+def test_forest_fit_and_vote(benchmark, blocks):
+    """``rf_fit`` of 21 depth-2 trees on the training rows, then its votes on them."""
+    train, _ = blocks
+
+    def fit_and_vote():
+        forest = rf_fit(train, 21, 2, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(0))
+        return forest.vote_margins(train.X)
+
+    benchmark(fit_and_vote)

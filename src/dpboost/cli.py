@@ -20,15 +20,15 @@ from .harness import (
     ExperimentConfig,
     RESULT_COLUMNS,
     compare,
+    fit_cell,
     load_model,
+    read_fit_config,
     read_results,
     run_experiment,
     save_model,
     sensitivity_audit,
     summarize_cumulative,
     write_csv,
-    _fit_cell,
-    _parse_kv_lines,
 )
 from .privacy import BudgetExceededError, derive_seed
 
@@ -39,34 +39,15 @@ EXIT_BUDGET = 4
 
 
 def _fit(args) -> int:
-    values = {key: value for _, key, value in _parse_kv_lines(args.config)}
-    algorithm = values.pop("algorithm", "boost")
-    if algorithm not in ("boost", "rf_laplace", "rf_exponential"):
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
-    cell = {
-        "algorithm": algorithm,
-        "T": int(values.pop("T", "10")),
-        "depth": int(values.pop("depth", "2")),
-        "alpha": values.pop("alpha", "oc"),
-        "epsilon": values.pop("epsilon", "off"),
-        "beta_tree": float(values.pop("beta_tree", "0.5")),
-        "M": float(values.pop("M", "10")),
-    }
-    if cell["alpha"] != "oc":
-        cell["alpha"] = float(cell["alpha"])
-    if cell["epsilon"] != "off":
-        cell["epsilon"] = float(cell["epsilon"])
-    elif algorithm != "boost":
-        raise ConfigError("forest baselines require a finite epsilon")
-    lc_alpha = float(values.pop("lc_alpha", "1.0"))
-    if values:
-        raise ConfigError(f"unknown fit keys {sorted(values)}")
+    cell, lc_alpha = read_fit_config(args.config)
     spec = parse_domain_spec(args.domains)
     dataset = load_csv(args.data, spec.label_column, spec)
-    model, spent = _fit_cell(cell, dataset, cell["T"], lc_alpha, derive_seed(args.seed, "fit"))
+    model, spent = fit_cell(cell, dataset, lc_alpha, derive_seed(args.seed, "fit"))
     save_model(args.out, model, spec)
-    print(f"fit: wrote {args.out} (train_error={empirical_risk(model, dataset)}, "
-          f"spent_epsilon={spent})")
+    shown = f"spent_epsilon={spent}"
+    if cell["epsilon"] == "off":  # a private model's exact training error is not released
+        shown = f"train_error={empirical_risk(model, dataset)}, {shown}"
+    print(f"fit: wrote {args.out} ({shown})")
     return EXIT_OK
 
 
@@ -86,7 +67,7 @@ def _eval(args) -> int:
 
 def _experiment(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    written = run_experiment(config, args.out, jobs=args.jobs)
+    written = run_experiment(config, args.out)
     print(f"experiment: wrote {written} records to {args.out}")
     return EXIT_OK
 
@@ -152,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a cross-validated grid")
     exp.add_argument("--config", required=True)
     exp.add_argument("--out", required=True)
-    exp.add_argument("--jobs", type=int, default=1)
     exp.set_defaults(func=_experiment)
 
     summ = sub.add_parser("summarize", help="cumulative error curves")

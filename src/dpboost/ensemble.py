@@ -26,7 +26,15 @@ from .privacy import (
     exponential_mechanism,
     laplace_sample,
 )
-from .tree import DecisionTree, Node, TreeConfig, induce_tree, noisify_leaves
+from .tree import (
+    DecisionTree,
+    Node,
+    TreeConfig,
+    _node_from_dict,
+    _node_to_dict,
+    induce_tree,
+    noisify_leaves,
+)
 
 __all__ = [
     "WEIGHT_CLAMP",
@@ -241,30 +249,14 @@ def boost_fit(
 class RandomForest:
     """Ensemble of structure-random trees with privately released leaf labels."""
 
-    trees: list[Node]
+    trees: list[DecisionTree]
     depth: int
     leaf_mechanism: str
 
-    def _tree_labels(self, root: Node, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape[0])
-        stack = [(root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.prediction
-            else:
-                mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
-                stack.append((node.left, idx[mask]))
-                stack.append((node.right, idx[~mask]))
-        return out
-
     def vote_margins(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X)
-        votes = np.zeros(X.shape[0])
-        for root in self.trees:
-            votes += self._tree_labels(root, X)
+        votes = np.zeros(np.shape(X)[0])
+        for tree in self.trees:
+            votes += tree.predict_bins(X)
         return votes
 
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
@@ -279,55 +271,35 @@ class RandomForest:
         return float(self.depth)
 
     def to_dict(self) -> dict:
-        from .tree import _node_to_dict
-
         return {
             "kind": "forest",
             "depth": self.depth,
             "leaf_mechanism": self.leaf_mechanism,
-            "trees": [_node_to_dict(root) for root in self.trees],
+            "trees": [_node_to_dict(tree.root) for tree in self.trees],
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RandomForest":
-        from .tree import _node_from_dict
-
         return RandomForest(
-            trees=[_node_from_dict(t, depth=0) for t in data["trees"]],
+            trees=[DecisionTree(_node_from_dict(t, depth=0)) for t in data["trees"]],
             depth=int(data["depth"]),
             leaf_mechanism=str(data["leaf_mechanism"]),
         )
 
 
-def _random_structure(depth: int, candidates, rng: RandomSource) -> Node:
-    node = Node(depth=0, w=0.0, w1=0.0, n_pos=0, n_neg=0)
-    stack = [(node, 0)]
-    while stack:
-        current, level = stack.pop()
-        if level >= depth:
+def _random_structure(depth: int, candidates, rng: RandomSource) -> DecisionTree:
+    root = Node(depth=0, w=0.0, w1=0.0, n_pos=0, n_neg=0)
+    stack = [root]
+    while stack:  # splits are drawn depth-first, left subtree first
+        node = stack.pop()
+        if node.depth >= depth:
             continue
-        current.split = candidates[rng.randint(len(candidates))]
-        current.left = Node(depth=level + 1, w=0.0, w1=0.0, n_pos=0, n_neg=0)
-        current.right = Node(depth=level + 1, w=0.0, w1=0.0, n_pos=0, n_neg=0)
-        stack.append((current.right, level + 1))
-        stack.append((current.left, level + 1))
-    return node
-
-
-def _leaf_index_map(root: Node, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
-    out = []
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out.append((node, idx))
-        else:
-            mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
-            stack.append((node.right, idx[~mask]))
-            stack.append((node.left, idx[mask]))
-    # restore left-to-right order (stack pops right first)
-    out.reverse()
-    return out
+        node.split = candidates[rng.randint(len(candidates))]
+        node.left = Node(depth=node.depth + 1, w=0.0, w1=0.0, n_pos=0, n_neg=0)
+        node.right = Node(depth=node.depth + 1, w=0.0, w1=0.0, n_pos=0, n_neg=0)
+        stack.append(node.right)
+        stack.append(node.left)
+    return DecisionTree(root)
 
 
 def rf_fit(
@@ -356,12 +328,14 @@ def rf_fit(
     trees = []
     for t in range(T):
         tree_rng = rng.spawn("rf-tree", t)
-        root = _random_structure(depth, candidates, tree_rng)
-        for leaf, idx in _leaf_index_map(root, dataset.X):
-            n_pos = int(np.count_nonzero(dataset.y[idx] == 1))
-            n_neg = int(idx.size) - n_pos
-            leaf.n_pos, leaf.n_neg = n_pos, n_neg
-            leaf.w, leaf.w1 = float(idx.size), float(n_pos)
+        tree = _random_structure(depth, candidates, tree_rng)
+        for leaf, idx in tree.leaf_rows(dataset.X):  # unreached leaves keep zero counts
+            leaf.n_pos = int(np.count_nonzero(dataset.y[idx] == 1))
+            leaf.n_neg = int(idx.size) - leaf.n_pos
+            leaf.w, leaf.w1 = float(idx.size), float(leaf.n_pos)
+        # every leaf is released, right to left: the release order fixes the draws
+        for leaf in reversed(tree.leaves()):
+            n_pos, n_neg = leaf.n_pos, leaf.n_neg
             if leaf_mechanism == "laplace":
                 accountant.spend("rf-leaf", eps_leaf)
                 noisy_pos = n_pos + laplace_sample(tree_rng, 2.0 / eps_leaf)
@@ -372,5 +346,5 @@ def rf_fit(
                     [float(n_neg), float(n_pos)], 1.0, eps_leaf, accountant, tree_rng, label="rf-leaf"
                 )
                 leaf.prediction = 1.0 if choice == 1 else -1.0
-        trees.append(root)
+        trees.append(tree)
     return RandomForest(trees=trees, depth=depth, leaf_mechanism=leaf_mechanism)

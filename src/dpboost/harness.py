@@ -45,6 +45,8 @@ from .tree import TreeConfig, TreePrivacy
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "read_fit_config",
+    "fit_cell",
     "RESULT_COLUMNS",
     "AUDIT_COLUMNS",
     "run_experiment",
@@ -141,16 +143,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
-        try:
-            entries = _parse_kv_lines(path)
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-        values: dict[str, str] = {}
-        for lineno, key, value in entries:
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
-        return ExperimentConfig.from_mapping(values, origin=path)
+        return ExperimentConfig.from_mapping(_read_config(path), origin=path)
 
     @staticmethod
     def from_mapping(values: dict[str, str], origin: str = "<config>") -> "ExperimentConfig":
@@ -225,6 +218,41 @@ class ExperimentConfig:
         return out
 
 
+def _read_config(path: str) -> dict[str, str]:
+    try:
+        entries = _parse_kv_lines(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    values: dict[str, str] = {}
+    for lineno, key, value in entries:
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
+    return values
+
+
+def read_fit_config(path: str) -> tuple[dict, float]:
+    """The one grid cell a ``dpboost fit`` config names, and its ``lc_alpha``.
+
+    A fit config takes the grid keys with one value each; the keys that
+    place a grid on data (data, domains, nvpriv, k_folds, seeds) are
+    rejected.
+    """
+    values = _read_config(path)
+    grid_only = sorted(set(values) & {"data", "domains", "nvpriv", "k_folds", "seeds"})
+    if grid_only:
+        raise ConfigError(f"{path}: keys {grid_only} do not apply to a fit")
+    lists = sorted(key for key, value in values.items() if "," in value)
+    if lists:
+        raise ConfigError(f"{path}: keys {lists} take one value in a fit")
+    # data and domains come from the command line, not from the config
+    config = ExperimentConfig.from_mapping({**values, "data": "", "domains": ""}, origin=path)
+    cells = config.cells()
+    if not cells:
+        raise ConfigError(f"{path}: forest baselines require a finite epsilon")
+    return cells[0], config.lc_alpha
+
+
 def cell_key(cell: dict) -> str:
     return "|".join(f"{k}={cell[k]}" for k in sorted(cell))
 
@@ -243,7 +271,7 @@ def _load_for_nvpriv(config: ExperimentConfig, nvpriv) -> Dataset:
     return load_csv(config.data, spec.label_column, spec)
 
 
-def _fit_cell(cell: dict, train: Dataset, T: int, lc_alpha: float, run_seed: int):
+def fit_cell(cell: dict, train: Dataset, lc_alpha: float, run_seed: int):
     """Train one model; returns (model, spent_epsilon)."""
     rng = RandomSource(run_seed)
     eps = cell["epsilon"]
@@ -251,7 +279,7 @@ def _fit_cell(cell: dict, train: Dataset, T: int, lc_alpha: float, run_seed: int
         if eps == "off":
             tree_config = TreeConfig(depth=cell["depth"], alpha=cell["alpha"])
             model = boost_fit(
-                train, T, tree_config, lc_alpha=lc_alpha,
+                train, cell["T"], tree_config, lc_alpha=lc_alpha,
                 output_bound=float(cell["M"]), rng=rng,
             )
             return model, 0.0
@@ -259,17 +287,17 @@ def _fit_cell(cell: dict, train: Dataset, T: int, lc_alpha: float, run_seed: int
             epsilon=float(eps),
             beta_tree=float(cell["beta_tree"]),
             output_bound=float(cell["M"]),
-            ensemble_size=T,
+            ensemble_size=cell["T"],
         )
         tree_config = TreeConfig(depth=cell["depth"], alpha=cell["alpha"], privacy=privacy)
         accountant = BudgetAccountant(float(eps))
         model = boost_fit(
-            train, T, tree_config, lc_alpha=lc_alpha, accountant=accountant, rng=rng
+            train, cell["T"], tree_config, lc_alpha=lc_alpha, accountant=accountant, rng=rng
         )
         return model, accountant.total_spent
     mechanism = "laplace" if cell["algorithm"] == "rf_laplace" else "exponential"
     accountant = BudgetAccountant(float(eps))
-    model = rf_fit(train, T, cell["depth"], float(eps), mechanism, accountant, rng)
+    model = rf_fit(train, cell["T"], cell["depth"], float(eps), mechanism, accountant, rng)
     return model, accountant.total_spent
 
 
@@ -282,16 +310,13 @@ def _format(value) -> str:
 def _existing_keys(path: str) -> set[tuple]:
     if not os.path.exists(path):
         return set()
-    keys = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return set()
         if tuple(reader.fieldnames) != RESULT_COLUMNS:
             raise ConfigError(f"{path}: unexpected results header {reader.fieldnames}")
-        for row in reader:
-            keys.add(_record_key(row))
-    return keys
+        return {_record_key(row) for row in reader}
 
 
 def _record_key(row: dict) -> tuple:
@@ -299,7 +324,7 @@ def _record_key(row: dict) -> tuple:
                                   "beta_tree", "nvpriv", "M", "seed", "fold"))
 
 
-def run_experiment(config: ExperimentConfig, out_path: str, jobs: int = 1) -> int:
+def run_experiment(config: ExperimentConfig, out_path: str) -> int:
     """Run every (cell, seed, fold) and append records to ``out_path``.
 
     Deterministic given the config's seeds; completed records are skipped
@@ -312,19 +337,11 @@ def run_experiment(config: ExperimentConfig, out_path: str, jobs: int = 1) -> in
 
     work = []
     for cell in cells:
-        dataset = None  # lazily loaded per cell (nvpriv may re-quantize)
         for seed in config.seeds:
             for fold in range(config.k_folds):
-                row_id = tuple(
-                    _format(v) for v in (
-                        cell["algorithm"], cell["T"], cell["depth"], cell["alpha"],
-                        cell["epsilon"], cell["beta_tree"], cell["nvpriv"], cell["M"],
-                        seed, fold,
-                    )
-                )
-                if row_id in done:
-                    continue
-                work.append((cell, seed, fold))
+                key = _record_key({**cell, "seed": seed, "fold": fold})
+                if tuple(_format(v) for v in key) not in done:
+                    work.append((cell, seed, fold))
 
     datasets: dict = {}
 
@@ -335,11 +352,7 @@ def run_experiment(config: ExperimentConfig, out_path: str, jobs: int = 1) -> in
 
     def run_one(cell: dict, seed: int, fold: int) -> dict:
         record = dict.fromkeys(RESULT_COLUMNS, "")
-        record.update(
-            algorithm=cell["algorithm"], T=cell["T"], depth=cell["depth"],
-            alpha=cell["alpha"], epsilon=cell["epsilon"], beta_tree=cell["beta_tree"],
-            nvpriv=cell["nvpriv"], M=cell["M"], seed=seed, fold=fold, error="",
-        )
+        record.update(cell, seed=seed, fold=fold)
         start = time.perf_counter()
         try:
             dataset = get_dataset(cell["nvpriv"])
@@ -348,7 +361,7 @@ def run_experiment(config: ExperimentConfig, out_path: str, jobs: int = 1) -> in
             train_idx, test_idx = folds[fold]
             train, test = dataset.subset(train_idx), dataset.subset(test_idx)
             run_seed = derive_seed(seed, cell_key(cell), fold)
-            model, spent = _fit_cell(cell, train, cell["T"], config.lc_alpha, run_seed)
+            model, spent = fit_cell(cell, train, config.lc_alpha, run_seed)
             pos_frac = float(np.mean(test.y == 1))
             record.update(
                 train_error=empirical_risk(model, train),
@@ -369,15 +382,8 @@ def run_experiment(config: ExperimentConfig, out_path: str, jobs: int = 1) -> in
         if write_header:
             writer.writerow(RESULT_COLUMNS)
             fh.flush()
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run_one, *item) for item in work]
-                records = [f.result() for f in futures]  # submission order
-        else:
-            records = (run_one(*item) for item in work)
-        for record in records:
+        for item in work:
+            record = run_one(*item)
             writer.writerow([_format(record[c]) for c in RESULT_COLUMNS])
             fh.flush()
             written += 1

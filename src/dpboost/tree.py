@@ -180,20 +180,8 @@ class DecisionTree:
     def budget_trace(self) -> list[float]:
         return [r.epsilon for r in self.records if r.epsilon is not None]
 
-    def leaves(self) -> list[Node]:
-        """All leaves, depth-first left to right (stable order)."""
-        out: list[Node] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
-
     def nodes(self) -> list[Node]:
+        """All nodes, depth-first, each before its children, left to right."""
         out: list[Node] = []
         stack = [self.root]
         while stack:
@@ -204,21 +192,36 @@ class DecisionTree:
                 stack.append(node.left)
         return out
 
-    def predict_bins(self, X: np.ndarray) -> np.ndarray:
-        """Leaf predictions for quantized rows ``X``."""
+    def leaves(self) -> list[Node]:
+        """All leaves, depth-first left to right (stable order)."""
+        return [node for node in self.nodes() if node.is_leaf]
+
+    def leaf_rows(self, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
+        """Each leaf that rows of ``X`` reach, with those rows, in ``leaves()`` order.
+
+        Rows are ascending.  Subtrees that no row reaches are not visited,
+        so their leaves are absent.
+        """
         X = np.asarray(X)
-        out = np.zeros(X.shape[0])
+        out = []
         stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
             if node.is_leaf:
-                out[idx] = node.prediction
+                out.append((node, idx))
             else:
                 mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
-                stack.append((node.left, idx[mask]))
                 stack.append((node.right, idx[~mask]))
+                stack.append((node.left, idx[mask]))
+        return out
+
+    def predict_bins(self, X: np.ndarray) -> np.ndarray:
+        """Leaf predictions for quantized rows ``X``."""
+        out = np.zeros(np.shape(X)[0])
+        for leaf, rows in self.leaf_rows(X):
+            out[rows] = leaf.prediction
         return out
 
     def to_dict(self) -> dict:
@@ -295,24 +298,10 @@ def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray,
     if np.any(weights <= 0.0):
         raise ValueError("weights must be strictly positive")
     pos = dataset.y == 1
-    rows = [idx for _, idx in _leaf_membership(tree, dataset.X) if idx.size]
+    rows = [idx for _, idx in tree.leaf_rows(dataset.X)]
     w = np.array([weights[idx].sum() for idx in rows])
     w1 = np.array([weights[idx[pos[idx]]].sum() for idx in rows])
     return math.fsum(_leaf_risks(w, w1, alpha).tolist())
-
-
-def _leaf_membership(tree: DecisionTree, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
-    out = []
-    stack = [(tree.root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if node.is_leaf:
-            out.append((node, idx))
-        else:
-            mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-    return out
 
 
 def split_budget(depth_of_leaf: int, d: int, T: int, beta_tree: float, epsilon: float) -> float:
@@ -589,22 +578,13 @@ def tree_efficiency(node: Node, tree: DecisionTree, dataset: Dataset, weights: n
     """
     weights = np.asarray(weights, dtype=float)
     total_w = float(weights.sum())
-    node_w = _weight_reaching(tree.root, node, dataset.X, weights, np.arange(dataset.n_examples))
-    if node_w is None:
+    if not any(n is node for n in tree.nodes()):
         raise ValueError("node does not belong to the tree")
+    below = {id(leaf) for leaf in DecisionTree(node).leaves()}
+    rows = [idx for leaf, idx in tree.leaf_rows(dataset.X) if id(leaf) in below]
+    node_w = float(weights[np.sort(np.concatenate(rows))].sum()) if rows else 0.0
     margins = tree.predict_bins(dataset.X)
     labels = np.where(margins > 0.0, 1, -1)
     err = float(np.mean(labels != dataset.y))
     return 8.0 * (node_w / total_w) * err**2 / 2.0**node.depth
 
-
-def _weight_reaching(current: Node, target: Node, X, weights, idx) -> float | None:
-    if current is target:
-        return float(weights[idx].sum()) if idx.size else 0.0
-    if current.is_leaf:
-        return None
-    mask = X[:, current.split.attribute][idx] <= current.split.threshold_bin
-    found = _weight_reaching(current.left, target, X, weights, idx[mask])
-    if found is not None:
-        return found
-    return _weight_reaching(current.right, target, X, weights, idx[~mask])

@@ -1,11 +1,13 @@
-"""Golden bit-identity of tree induction and boosting under fixed seeds.
+"""Golden bit-identity of tree induction, boosting and forests under fixed seeds.
 
 Every released number of three fits is hashed and compared with digests
 pinned from the per-leaf induction that preceded the level-wise one.  A
 speed-up of ``induce_tree`` must keep all of them: split records, leaf
 statistics and predictions, leveraging coefficients and training margins.
 The boosting traces and the serialized model are pinned from the code that
-still recomputed training outputs with ``predict_bins``.
+still recomputed training outputs with ``predict_bins``.  The forest fits,
+``unnormalized_risk`` and ``tree_efficiency`` are pinned from the code that
+still routed rows through a tree in five separate loops.
 """
 
 import dataclasses
@@ -17,9 +19,17 @@ import pytest
 
 import dpboost.ensemble as ensemble_module
 from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset
-from dpboost.ensemble import BoostedEnsemble, BoostTraces, boost_fit
+from dpboost.ensemble import BoostedEnsemble, BoostTraces, boost_fit, rf_fit
 from dpboost.privacy import BudgetAccountant, RandomSource
-from dpboost.tree import DecisionTree, Node, SplitRecord, TreeConfig, TreePrivacy
+from dpboost.tree import (
+    DecisionTree,
+    Node,
+    SplitRecord,
+    TreeConfig,
+    TreePrivacy,
+    tree_efficiency,
+    unnormalized_risk,
+)
 
 
 def _sha(values) -> str:
@@ -186,3 +196,71 @@ def test_training_outputs_are_the_tree_predictions(monkeypatch, fit, check):
     for h, tree in zip(seen, model.trees):
         assert check(tree.leaves())
         assert np.array_equal(h, np.clip(tree.predict_bins(ds.X), -M, M))
+
+
+# (leaf mechanism, T, depth, epsilon, seed) on 120 blocks rows: the laplace
+# fit leaves 49 of its 144 leaves without training rows, the exponential 7 of 84
+FOREST_FITS = {
+    "laplace": ("laplace", 9, 4, 1.0, 21),
+    "exponential": ("exponential", 21, 2, 0.5, 22),
+}
+
+FOREST_GOLDEN = {
+    "laplace": {
+        "leaf.prediction": "d221e05aad26aa43",
+        "leaf.counts": "135f95710ea3bfce",
+        "vote_margins": "bfef536775f31179",
+        "model.to_dict": "413e6a11610aa881",
+    },
+    "exponential": {
+        "leaf.prediction": "491d725de035d049",
+        "leaf.counts": "3083a03b6192406d",
+        "vote_margins": "e48871f20d316ce7",
+        "model.to_dict": "7439a4a226cf5898",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_FITS))
+def test_forest_matches_golden_digests(name):
+    mechanism, T, depth, epsilon, seed = FOREST_FITS[name]
+    ds = make_blocks_dataset(120, 4, seed=5)
+    forest = rf_fit(ds, T, depth, epsilon, mechanism, BudgetAccountant(epsilon), RandomSource(seed))
+    assert all(isinstance(tree, DecisionTree) for tree in forest.trees)
+    leaves = [leaf for tree in forest.trees for leaf in tree.leaves()]
+    assert {
+        "leaf.prediction": _sha([leaf.prediction for leaf in leaves]),
+        "leaf.counts": _sha([(leaf.n_pos, leaf.n_neg) for leaf in leaves]),
+        "vote_margins": _sha(forest.vote_margins(ds.X).tolist()),
+        "model.to_dict": _sha(json.dumps(forest.to_dict(), sort_keys=True)),
+    } == FOREST_GOLDEN[name]
+
+
+# unnormalized_risk of each tree at its prediction alpha and tree_efficiency
+# of each node in nodes() order, under weights linspace(0.05, 1, m)
+DIAGNOSTICS_GOLDEN = {
+    "fixed_alpha_depth5": {
+        "unnormalized_risk": "bd684c02528e8eeb",
+        "tree_efficiency": "1e5f1c440851567f",
+    },
+    "oc_depth5": {
+        "unnormalized_risk": "475433e68c961334",
+        "tree_efficiency": "f8ee134463295448",
+    },
+    "private_oc_depth8": {
+        "unnormalized_risk": "12ee57c5ccfeb04d",
+        "tree_efficiency": "93be2f1b34882f9a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_tree_diagnostics_match_golden_digests(name):
+    model, ds = FITS[name]()
+    weights = np.linspace(0.05, 1.0, ds.n_examples)
+    risks = [unnormalized_risk(t, ds, weights, t.prediction_alpha) for t in model.trees]
+    efficiencies = [tree_efficiency(n, t, ds, weights) for t in model.trees for n in t.nodes()]
+    assert {
+        "unnormalized_risk": _sha(risks),
+        "tree_efficiency": _sha(efficiencies),
+    } == DIAGNOSTICS_GOLDEN[name]

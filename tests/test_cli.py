@@ -53,13 +53,60 @@ class TestFitEval:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60 and set(rows[0]) == {"margin", "label"}
 
-    def test_private_fit(self, tmp_path, blocks_files):
+    def test_private_fit(self, tmp_path, blocks_files, capsys):
         data, domains = blocks_files
-        cfg = _fit_config(tmp_path, epsilon="1.0", alpha="oc")
+        cfg = _fit_config(tmp_path, epsilon="1.0", alpha="oc", beta_tree="0.4", M="5",
+                          lc_alpha="0.5")
         model_path = str(tmp_path / "model.json")
         rc = main(["fit", "--config", cfg, "--data", data, "--domains", domains,
                    "--out", model_path])
         assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "spent_epsilon=" in out
+        assert "train_error" not in out  # exact training error is not a private release
+
+    @pytest.mark.parametrize("algorithm", ["boost", "rf_laplace", "rf_exponential"])
+    def test_train_error_printed_only_without_privacy(self, tmp_path, blocks_files, capsys,
+                                                      algorithm):
+        data, domains = blocks_files
+        epsilon = "off" if algorithm == "boost" else "1.0"
+        cfg = _fit_config(tmp_path, algorithm=algorithm, epsilon=epsilon)
+        rc = main(["fit", "--config", cfg, "--data", data, "--domains", domains,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_OK
+        assert ("train_error=" in capsys.readouterr().out) == (epsilon == "off")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("beta_tree = 0.3,0.5\n", "take one value"),
+            ("depth = 3\n", "duplicate key"),
+            ("data = other.csv\n", "do not apply to a fit"),
+            ("domains = other.domains\n", "do not apply to a fit"),
+            ("k_folds = 3\n", "do not apply to a fit"),
+            ("seeds = 0\n", "do not apply to a fit"),
+            ("nvpriv = 5\n", "do not apply to a fit"),
+            ("no_such_key = 1\n", "unknown keys"),
+        ],
+    )
+    def test_grid_keys_lists_and_repeats_are_config_errors(self, tmp_path, blocks_files, capsys,
+                                                           extra, message):
+        data, domains = blocks_files
+        cfg = _fit_config(tmp_path)
+        with open(cfg, "a") as fh:
+            fh.write(extra)
+        rc = main(["fit", "--config", cfg, "--data", data, "--domains", domains,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_forest_without_epsilon_is_config_error(self, tmp_path, blocks_files):
+        data, domains = blocks_files
+        cfg = _fit_config(tmp_path, algorithm="rf_laplace", epsilon="off")
+        rc = main(["fit", "--config", cfg, "--data", data, "--domains", domains,
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_CONFIG
 
     def test_missing_data_is_data_error(self, tmp_path, blocks_files):
         _, domains = blocks_files

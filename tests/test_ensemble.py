@@ -255,18 +255,12 @@ class TestRandomForest:
         rf = rf_fit(ds, 21, 2, 1e6, "laplace", acc, RandomSource(2))
         agreements = 0
         leaves = 0
-        for root in rf.trees:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    if node.n_pos == node.n_neg:
-                        continue  # tied or empty: majority undefined
-                    leaves += 1
-                    majority = 1.0 if node.n_pos > node.n_neg else -1.0
-                    agreements += node.prediction == majority
-                else:
-                    stack.extend((node.left, node.right))
+        for node in (leaf for tree in rf.trees for leaf in tree.leaves()):
+            if node.n_pos == node.n_neg:
+                continue  # tied or empty: majority undefined
+            leaves += 1
+            majority = 1.0 if node.n_pos > node.n_neg else -1.0
+            agreements += node.prediction == majority
         assert leaves > 20
         assert agreements / leaves >= 0.999
 
@@ -276,7 +270,7 @@ class TestRandomForest:
         flipped = Dataset(ds1.X, -ds1.y, ds1.domains)
         rf1 = rf_fit(ds1, 5, 2, 1.0, "exponential", BudgetAccountant(1.0), RandomSource(9))
         rf2 = rf_fit(flipped, 5, 2, 1.0, "exponential", BudgetAccountant(1.0), RandomSource(9))
-        for a, b in zip(rf1.trees, rf2.trees):
+        for a, b in zip((t.root for t in rf1.trees), (t.root for t in rf2.trees)):
             assert a.split == b.split
             assert a.left.split == b.left.split and a.right.split == b.right.split
 

@@ -13,6 +13,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+import dpboost.harness as harness
 from dpboost.dataset import make_blocks_dataset
 from dpboost.harness import (
     AUDIT_COLUMNS,
@@ -175,19 +176,34 @@ class TestRunExperiment:
         for key, value in small_rows.items():
             assert big_rows[key] == value
 
-    def test_jobs_parallel_same_output(self, tmp_path, blocks_files):
+    def test_interrupted_run_resumes(self, tmp_path, blocks_files, monkeypatch):
         data, domains = blocks_files
         cfg = ExperimentConfig.from_file(
             _config_file(tmp_path, data, domains, T="2,3", epsilon="0.5")
         )
-        out_serial = str(tmp_path / "serial.csv")
-        out_parallel = str(tmp_path / "parallel.csv")
-        run_experiment(cfg, out_serial, jobs=1)
-        run_experiment(cfg, out_parallel, jobs=3)
+        full = str(tmp_path / "full.csv")
+        assert run_experiment(cfg, full) == 6
+        interrupted_at = 4  # the fit of the 4th record is interrupted
+        fits = []
+        fit_cell = harness.fit_cell
+
+        def interrupting(*args, **kwargs):
+            fits.append(args)
+            if len(fits) == interrupted_at:
+                raise KeyboardInterrupt
+            return fit_cell(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_cell", interrupting)
+        out = str(tmp_path / "resumed.csv")
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg, out)
+        assert len(read_results(out)) == interrupted_at - 1  # flushed before the interrupt
+        monkeypatch.undo()
+        assert run_experiment(cfg, out) == 6 - (interrupted_at - 1)
         strip = lambda rows: [
             [r[c] for c in RESULT_COLUMNS if c != "wall_time_s"] for r in rows
         ]
-        assert strip(read_results(out_serial)) == strip(read_results(out_parallel))
+        assert strip(read_results(out)) == strip(read_results(full))
 
     def test_per_cell_error_recorded_run_continues(self, tmp_path, blocks_files):
         data, domains = blocks_files

@@ -5,6 +5,7 @@ depth-limited trees over the candidate grid, built independently of the
 induction code.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import dpboost.tree as tree_module
 from dpboost.dataset import AttributeDomain, Dataset, candidate_splits, make_blocks_dataset
+from dpboost.ensemble import rf_fit
 from dpboost.losses import LossSpec, bayes_risk, canonical_link, sensitivity_bound
 from dpboost.privacy import (
     BudgetAccountant,
@@ -297,6 +299,66 @@ def _per_leaf_histogram(X, weights, pos, idx, domains):
         w_parts.append(np.cumsum(w_bin)[: dom.nvpriv - 1])
         w1_parts.append(np.cumsum(w1_bin)[: dom.nvpriv - 1])
     return np.concatenate(w_parts), np.concatenate(w1_parts)
+
+
+def _leaf_of(tree, row):
+    # reference: walk one row from the root
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if row[node.split.attribute] <= node.split.threshold_bin else node.right
+    return node
+
+
+@functools.cache
+def _deep_private_tree():
+    # depth 8 on 400 rows: most of the 256 leaves are unreached
+    ds = make_blocks_dataset(400, 4, seed=3)
+    privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+    config = TreeConfig(depth=8, alpha="oc", privacy=privacy)
+    return induce_tree(ds, np.full(400, 0.5), config, BudgetAccountant(1.0), RandomSource(11)), ds
+
+
+class TestLeafRows:
+    @staticmethod
+    def _check_against_walk(tree, X):
+        pairs = tree.leaf_rows(X)
+        order = {id(leaf): k for k, leaf in enumerate(tree.leaves())}
+        positions = [order[id(leaf)] for leaf, _ in pairs]
+        assert positions == sorted(set(positions))  # distinct leaves, in leaves() order
+        for leaf, rows in pairs:
+            assert rows.size > 0 and np.all(np.diff(rows) > 0)
+            assert all(_leaf_of(tree, X[r]) is leaf for r in rows)
+        # disjoint and covering: every row reaches exactly one reported leaf
+        reported = np.concatenate([rows for _, rows in pairs]) if pairs else np.array([], int)
+        assert np.array_equal(np.sort(reported), np.arange(X.shape[0]))
+        reached = {id(_leaf_of(tree, row)) for row in X}
+        assert reached == {id(leaf) for leaf, _ in pairs}
+        return pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_forest_trees_match_a_per_row_walk(self, data):
+        sizes = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        rows = st.tuples(*[st.integers(0, n - 1) for n in sizes])
+        X = np.array(data.draw(st.lists(rows, min_size=2, max_size=40)), dtype=np.int64)
+        y = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(X),
+                                        max_size=len(X))))
+        domains = [AttributeDomain(f"a{j}", 0.0, 1.0, n) for j, n in enumerate(sizes)]
+        ds = Dataset(X, y, domains)
+        depth = data.draw(st.integers(1, 5))
+        seed = data.draw(st.integers(0, 2**16))
+        forest = rf_fit(ds, 3, depth, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(seed))
+        query = X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=30))]
+        for tree in forest.trees:
+            self._check_against_walk(tree, ds.X)
+            self._check_against_walk(tree, query)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 399), max_size=200))
+    def test_deep_private_tree_skips_unreached_leaves(self, picks):
+        tree, ds = _deep_private_tree()
+        assert len(self._check_against_walk(tree, ds.X)) < len(tree.leaves())
+        self._check_against_walk(tree, ds.X[picks])
 
 
 class TestFrontierHistograms:
