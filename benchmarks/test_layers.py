@@ -1,5 +1,5 @@
 """Layer benchmarks: the large fit (m=100k, 20 attributes, nvpriv=32), deep-tree
-prediction and the forest baseline.
+prediction, the forest baseline, k-fold construction and one experiment grid.
 
 Run from the repository root with::
 
@@ -10,13 +10,16 @@ Inputs are built from fixed seeds through ``Dataset``, so each commit is
 timed on the feature layout its own ``Dataset`` stores.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 import dpboost.tree as tree_module
-from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset
+from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset, stratified_kfold
 from dpboost.ensemble import boost_fit, predict, rf_fit
-from dpboost.privacy import BudgetAccountant, RandomSource
+from dpboost.harness import ExperimentConfig, run_experiment
+from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed
 from dpboost.tree import TreeConfig, TreePrivacy, induce_tree
 
 M_ROWS, N_ATTRS, NVPRIV, DEPTH, OUTPUT_BOUND = 100_000, 20, 32, 6, 10.0
@@ -111,3 +114,41 @@ def test_forest_fit_and_vote(benchmark, blocks):
         return forest.vote_margins(train.X)
 
     benchmark(fit_and_vote)
+
+
+def test_stratified_kfold(benchmark, blocks):
+    """Ten stratified folds of the 400 training rows, seeded as the experiment seeds them."""
+    train, _ = blocks
+    benchmark(lambda: stratified_kfold(train, 10, RandomSource(derive_seed(0, "folds", 10))))
+
+
+@pytest.fixture(scope="module")
+def forest_grid(tmp_path_factory):
+    """A one-cell grid (rf_laplace, T=21, depth 2, epsilon 1) over 400 blocks rows,
+    one seed and 10 folds, written as the CSV, domains and config files it reads."""
+    directory = tmp_path_factory.mktemp("grid")
+    ds = make_blocks_dataset(400, 4, seed=3)
+    data = directory / "blocks.csv"
+    rows = [",".join([*(str(float(v)) for v in ds.X[i]), str(ds.y[i])]) for i in range(400)]
+    data.write_text("\n".join(["x0,x1,x2,x3,y", *rows]) + "\n")
+    domains = directory / "blocks.domains"
+    domains.write_text("label_column = y\n" + "".join(
+        f"attribute = x{j} 0.0 9.0 10\n" for j in range(4)
+    ))
+    config = directory / "grid.config"
+    config.write_text(
+        f"data = {data}\ndomains = {domains}\nalgorithm = rf_laplace\nT = 21\n"
+        "depth = 2\nepsilon = 1.0\nk_folds = 10\nseeds = 0\n"
+    )
+    return ExperimentConfig.from_file(str(config)), directory
+
+
+def test_experiment_forest_cell(benchmark, forest_grid):
+    """``run_experiment`` of the one-cell forest grid into a new results file: 10 records."""
+    config, directory = forest_grid
+    runs = itertools.count()
+
+    def fresh_output():
+        return (config, str(directory / f"results{next(runs)}.csv")), {}
+
+    benchmark.pedantic(run_experiment, setup=fresh_output, rounds=30, iterations=1)

@@ -139,8 +139,12 @@ class Dataset:
 
 
 def _parse_kv_lines(path: str) -> list[tuple[int, str, str]]:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -271,25 +275,14 @@ def stratified_kfold(
     """
     if k < 2:
         raise DataError("k must be at least 2")
-    per_class: list[list[int]] = []
+    fold_of = np.empty(dataset.n_examples, dtype=np.int64)
     for cls in (-1, 1):
         idx = list(np.flatnonzero(dataset.y == cls))
         if 0 < len(idx) < k:
             raise DataError(f"class {cls} has fewer than {k} examples")
         rng.shuffle(idx)
-        per_class.append(idx)
-    test_sets: list[list[int]] = [[] for _ in range(k)]
-    for idx in per_class:
-        for pos, example in enumerate(idx):
-            test_sets[pos % k].append(example)
-    folds = []
-    all_idx = np.arange(dataset.n_examples)
-    for test in test_sets:
-        test_arr = np.sort(np.asarray(test, dtype=np.int64))
-        mask = np.ones(dataset.n_examples, dtype=bool)
-        mask[test_arr] = False
-        folds.append((all_idx[mask], test_arr))
-    return folds
+        fold_of[idx] = np.arange(len(idx)) % k  # dealt round robin
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(k)]
 
 
 def make_blocks_dataset(

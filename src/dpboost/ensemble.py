@@ -193,6 +193,8 @@ def boost_fit(
         M = tree_config.privacy.output_bound
     else:
         M = output_bound if output_bound is not None else 10.0
+        if not M > 0.0:
+            raise ValueError("output_bound must be positive")
     if not (0.0 <= pi < 1.0):
         raise ValueError("pi must lie in [0, 1)")
     if a is None:

@@ -185,6 +185,10 @@ class ExperimentConfig:
             raise ConfigError(f"{origin}: T and depth must be >= 1")
         if any(not 0.0 < b < 1.0 for b in cfg.beta_tree):
             raise ConfigError(f"{origin}: beta_tree must lie in (0, 1)")
+        if any(not 0.0 < M < math.inf for M in cfg.M):
+            raise ConfigError(f"{origin}: M must be positive and finite")
+        if not 0.0 <= cfg.lc_alpha <= 1.0:
+            raise ConfigError(f"{origin}: lc_alpha must lie in [0, 1]")
         return cfg
 
     def cells(self) -> list[dict]:
@@ -275,29 +279,22 @@ def fit_cell(cell: dict, train: Dataset, lc_alpha: float, run_seed: int):
     """Train one model; returns (model, spent_epsilon)."""
     rng = RandomSource(run_seed)
     eps = cell["epsilon"]
+    accountant = BudgetAccountant(0.0 if eps == "off" else float(eps))
     if cell["algorithm"] == "boost":
-        if eps == "off":
-            tree_config = TreeConfig(depth=cell["depth"], alpha=cell["alpha"])
-            model = boost_fit(
-                train, cell["T"], tree_config, lc_alpha=lc_alpha,
-                output_bound=float(cell["M"]), rng=rng,
-            )
-            return model, 0.0
-        privacy = TreePrivacy(
+        privacy = None if eps == "off" else TreePrivacy(
             epsilon=float(eps),
             beta_tree=float(cell["beta_tree"]),
             output_bound=float(cell["M"]),
             ensemble_size=cell["T"],
         )
         tree_config = TreeConfig(depth=cell["depth"], alpha=cell["alpha"], privacy=privacy)
-        accountant = BudgetAccountant(float(eps))
         model = boost_fit(
-            train, cell["T"], tree_config, lc_alpha=lc_alpha, accountant=accountant, rng=rng
+            train, cell["T"], tree_config, lc_alpha=lc_alpha, output_bound=float(cell["M"]),
+            accountant=accountant, rng=rng,
         )
-        return model, accountant.total_spent
-    mechanism = "laplace" if cell["algorithm"] == "rf_laplace" else "exponential"
-    accountant = BudgetAccountant(float(eps))
-    model = rf_fit(train, cell["T"], cell["depth"], float(eps), mechanism, accountant, rng)
+    else:
+        mechanism = "laplace" if cell["algorithm"] == "rf_laplace" else "exponential"
+        model = rf_fit(train, cell["T"], cell["depth"], float(eps), mechanism, accountant, rng)
     return model, accountant.total_spent
 
 
@@ -307,21 +304,9 @@ def _format(value) -> str:
     return str(value)
 
 
-def _existing_keys(path: str) -> set[tuple]:
-    if not os.path.exists(path):
-        return set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return set()
-        if tuple(reader.fieldnames) != RESULT_COLUMNS:
-            raise ConfigError(f"{path}: unexpected results header {reader.fieldnames}")
-        return {_record_key(row) for row in reader}
-
-
 def _record_key(row: dict) -> tuple:
-    return tuple(row[k] for k in ("algorithm", "T", "depth", "alpha", "epsilon",
-                                  "beta_tree", "nvpriv", "M", "seed", "fold"))
+    return tuple(_format(row[k]) for k in ("algorithm", "T", "depth", "alpha", "epsilon",
+                                           "beta_tree", "nvpriv", "M", "seed", "fold"))
 
 
 def run_experiment(config: ExperimentConfig, out_path: str) -> int:
@@ -330,60 +315,54 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
     Deterministic given the config's seeds; completed records are skipped
     on rerun.  Per-record failures land in the ``error`` column and the
     run continues.  Returns the number of records written.
+
+    Each nvpriv's dataset is loaded once, and each seed's folds are built
+    once and kept for the whole call: k x m int64 indices per seed.
     """
-    done = _existing_keys(out_path)
-    cells = config.cells()
     write_header = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-
-    work = []
-    for cell in cells:
-        for seed in config.seeds:
-            for fold in range(config.k_folds):
-                key = _record_key({**cell, "seed": seed, "fold": fold})
-                if tuple(_format(v) for v in key) not in done:
-                    work.append((cell, seed, fold))
-
-    datasets: dict = {}
-
-    def get_dataset(nv) -> Dataset:
-        if nv not in datasets:
-            datasets[nv] = _load_for_nvpriv(config, nv)
-        return datasets[nv]
-
-    def run_one(cell: dict, seed: int, fold: int) -> dict:
-        record = dict.fromkeys(RESULT_COLUMNS, "")
-        record.update(cell, seed=seed, fold=fold)
-        start = time.perf_counter()
-        try:
-            dataset = get_dataset(cell["nvpriv"])
-            fold_rng = RandomSource(derive_seed(seed, "folds", config.k_folds))
-            folds = stratified_kfold(dataset, config.k_folds, fold_rng)
-            train_idx, test_idx = folds[fold]
-            train, test = dataset.subset(train_idx), dataset.subset(test_idx)
-            run_seed = derive_seed(seed, cell_key(cell), fold)
-            model, spent = fit_cell(cell, train, config.lc_alpha, run_seed)
-            pos_frac = float(np.mean(test.y == 1))
-            record.update(
-                train_error=empirical_risk(model, train),
-                test_error=empirical_risk(model, test),
-                default_error=min(pos_frac, 1.0 - pos_frac),
-                leaves=model.n_leaves,
-                mean_depth=model.mean_leaf_depth,
-                spent_epsilon=spent,
-            )
-        except Exception as exc:  # recorded, run continues
-            record["error"] = f"{type(exc).__name__}: {exc}"
-        record["wall_time_s"] = time.perf_counter() - start
-        return record
-
+    done = set() if write_header else {_record_key(row) for row in read_results(out_path)}
+    datasets: dict = {}  # nvpriv -> Dataset
+    folds: dict = {}  # seed -> [(train_idx, test_idx)] * k_folds
     written = 0
     with open(out_path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if write_header:
             writer.writerow(RESULT_COLUMNS)
             fh.flush()
-        for item in work:
-            record = run_one(*item)
+        for cell, seed, fold in itertools.product(
+            config.cells(), config.seeds, range(config.k_folds)
+        ):
+            record = dict.fromkeys(RESULT_COLUMNS, "")
+            record.update(cell, seed=seed, fold=fold)
+            if _record_key(record) in done:
+                continue
+            start = time.perf_counter()
+            try:
+                if cell["nvpriv"] not in datasets:
+                    datasets[cell["nvpriv"]] = _load_for_nvpriv(config, cell["nvpriv"])
+                dataset = datasets[cell["nvpriv"]]
+                if seed not in folds:  # the folds depend on the labels only
+                    fold_rng = RandomSource(derive_seed(seed, "folds", config.k_folds))
+                    folds[seed] = stratified_kfold(dataset, config.k_folds, fold_rng)
+                train_idx, test_idx = folds[seed][fold]
+                train, test = dataset.subset(train_idx), dataset.subset(test_idx)
+                model, spent = fit_cell(
+                    cell, train, config.lc_alpha, derive_seed(seed, cell_key(cell), fold)
+                )
+                pos_frac = float(np.mean(test.y == 1))
+                record.update(
+                    # boosting traced the training error of its final model
+                    train_error=model.traces.train_error[-1]
+                    if isinstance(model, BoostedEnsemble) else empirical_risk(model, train),
+                    test_error=empirical_risk(model, test),
+                    default_error=min(pos_frac, 1.0 - pos_frac),
+                    leaves=model.n_leaves,
+                    mean_depth=model.mean_leaf_depth,
+                    spent_epsilon=spent,
+                )
+            except Exception as exc:  # recorded, run continues
+                record["error"] = f"{type(exc).__name__}: {exc}"
+            record["wall_time_s"] = time.perf_counter() - start
             writer.writerow([_format(record[c]) for c in RESULT_COLUMNS])
             fh.flush()
             written += 1

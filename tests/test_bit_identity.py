@@ -7,7 +7,9 @@ statistics and predictions, leveraging coefficients and training margins.
 The boosting traces and the serialized model are pinned from the code that
 still recomputed training outputs with ``predict_bins``.  The forest fits,
 ``unnormalized_risk`` and ``tree_efficiency`` are pinned from the code that
-still routed rows through a tree in five separate loops.
+still routed rows through a tree in five separate loops.  An experiment
+grid's result columns and ``stratified_kfold``'s folds are pinned from the
+loop that rebuilt the folds for every record.
 """
 
 import dataclasses
@@ -18,9 +20,10 @@ import numpy as np
 import pytest
 
 import dpboost.ensemble as ensemble_module
-from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset
-from dpboost.ensemble import BoostedEnsemble, BoostTraces, boost_fit, rf_fit
-from dpboost.privacy import BudgetAccountant, RandomSource
+from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset, stratified_kfold
+from dpboost.ensemble import BoostedEnsemble, BoostTraces, boost_fit, empirical_risk, rf_fit
+from dpboost.harness import RESULT_COLUMNS, ExperimentConfig, read_results, run_experiment
+from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed
 from dpboost.tree import (
     DecisionTree,
     Node,
@@ -264,3 +267,73 @@ def test_tree_diagnostics_match_golden_digests(name):
         "unnormalized_risk": _sha(risks),
         "tree_efficiency": _sha(efficiencies),
     } == DIAGNOSTICS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_train_error_trace_is_the_empirical_risk(name):
+    # the experiment's train_error column and `dpboost fit` read the trace
+    model, ds = FITS[name]()
+    assert model.traces.train_error[-1] == empirical_risk(model, ds)
+
+
+def _one_class_dataset() -> Dataset:
+    return Dataset(np.zeros((23, 1), dtype=np.int64), np.ones(23, dtype=np.int64),
+                   [AttributeDomain("a0", 0.0, 1.0, 2)])
+
+
+# (dataset, k, seed) of stratified_kfold, its random source seeded as the
+# experiment seeds it; pinned from the code that dealt each class into
+# per-fold lists
+KFOLD_CASES = {
+    "blocks60_k3_seed0": (lambda: make_blocks_dataset(60, 3, seed=2), 3, 0),
+    "blocks121_k10_seed7": (lambda: make_blocks_dataset(121, 2, seed=7), 10, 7),
+    "blocks400_k10_seed1": (lambda: make_blocks_dataset(400, 4, seed=3), 10, 1),
+    "one_class_k4_seed3": (_one_class_dataset, 4, 3),
+}
+
+KFOLD_GOLDEN = {
+    "blocks60_k3_seed0": "002a4ea954a83625",
+    "blocks121_k10_seed7": "0bfabce1fc29e929",
+    "blocks400_k10_seed1": "e4e15a59b462d445",
+    "one_class_k4_seed3": "d3b79eac5b3a7f0f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KFOLD_CASES))
+def test_stratified_kfold_matches_golden_digest(name):
+    make, k, seed = KFOLD_CASES[name]
+    rng = RandomSource(derive_seed(seed, "folds", k))
+    folds = stratified_kfold(make(), k, rng)
+    assert all(a.dtype == np.int64 and b.dtype == np.int64 for a, b in folds)
+    assert _sha([(a.tolist(), b.tolist()) for a, b in folds]) == KFOLD_GOLDEN[name]
+
+
+# every result column but wall_time_s of a grid over both boosting modes and
+# both forests at two quantizations, two seeds and three folds; pinned from
+# the loop that rebuilt the folds for every record
+GRID_CONFIG = (
+    "algorithm = boost, rf_laplace, rf_exponential\nT = 3\ndepth = 2\n"
+    "alpha = 0.5, oc\nepsilon = off, 1.0\nnvpriv = 5, 10\nk_folds = 3\nseeds = 0, 1\n"
+)
+GRID_GOLDEN = "8a4dff1e4f1bc03b"
+
+
+def test_experiment_grid_matches_golden_digest(tmp_path):
+    ds = make_blocks_dataset(60, 3, seed=2)
+    data = tmp_path / "blocks.csv"
+    lines = ["x0,x1,x2,y"] + [
+        ",".join([*(repr(float(v)) for v in ds.X[i]), str(ds.y[i])]) for i in range(60)
+    ]
+    data.write_text("\n".join(lines) + "\n")
+    domains = tmp_path / "blocks.domains"
+    domains.write_text("label_column = y\n" + "".join(
+        f"attribute = x{j} 0.0 9.0 10\n" for j in range(3)
+    ))
+    config = tmp_path / "grid.config"
+    config.write_text(f"data = {data}\ndomains = {domains}\n" + GRID_CONFIG)
+    out = str(tmp_path / "results.csv")
+    assert run_experiment(ExperimentConfig.from_file(str(config)), out) == 72
+    rows = read_results(out)
+    assert all(row["error"] == "" for row in rows)
+    columns = [c for c in RESULT_COLUMNS if c != "wall_time_s"]
+    assert _sha([[row[c] for c in columns] for row in rows]) == GRID_GOLDEN

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from dpboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from dpboost.dataset import make_blocks_dataset
+from dpboost.dataset import load_csv, make_blocks_dataset
+from dpboost.ensemble import empirical_risk
+from dpboost.harness import load_model
 
 
 @pytest.fixture
@@ -87,6 +89,9 @@ class TestFitEval:
             ("seeds = 0\n", "do not apply to a fit"),
             ("nvpriv = 5\n", "do not apply to a fit"),
             ("no_such_key = 1\n", "unknown keys"),
+            ("M = 0\n", "M must be positive and finite"),
+            ("M = -5\n", "M must be positive and finite"),
+            ("lc_alpha = 1.5\n", "lc_alpha must lie in [0, 1]"),
         ],
     )
     def test_grid_keys_lists_and_repeats_are_config_errors(self, tmp_path, blocks_files, capsys,
@@ -114,6 +119,38 @@ class TestFitEval:
                    str(tmp_path / "nope.csv"), "--domains", domains,
                    "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("command, missing, code", [
+        ("fit", "config", EXIT_CONFIG),
+        ("fit", "domains", EXIT_DATA),
+        ("experiment", "config", EXIT_CONFIG),
+    ])
+    def test_missing_file_exits_with_its_code(self, tmp_path, blocks_files, capsys,
+                                              command, missing, code):
+        data, domains = blocks_files
+        nope = str(tmp_path / "nope")
+        config = nope if missing == "config" else _fit_config(tmp_path)
+        argv = {
+            "fit": ["fit", "--config", config, "--data", data, "--domains",
+                    nope if missing == "domains" else domains],
+            "experiment": ["experiment", "--config", config],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert f"cannot open {nope}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_printed_train_error_is_the_model_training_error(self, tmp_path, blocks_files,
+                                                             capsys):
+        data, domains = blocks_files
+        model_path = str(tmp_path / "m.json")
+        # the training error of stumps on this data falls only at the 7th
+        rc = main(["fit", "--config", _fit_config(tmp_path, T="8", depth="1"), "--data", data,
+                   "--domains", domains, "--out", model_path])
+        assert rc == EXIT_OK
+        shown = capsys.readouterr().out
+        model, spec = load_model(model_path)
+        expected = empirical_risk(model, load_csv(data, spec.label_column, spec))
+        assert f"train_error={expected}," in shown
 
     def test_bad_config_is_config_error(self, tmp_path, blocks_files):
         data, domains = blocks_files

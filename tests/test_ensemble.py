@@ -177,6 +177,12 @@ class TestBoostFit:
         # inside the interval is fine
         boost_fit(ds, 1, cfg, a=0.011, pi=0.2, output_bound=10.0)
 
+    @pytest.mark.parametrize("bound", [0.0, -5.0, float("nan")])
+    def test_non_positive_output_bound_rejected(self, bound):
+        ds = make_blocks_dataset(50, 2, seed=1)
+        with pytest.raises(ValueError, match="output_bound"):
+            boost_fit(ds, 1, TreeConfig(depth=1, alpha=1.0), output_bound=bound)
+
     def test_deterministic_private_run(self):
         ds = make_blocks_dataset(100, 3, seed=4)
 

@@ -108,6 +108,24 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize("M", ["0", "-5", "10, 0", "inf", "nan"])
+    def test_output_bound_must_be_positive_and_finite(self, tmp_path, blocks_files, M):
+        data, domains = blocks_files
+        path = _config_file(tmp_path, data, domains, M=M)
+        with pytest.raises(ConfigError, match="M must be positive and finite"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("lc_alpha, ok", [("0", True), ("1", True), ("0.5", True),
+                                              ("-0.1", False), ("1.5", False), ("nan", False)])
+    def test_lc_alpha_within_unit_interval(self, tmp_path, blocks_files, lc_alpha, ok):
+        data, domains = blocks_files
+        path = _config_file(tmp_path, data, domains, lc_alpha=lc_alpha)
+        if ok:
+            assert ExperimentConfig.from_file(path).lc_alpha == float(lc_alpha)
+        else:
+            with pytest.raises(ConfigError, match="lc_alpha must lie in"):
+                ExperimentConfig.from_file(path)
+
 
 class TestRunExperiment:
     def test_record_count_and_schema(self, tmp_path, blocks_files):
@@ -204,6 +222,38 @@ class TestRunExperiment:
             [r[c] for c in RESULT_COLUMNS if c != "wall_time_s"] for r in rows
         ]
         assert strip(read_results(out)) == strip(read_results(full))
+
+    def test_folds_built_once_per_seed(self, tmp_path, blocks_files, monkeypatch):
+        data, domains = blocks_files
+        cfg = ExperimentConfig.from_file(_config_file(
+            tmp_path, data, domains, algorithm="boost,rf_laplace", epsilon="off,0.5",
+            nvpriv="5,10", seeds="0,1,2",
+        ))
+        full = str(tmp_path / "full.csv")
+        calls = []
+        kfold = harness.stratified_kfold
+
+        def counting(dataset, k, rng):
+            calls.append(rng.seed)
+            return kfold(dataset, k, rng)
+
+        monkeypatch.setattr(harness, "stratified_kfold", counting)
+        assert run_experiment(cfg, full) == 6 * 3 * 3  # 6 cells, 3 seeds, 3 folds
+        assert len(calls) == 3 and len(set(calls)) == 3
+
+        # a run that stopped in the 2nd cell, after seed 0, resumes
+        partial = tmp_path / "partial.csv"
+        with open(full) as fh:
+            partial.write_text("".join(fh.readlines()[:1 + 9 + 3]))
+        calls.clear()
+        assert run_experiment(cfg, str(partial)) == 54 - 12
+        assert len(calls) == 3  # every seed has records left in the later cells
+        strip = lambda rows: [
+            [r[c] for c in RESULT_COLUMNS if c != "wall_time_s"] for r in rows
+        ]
+        assert strip(read_results(str(partial))) == strip(read_results(full))
+        calls.clear()
+        assert run_experiment(cfg, full) == 0 and calls == []
 
     def test_per_cell_error_recorded_run_continues(self, tmp_path, blocks_files):
         data, domains = blocks_files
