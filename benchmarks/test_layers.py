@@ -111,7 +111,7 @@ def test_forest_fit_and_vote(benchmark, blocks):
 
     def fit_and_vote():
         forest = rf_fit(train, 21, 2, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(0))
-        return forest.vote_margins(train.X)
+        return forest.margins(train.X)
 
     benchmark(fit_and_vote)
 

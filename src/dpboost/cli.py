@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: fit, eval, experiment, summarize, compare, sensitivity-audit.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 budget error.
+Exit codes: 0 success, 2 configuration error, 3 data error (also when every
+record an ``experiment`` run wrote failed), 4 budget error.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ def _eval(args) -> int:
 def _experiment(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     written = run_experiment(config, args.out)
-    print(f"experiment: wrote {written} records to {args.out}")
+    rows = read_results(args.out)  # this run's records are the last `written` rows
+    failed = [row["error"] for row in rows[len(rows) - written:] if row["error"]]
+    print(f"experiment: wrote {written} records to {args.out} ({len(failed)} failed)")
+    if written and len(failed) == written:
+        print(f"data error: every record failed; the first: {failed[0]}", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 

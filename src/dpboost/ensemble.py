@@ -33,6 +33,7 @@ from .tree import (
     _node_from_dict,
     _node_to_dict,
     induce_tree,
+    margin_labels,
     noisify_leaves,
 )
 
@@ -83,9 +84,6 @@ class BoostedEnsemble:
             total += beta * clipped
         return total
 
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.margins(X) > 0.0, 1, -1)
-
     @property
     def n_leaves(self) -> int:
         return sum(len(t.leaves()) for t in self.trees)
@@ -115,18 +113,14 @@ class BoostedEnsemble:
 
 
 def predict(model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(margin, label) for each row; a zero margin maps to label -1."""
-    if isinstance(model, BoostedEnsemble):
-        margins = model.margins(X)
-    else:
-        margins = model.vote_margins(X)
-    return margins, np.where(margins > 0.0, 1, -1)
+    """(margin, label) for each row of either ensemble; a zero margin maps to label -1."""
+    margins = model.margins(X)
+    return margins, margin_labels(margins)
 
 
 def empirical_risk(model, dataset: Dataset) -> float:
     """Unweighted fraction of sign-mispredicted examples."""
-    labels = model.predict_labels(dataset.X)
-    return float(np.mean(labels != dataset.y))
+    return float(np.mean(predict(model, dataset.X)[1] != dataset.y))
 
 
 def edge(normalized_weights: np.ndarray, labels: np.ndarray, predictions: np.ndarray) -> float:
@@ -168,8 +162,6 @@ def boost_fit(
     T: int,
     tree_config: TreeConfig,
     lc_alpha: float = 1.0,
-    a: float | None = None,
-    pi: float = 0.0,
     output_bound: float | None = None,
     accountant: BudgetAccountant | None = None,
     rng: RandomSource | None = None,
@@ -179,8 +171,7 @@ def boost_fit(
     With privacy configured, each tree is induced privately and its leaves
     are noisified before anything downstream (leveraging coefficient,
     weight update, predictions) sees it; one run spends exactly the
-    configured budget.  ``a`` defaults to the center of the admissible
-    interval, ``lc_alpha / output_bound^2``.
+    configured budget.  Leveraging uses ``a = lc_alpha / output_bound^2``.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -195,14 +186,7 @@ def boost_fit(
         M = output_bound if output_bound is not None else 10.0
         if not M > 0.0:
             raise ValueError("output_bound must be positive")
-    if not (0.0 <= pi < 1.0):
-        raise ValueError("pi must lie in [0, 1)")
-    if a is None:
-        a = lc_alpha / M**2
-    else:
-        lo, hi = lc_alpha / M**2 * (1.0 - pi), lc_alpha / M**2 * (1.0 + pi)
-        if not (lo - 1e-12 <= a <= hi + 1e-12):
-            raise ValueError("a must lie in (lc_alpha / M^2) * [1 - pi, 1 + pi]")
+    a = lc_alpha / M**2
 
     m = dataset.n_examples
     y = dataset.y
@@ -240,7 +224,7 @@ def boost_fit(
         ensemble.betas.append(beta)
         margins_total += beta * h
         ensemble.traces.surrogate.append(float(np.mean(surrogate(lc_spec, y * margins_total))))
-        ensemble.traces.train_error.append(float(np.mean(np.where(margins_total > 0.0, 1, -1) != y)))
+        ensemble.traces.train_error.append(float(np.mean(margin_labels(margins_total) != y)))
     return ensemble
 
 
@@ -255,14 +239,11 @@ class RandomForest:
     depth: int
     leaf_mechanism: str
 
-    def vote_margins(self, X: np.ndarray) -> np.ndarray:
+    def margins(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(np.shape(X)[0])
         for tree in self.trees:
             votes += tree.predict_bins(X)
         return votes
-
-    def predict_labels(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.vote_margins(X) > 0.0, 1, -1)
 
     @property
     def n_leaves(self) -> int:

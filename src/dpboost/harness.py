@@ -312,15 +312,19 @@ def _record_key(row: dict) -> tuple:
 def run_experiment(config: ExperimentConfig, out_path: str) -> int:
     """Run every (cell, seed, fold) and append records to ``out_path``.
 
-    Deterministic given the config's seeds; completed records are skipped
-    on rerun.  Per-record failures land in the ``error`` column and the
-    run continues.  Returns the number of records written.
+    Deterministic given the config's seeds; records stored without an
+    ``error`` are skipped on rerun.  Per-record failures land in the
+    ``error`` column and the run continues; a rerun retries them and
+    appends a new record, leaving the failed one in place.  Returns the
+    number of records written.
 
     Each nvpriv's dataset is loaded once, and each seed's folds are built
     once and kept for the whole call: k x m int64 indices per seed.
     """
     write_header = not os.path.exists(out_path) or os.path.getsize(out_path) == 0
-    done = set() if write_header else {_record_key(row) for row in read_results(out_path)}
+    done = set() if write_header else {
+        _record_key(row) for row in read_results(out_path) if not row["error"]
+    }
     datasets: dict = {}  # nvpriv -> Dataset
     folds: dict = {}  # seed -> [(train_idx, test_idx)] * k_folds
     written = 0
@@ -643,6 +647,7 @@ def write_csv(path: str, rows: list[dict], columns: tuple[str, ...]) -> None:
 
 MODEL_FORMAT = "dpboost-model"
 MODEL_VERSION = 1
+MODEL_CLASSES = {"boost": BoostedEnsemble, "forest": RandomForest}
 
 
 def save_model(path: str, model, spec: DomainSpec) -> None:
@@ -670,18 +675,24 @@ def load_model(path: str):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-        raise ConfigError(f"{path}: not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
-    spec = DomainSpec(
-        tuple(
-            AttributeDomain(d["name"], float(d["lo"]), float(d["hi"]), int(d["nvpriv"]))
-            for d in payload["domains"]
-        ),
-        {k: int(v) for k, v in payload["label_map"].items()},
-        payload.get("label_column"),
-    )
-    data = payload["model"]
-    model = (
-        BoostedEnsemble.from_dict(data) if data["kind"] == "boost" else RandomForest.from_dict(data)
-    )
-    return model, spec
+    try:
+        if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
+            raise ConfigError(f"{path}: not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
+        spec = DomainSpec(
+            tuple(
+                AttributeDomain(d["name"], float(d["lo"]), float(d["hi"]), int(d["nvpriv"]))
+                for d in payload["domains"]
+            ),
+            {k: int(v) for k, v in payload["label_map"].items()},
+            payload.get("label_column"),
+        )
+        data = payload["model"]
+        if data["kind"] not in MODEL_CLASSES:
+            raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")
+        return MODEL_CLASSES[data["kind"]].from_dict(data), spec
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad value: {exc}") from exc

@@ -2,9 +2,9 @@
 
 Implements the Bayes risk family used to grow trees and leverage ensembles:
 the tunable ``malpha`` family (convex combination of the Matsushita and 0/1
-Bayes risks, parameter ``alpha`` in [0, 1]) plus the classical log, square
-and 0/1 losses.  All Bayes risks are normalized so that ``bayes_risk(spec,
-0.5) == 1`` and the losses are fair (``bayes_risk`` vanishes at 0 and 1).
+Bayes risks, parameter ``alpha`` in [0, 1]; 0 gives the 0/1 loss) plus the
+log and square losses.  All Bayes risks are normalized so that ``bayes_risk(
+spec, 0.5) == 1`` and the losses are fair (``bayes_risk`` vanishes at 0, 1).
 
 Everything here is a pure function of immutable inputs and is safe to call
 concurrently.  Scalar and numpy-array arguments are both accepted; arrays
@@ -29,7 +29,7 @@ __all__ = [
     "curvature",
 ]
 
-_KINDS = ("malpha", "log", "square", "zero_one")
+_KINDS = ("malpha", "log", "square")
 
 _DOMAIN_TOL = 1e-12
 
@@ -38,9 +38,9 @@ _DOMAIN_TOL = 1e-12
 class LossSpec:
     """Selects a Bayes risk family.
 
-    ``kind`` is one of ``"malpha"``, ``"log"``, ``"square"``, ``"zero_one"``.
-    ``alpha`` is only meaningful for ``malpha``: 0 gives the 0/1 Bayes risk,
-    1 gives Matsushita.
+    ``kind`` is one of ``"malpha"``, ``"log"``, ``"square"``.  ``alpha`` is
+    only meaningful for ``malpha``: 0 gives the 0/1 Bayes risk, 1 gives
+    Matsushita.
     """
 
     kind: str
@@ -70,7 +70,7 @@ class LossSpec:
 
     @staticmethod
     def zero_one() -> "LossSpec":
-        return LossSpec("zero_one")
+        return LossSpec.malpha(0.0)
 
 
 def _as_float(x, like) -> float | np.ndarray:
@@ -102,8 +102,6 @@ def bayes_risk(spec: LossSpec, q) -> float | np.ndarray:
         val = 2.0 * (a * np.sqrt(u * (1.0 - u)) + (1.0 - a) * np.minimum(u, 1.0 - u))
     elif spec.kind == "square":
         val = 4.0 * u * (1.0 - u)
-    elif spec.kind == "zero_one":
-        val = 2.0 * np.minimum(u, 1.0 - u)
     else:  # log, normalized so the value at 1/2 is 1
         with np.errstate(divide="ignore", invalid="ignore"):
             ent = -np.where(u > 0.0, u * np.log(u), 0.0) - np.where(
@@ -131,8 +129,6 @@ def canonical_link(spec: LossSpec, u) -> float | np.ndarray:
         )
     elif spec.kind == "square":
         val = 8.0 * v - 4.0
-    elif spec.kind == "zero_one":
-        val = 2.0 * np.sign(2.0 * v - 1.0)
     else:  # log
         val = (np.log(v) - np.log(1.0 - v)) / math.log(2.0)
     return _as_float(val, u)
@@ -213,8 +209,6 @@ def sensitivity_bound(spec: LossSpec, m: int) -> float:
         return 3.0 + 2.0 * spec.alpha * (math.sqrt(m) - 1.0)
     if spec.kind == "square":
         star = 4.0 * m / (m + 1.0)
-    elif spec.kind == "zero_one":
-        star = 2.0
     else:  # log
         star = (1.0 + math.log(m + 1.0)) / math.log(2.0)
     return max(3.0, 1.0 + star)
@@ -234,8 +228,6 @@ def curvature(spec: LossSpec, u) -> float | np.ndarray:
         val = spec.alpha * 0.5 * (v * (1.0 - v)) ** (-1.5)
     elif spec.kind == "square":
         val = np.full_like(v, 8.0)
-    elif spec.kind == "zero_one":
-        val = np.zeros_like(v)
     else:  # log
         val = 1.0 / (v * (1.0 - v)) / math.log(2.0)
     return _as_float(val, u)

@@ -245,14 +245,10 @@ def exponential_mechanism(
 MAX_ORACLE_EXAMPLES = 8
 
 DEFAULT_WEIGHT_GRID = (0.25, 0.5, 1.0)
-DEFAULT_LABELS = (-1, 1)
 
 
 def replacement_neighbors(
-    base,
-    feature_grid: Sequence[Sequence[int]] | None = None,
-    labels: Sequence[int] = DEFAULT_LABELS,
-    weight_grid: Sequence[float] = DEFAULT_WEIGHT_GRID,
+    base, weight_grid: Sequence[float] = DEFAULT_WEIGHT_GRID
 ) -> Iterable:
     """Every dataset obtained by replacing one example of ``base``.
 
@@ -269,11 +265,9 @@ def replacement_neighbors(
         raise ValueError(
             f"neighbor enumeration is limited to {MAX_ORACLE_EXAMPLES} examples"
         )
-    if feature_grid is None:
-        feature_grid = [range(dom.nvpriv) for dom in base.domains]
     for i in range(base.n_examples):
-        for bins in itertools.product(*feature_grid):
-            for y in labels:
+        for bins in itertools.product(*(range(dom.nvpriv) for dom in base.domains)):
+            for y in (-1, 1):
                 for w in weight_grid:
                     X = base.X.copy(order="F")
                     yy = base.y.copy()

@@ -151,6 +151,11 @@ class Node:
         return self.n_neg if self.majority_label == 1 else self.n_pos
 
 
+def margin_labels(margins: np.ndarray) -> np.ndarray:
+    """The label of each margin: +1 when positive, -1 otherwise (a zero margin is -1)."""
+    return np.where(margins > 0.0, 1, -1)
+
+
 @dataclass(frozen=True)
 class SplitRecord:
     """Diagnostics for one split, recorded at selection time."""
@@ -253,27 +258,14 @@ def _node_to_dict(node: Node) -> dict:
 
 
 def _node_from_dict(data: dict, depth: int) -> Node:
-    if "leaf" in data:
-        leaf = data["leaf"]
-        return Node(
-            depth=depth,
-            w=float(leaf["w"]),
-            w1=float(leaf["w1"]),
-            n_pos=int(leaf["n_pos"]),
-            n_neg=int(leaf["n_neg"]),
-            prediction=float(leaf["prediction"]),
-        )
-    stats = data["stats"]
-    node = Node(
-        depth=depth,
-        w=float(stats["w"]),
-        w1=float(stats["w1"]),
-        n_pos=int(stats["n_pos"]),
-        n_neg=int(stats["n_neg"]),
-        split=SplitCandidate(int(data["split"]["attribute"]), int(data["split"]["threshold_bin"])),
-    )
-    node.left = _node_from_dict(data["left"], depth + 1)
-    node.right = _node_from_dict(data["right"], depth + 1)
+    stats = data["leaf"] if "leaf" in data else data["stats"]
+    split = data.get("split")
+    node = Node(depth, float(stats["w"]), float(stats["w1"]), int(stats["n_pos"]), int(stats["n_neg"]))
+    if split is None:
+        node.prediction = float(stats["prediction"])
+    else:
+        node.split = SplitCandidate(int(split["attribute"]), int(split["threshold_bin"]))
+        node.left, node.right = (_node_from_dict(data[side], depth + 1) for side in ("left", "right"))
     return node
 
 
@@ -583,8 +575,6 @@ def tree_efficiency(node: Node, tree: DecisionTree, dataset: Dataset, weights: n
     below = {id(leaf) for leaf in DecisionTree(node).leaves()}
     rows = [idx for leaf, idx in tree.leaf_rows(dataset.X) if id(leaf) in below]
     node_w = float(weights[np.sort(np.concatenate(rows))].sum()) if rows else 0.0
-    margins = tree.predict_bins(dataset.X)
-    labels = np.where(margins > 0.0, 1, -1)
-    err = float(np.mean(labels != dataset.y))
+    err = float(np.mean(margin_labels(tree.predict_bins(dataset.X)) != dataset.y))
     return 8.0 * (node_w / total_w) * err**2 / 2.0**node.depth
 

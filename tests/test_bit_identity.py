@@ -212,13 +212,13 @@ FOREST_GOLDEN = {
     "laplace": {
         "leaf.prediction": "d221e05aad26aa43",
         "leaf.counts": "135f95710ea3bfce",
-        "vote_margins": "bfef536775f31179",
+        "margins": "bfef536775f31179",
         "model.to_dict": "413e6a11610aa881",
     },
     "exponential": {
         "leaf.prediction": "491d725de035d049",
         "leaf.counts": "3083a03b6192406d",
-        "vote_margins": "e48871f20d316ce7",
+        "margins": "e48871f20d316ce7",
         "model.to_dict": "7439a4a226cf5898",
     },
 }
@@ -234,7 +234,7 @@ def test_forest_matches_golden_digests(name):
     assert {
         "leaf.prediction": _sha([leaf.prediction for leaf in leaves]),
         "leaf.counts": _sha([(leaf.n_pos, leaf.n_neg) for leaf in leaves]),
-        "vote_margins": _sha(forest.vote_margins(ds.X).tolist()),
+        "margins": _sha(forest.margins(ds.X).tolist()),
         "model.to_dict": _sha(json.dumps(forest.to_dict(), sort_keys=True)),
     } == FOREST_GOLDEN[name]
 

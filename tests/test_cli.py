@@ -5,10 +5,11 @@ import json
 
 import pytest
 
+import dpboost.harness as harness
 from dpboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from dpboost.dataset import load_csv, make_blocks_dataset
 from dpboost.ensemble import empirical_risk
-from dpboost.harness import load_model
+from dpboost.harness import load_model, read_results
 
 
 @pytest.fixture
@@ -152,6 +153,29 @@ class TestFitEval:
         expected = empirical_risk(model, load_csv(data, spec.label_column, spec))
         assert f"train_error={expected}," in shown
 
+    @pytest.mark.parametrize("damage, key", [
+        (lambda p: p["model"].update(kind="tree"), "'tree'"),
+        (lambda p: p["model"].pop("trees"), "'trees'"),
+        (lambda p: p.pop("domains"), "'domains'"),
+        (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].pop("prediction"),
+         "'prediction'"),
+    ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction"])
+    def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
+        data, domains = blocks_files
+        model_path = tmp_path / "m.json"
+        rc = main(["fit", "--config", _fit_config(tmp_path), "--data", data,
+                   "--domains", domains, "--out", str(model_path)])
+        assert rc == EXIT_OK
+        payload = json.loads(model_path.read_text())
+        damage(payload)
+        model_path.write_text(json.dumps(payload))
+        rc = main(["eval", "--model", str(model_path), "--data", data,
+                   "--out", str(tmp_path / "scores.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(model_path) in err and key in err
+        assert not (tmp_path / "scores.csv").exists()
+
     def test_bad_config_is_config_error(self, tmp_path, blocks_files):
         data, domains = blocks_files
         cfg = _fit_config(tmp_path, alpha="5")
@@ -185,6 +209,37 @@ class TestExperimentPipeline:
 
         table = str(tmp_path / "cmp.csv")
         assert main(["compare", "--a", results, "--b", results, "--out", table]) == EXIT_OK
+
+    @pytest.mark.parametrize("failing, code", [
+        ({"boost", "rf_laplace"}, EXIT_DATA),
+        ({"rf_laplace"}, EXIT_OK),
+    ], ids=["all-failed", "partly-failed"])
+    def test_data_error_only_when_every_record_failed(self, tmp_path, blocks_files, capsys,
+                                                      monkeypatch, failing, code):
+        data, domains = blocks_files
+        grid = tmp_path / "grid.config"
+        grid.write_text(
+            f"data = {data}\ndomains = {domains}\nalgorithm = boost,rf_laplace\n"
+            "T = 3\ndepth = 1\nalpha = 1.0\nepsilon = 0.5\nk_folds = 3\n"
+        )
+        fit_cell = harness.fit_cell
+
+        def failing_fit(cell, *args):
+            if cell["algorithm"] in failing:
+                raise ValueError(f"{cell['algorithm']} broke")
+            return fit_cell(cell, *args)
+
+        monkeypatch.setattr(harness, "fit_cell", failing_fit)
+        results = str(tmp_path / "results.csv")
+        assert main(["experiment", "--config", str(grid), "--out", results]) == code
+        captured = capsys.readouterr()
+        failed = 3 * len(failing)
+        assert f"wrote 6 records to {results} ({failed} failed)" in captured.out
+        assert ("boost broke" in captured.err) == (code == EXIT_DATA)
+        assert sum(bool(r["error"]) for r in read_results(results)) == failed
+        # a rerun retries only the failed records, and they fail again
+        assert main(["experiment", "--config", str(grid), "--out", results]) == EXIT_DATA
+        assert f"wrote {failed} records" in capsys.readouterr().out
 
     def test_bad_group_column(self, tmp_path, blocks_files):
         data, domains = blocks_files

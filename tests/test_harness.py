@@ -267,6 +267,26 @@ class TestRunExperiment:
         assert len(rows) == 40
         assert all("class" in r["error"] for r in rows)
 
+    def test_failed_records_retried_on_rerun(self, tmp_path, blocks_files):
+        data, domains = blocks_files
+        later = tmp_path / "later.domains"
+        cfg = ExperimentConfig.from_file(_config_file(tmp_path, data, str(later)))
+        out = str(tmp_path / "res.csv")
+        assert run_experiment(cfg, out) == 3
+        assert all("cannot open" in r["error"] for r in read_results(out))
+        with open(domains) as fh:
+            later.write_text(fh.read())
+        assert run_experiment(cfg, out) == 3
+        rows = read_results(out)
+        assert len(rows) == 6 and all(r["error"] == "" for r in rows[3:])
+        fresh = str(tmp_path / "fresh.csv")
+        run_experiment(cfg, fresh)
+        strip = lambda rows: [
+            [r[c] for c in RESULT_COLUMNS if c != "wall_time_s"] for r in rows
+        ]
+        assert strip(rows[3:]) == strip(read_results(fresh))
+        assert run_experiment(cfg, out) == 0
+
     def test_header_drift_breaks_loudly(self, tmp_path):
         bad = tmp_path / "drift.csv"
         bad.write_text("algorithm,T\nboost,2\n")

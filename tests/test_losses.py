@@ -58,6 +58,18 @@ class TestBayesRisk:
         assert expected == pytest.approx(0.68301270189, abs=1e-10)
         assert bayes_risk(LossSpec.malpha(0.5), 0.25) == pytest.approx(expected, abs=1e-12)
 
+    def test_zero_one_is_malpha_zero(self):
+        assert LossSpec.zero_one() == LossSpec.malpha(0.0)
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            LossSpec("zero_one")
+        spec, us = LossSpec.zero_one(), np.linspace(0.0, 1.0, 2001)
+        inner = us[1:-1]
+        # the closed forms of the 0/1 loss, bit for bit
+        assert np.array_equal(bayes_risk(spec, us), 2.0 * np.minimum(us, 1.0 - us))
+        assert np.array_equal(canonical_link(spec, inner), 2.0 * np.sign(2.0 * inner - 1.0))
+        assert np.array_equal(curvature(spec, inner), np.zeros_like(inner))
+        assert all(sensitivity_bound(spec, m) == 3.0 for m in range(1, 500))
+
     def test_convex_combination_identity_grid(self):
         alphas = np.linspace(0.0, 1.0, 1000)
         us = np.linspace(0.0, 1.0, 1000)
