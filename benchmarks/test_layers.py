@@ -1,5 +1,5 @@
-"""Layer benchmarks: the large fit (m=100k, 20 attributes, nvpriv=32), deep-tree
-prediction, the forest baseline, k-fold construction and one experiment grid.
+"""Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32),
+deep-tree prediction, the forest baseline, k-fold construction and one experiment grid.
 
 Run from the repository root with::
 
@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 import dpboost.tree as tree_module
-from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset, stratified_kfold
+from dpboost.dataset import (
+    AttributeDomain,
+    Dataset,
+    load_csv,
+    make_blocks_dataset,
+    parse_domain_spec,
+    stratified_kfold,
+)
 from dpboost.ensemble import boost_fit, predict, rf_fit
 from dpboost.harness import ExperimentConfig, run_experiment
 from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed
@@ -33,6 +40,28 @@ def wide():
     y = np.where(clean ^ (rng.random(M_ROWS) < 0.1), 1, -1)
     domains = [AttributeDomain(f"x{j}", 0.0, 1.0, NVPRIV) for j in range(N_ATTRS)]
     return Dataset(X, y, domains), np.full(M_ROWS, 0.5)
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """A 100k x 20 CSV of six-decimal values in [0, 1] with 0/1 labels, and its domains."""
+    directory = tmp_path_factory.mktemp("csv")
+    rng = np.random.default_rng(0)
+    data = directory / "wide.csv"
+    header = ",".join([f"x{j}" for j in range(N_ATTRS)] + ["y"])
+    np.savetxt(data, np.column_stack([rng.random((M_ROWS, N_ATTRS)), rng.random(M_ROWS) < 0.5]),
+               fmt=["%.6f"] * N_ATTRS + ["%d"], delimiter=",", header=header, comments="")
+    domains = directory / "wide.domains"
+    domains.write_text("label_column = y\nlabel_map = 0:-1, 1:+1\n" + "".join(
+        f"attribute = x{j} 0.0 1.0 {NVPRIV}\n" for j in range(N_ATTRS)
+    ))
+    return str(data), parse_domain_spec(str(domains))
+
+
+def test_load_csv(benchmark, wide_csv):
+    """``load_csv`` of the 100k x 20 file: parsing, label mapping and quantizing."""
+    data, spec = wide_csv
+    benchmark.pedantic(load_csv, args=(data, None, spec), rounds=5, iterations=1)
 
 
 @pytest.fixture(scope="module")

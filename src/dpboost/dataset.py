@@ -209,6 +209,12 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
     the spec's label map (raw values already equal to -1/+1 pass through
     when no map is declared).  Out-of-domain values are clamped to the grid
     and counted in ``clamp_warnings``.
+
+    numpy's C parser reads the columns.  If it fails (a bad row or label, a
+    value only ``float`` reads such as ``1_0``) or there are no data rows,
+    the file is read again row by row, which names the bad row; where the C
+    parser succeeds, it returns exactly what the row loop would, except that
+    it has no limit on field length where ``csv`` raises ``csv.Error``.
     """
     label_column = label_column or spec.label_column
     if label_column is None:
@@ -218,37 +224,70 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: missing header row")
-        missing = [d.name for d in spec.attributes if d.name not in reader.fieldnames]
+        missing = [d.name for d in spec.attributes if d.name not in header]
         if missing:
             raise DataError(f"{path}: columns not found: {missing}")
-        if label_column not in reader.fieldnames:
+        if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not found")
-        raw_features: list[list[float]] = []
-        labels: list[int] = []
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                raw_features.append([float(row[d.name]) for d in spec.attributes])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: row {rownum}: {exc}") from exc
-            raw_label = (row[label_column] or "").strip()
-            if raw_label in spec.label_map:
-                labels.append(spec.label_map[raw_label])
-            elif raw_label in ("-1", "+1", "1"):
-                labels.append(1 if raw_label in ("+1", "1") else -1)
-            else:
-                raise DataError(f"{path}: row {rownum}: unknown label {raw_label!r}")
-    if not labels:
-        raise DataError(f"{path}: no data rows")
-    values = np.asarray(raw_features, dtype=float)
+        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        usecols = [column[d.name] for d in spec.attributes] + [column[label_column]]
+        labels_of = {"-1": -1, "+1": 1, "1": 1, **spec.label_map}
+        try:
+            values, labels = _read_columns(fh, reader, usecols, labels_of)
+        except ValueError:
+            fh.seek(0)
+            values, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
     bins = np.empty(values.shape, dtype=np.int64, order="F")
     clamped = 0
     for j, dom in enumerate(spec.attributes):
         bins[:, j], count = dom.quantize(values[:, j])
         clamped += count
-    return Dataset(bins, np.asarray(labels), list(spec.attributes), clamp_warnings=clamped)
+    return Dataset(bins, labels, list(spec.attributes), clamp_warnings=clamped)
+
+
+def _read_columns(fh, reader, usecols, labels_of):
+    """Values and labels of the rows after ``reader``'s header by numpy's C parser
+    (``usecols``: attributes, then the label); ValueError where ``_read_rows`` may differ."""
+    skiprows = reader.line_num
+    if not any(reader):  # no data rows, on which numpy warns
+        raise ValueError("no data rows")
+    fh.seek(0)
+    for chunk in iter(lambda: fh.read(1 << 20), ""):
+        # NUL, which a str array drops from the end of a label, and \x1c-\x1f, which
+        # numpy's float parser strips as space where float() fails
+        if any(c in chunk for c in "\x00\x1c\x1d\x1e\x1f"):
+            raise ValueError("characters the two parsers read differently")
+    fh.seek(0)
+    # labels as objects, because loadtxt reads a str column in chunks that warn on blank lines
+    rows = np.loadtxt(fh, [("x", float, (len(usecols) - 1,)), ("y", object)], delimiter=",",
+                      quotechar='"', comments=None, skiprows=skiprows, usecols=usecols, ndmin=1)
+    raw, codes = np.unique(rows["y"].astype(str), return_inverse=True)
+    mapped = [labels_of.get(r.strip()) for r in raw.tolist()]
+    if None in mapped:
+        raise ValueError("unknown label")
+    return rows["x"], np.asarray(mapped)[codes]
+
+
+def _read_rows(path, fh, label_column, attributes, labels_of):
+    """Values and labels row by row: the only source of row-numbered errors."""
+    raw_features: list[list[float]] = []
+    labels: list[int] = []
+    for rownum, row in enumerate(csv.DictReader(fh), start=2):
+        try:
+            raw_features.append([float(row[d.name]) for d in attributes])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: row {rownum}: {exc}") from exc
+        raw_label = (row[label_column] or "").strip()
+        if raw_label not in labels_of:
+            raise DataError(f"{path}: row {rownum}: unknown label {raw_label!r}")
+        labels.append(labels_of[raw_label])
+    if not labels:
+        raise DataError(f"{path}: no data rows")
+    return np.asarray(raw_features, dtype=float), np.asarray(labels)
 
 
 def candidate_splits(dataset: Dataset) -> list[SplitCandidate]:

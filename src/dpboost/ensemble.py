@@ -104,6 +104,8 @@ class BoostedEnsemble:
 
     @staticmethod
     def from_dict(data: dict) -> "BoostedEnsemble":
+        if len(data["betas"]) != len(data["trees"]):
+            raise ValueError(f"{len(data['betas'])} betas for {len(data['trees'])} trees")
         return BoostedEnsemble(
             trees=[DecisionTree.from_dict(t) for t in data["trees"]],
             betas=[float(b) for b in data["betas"]],

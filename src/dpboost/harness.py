@@ -189,6 +189,8 @@ class ExperimentConfig:
             raise ConfigError(f"{origin}: M must be positive and finite")
         if not 0.0 <= cfg.lc_alpha <= 1.0:
             raise ConfigError(f"{origin}: lc_alpha must lie in [0, 1]")
+        if any(nv is not None and nv < 2 for nv in cfg.nvpriv):
+            raise ConfigError(f"{origin}: nvpriv must be >= 2")
         return cfg
 
     def cells(self) -> list[dict]:

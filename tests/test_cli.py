@@ -159,7 +159,9 @@ class TestFitEval:
         (lambda p: p.pop("domains"), "'domains'"),
         (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].pop("prediction"),
          "'prediction'"),
-    ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction"])
+        (lambda p: p["model"].update(betas=p["model"]["betas"][:1]), "1 betas for 3 trees"),
+    ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
+            "betas-cut-to-one"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
@@ -240,6 +242,19 @@ class TestExperimentPipeline:
         # a rerun retries only the failed records, and they fail again
         assert main(["experiment", "--config", str(grid), "--out", results]) == EXIT_DATA
         assert f"wrote {failed} records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("nvpriv", ["1", "0", "5, 1"])
+    def test_out_of_range_nvpriv_is_config_error(self, tmp_path, blocks_files, capsys, nvpriv):
+        data, domains = blocks_files
+        grid = tmp_path / "grid.config"
+        grid.write_text(
+            f"data = {data}\ndomains = {domains}\nT = 2\ndepth = 1\n"
+            f"alpha = 1.0\nk_folds = 3\nnvpriv = {nvpriv}\n"
+        )
+        results = tmp_path / "results.csv"
+        assert main(["experiment", "--config", str(grid), "--out", str(results)]) == EXIT_CONFIG
+        assert "nvpriv must be >= 2" in capsys.readouterr().err
+        assert not results.exists()
 
     def test_bad_group_column(self, tmp_path, blocks_files):
         data, domains = blocks_files

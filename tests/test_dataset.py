@@ -1,14 +1,20 @@
 """CSV loading, quantization rules, split candidates and stratified folds."""
 
+import csv
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dpboost.dataset as dataset_module
 from dpboost.dataset import (
     AttributeDomain,
     DataError,
     Dataset,
+    DomainSpec,
     candidate_splits,
     load_csv,
     make_blocks_dataset,
@@ -137,6 +143,126 @@ class TestLoadCsv:
         path.write_text("f1,y\n0.1,1\n")
         with pytest.raises(DataError, match="not found"):
             load_csv(str(path), "y", spec)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("f1,f2,y\n0.1,0.0,1\nnot-a-number,0.0,1\n",
+             "row 3: could not convert string to float: 'not-a-number'"),
+            ("f1,f2,y\n0.1,0.0,1\n\n0.2\n",
+             "row 3: float() argument must be a string or a real number, not 'NoneType'"),
+            ("f1,f2,y\n0.1,0.0,1\n0.2,0.0, maybe \n", "row 3: unknown label 'maybe'"),
+            ("f1,y\n0.1,1\n", "columns not found: ['f2']"),
+            ("f1,f2,label\n0.1,0.0,1\n", "label column 'y' not found"),
+            ("", "missing header row"),
+            ("f1,f2,y\n", "no data rows"),
+            ("f1,f2,y\n\n\r\n", "no data rows"),
+        ],
+        ids=["non-numeric", "short-row", "unknown-label", "missing-attribute",
+             "missing-label-column", "missing-header", "header-only", "blank-lines-only"],
+    )
+    def test_error_messages(self, tmp_path, spec_file, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError) as info:
+            load_csv(str(path), "y", parse_domain_spec(spec_file))
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_unopenable_path_message(self, tmp_path, spec_file):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError) as info:
+            load_csv(str(path), "y", parse_domain_spec(spec_file))
+        assert str(info.value) == (
+            f"cannot open {path}: [Errno 2] No such file or directory: '{path}'"
+        )
+
+
+def _row_loop(path, label_column, spec):
+    """The per-row reader and quantizer as they stood before numpy's parser."""
+    raw_features, labels = [], []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            raw_features.append([float(row[d.name]) for d in spec.attributes])
+            raw_label = (row[label_column] or "").strip()
+            if raw_label in spec.label_map:
+                labels.append(spec.label_map[raw_label])
+            elif raw_label in ("-1", "+1", "1"):
+                labels.append(1 if raw_label in ("+1", "1") else -1)
+            else:
+                raise ValueError(f"unknown label {raw_label!r}")
+    values = np.asarray(raw_features, dtype=float)
+    quantized = [dom.quantize(values[:, j]) for j, dom in enumerate(spec.attributes)]
+    X = np.column_stack([bins for bins, _ in quantized])
+    return X, np.asarray(labels), sum(count for _, count in quantized)
+
+
+# label keys with a '#' and a '"' in them (the CSV writes it as '""'), and "1" mapped
+# against its default
+SPEC = DomainSpec(
+    (AttributeDomain("a0", 0.0, 1.0, 5), AttributeDomain("a1", -2.0, 2.0, 9)),
+    {"neg": -1, 'say "yes"': 1, "#pos": 1, "1": -1},
+    "y",
+)
+
+
+def _field(text, quoted):
+    if quoted or any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV files numpy's parser accepts: every label form, clamped values, quoting,
+    CRLF, blank lines, a '#' in a field, a repeated name, a header over two lines
+    and any column order."""
+    note_name = draw(st.sampled_from(["note", "two-line\nnote"]))
+    columns = draw(st.permutations(["a0", "a1", "y", note_name, *draw(st.sampled_from([[], ["a0"]]))]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(_field(c, False) for c in columns)]
+    value = st.floats(-3.0, 3.0).map(repr)  # outside both domains at times: clamped
+    pad = st.sampled_from(["", " ", "\t"])
+    label = st.tuples(pad, st.sampled_from([*SPEC.label_map, "-1", "+1", "1"]), pad).map("".join)
+    note = st.text(alphabet='ab #,"', max_size=6)
+    for _ in range(draw(st.integers(1, 12))):
+        cells = {"a0": value, "a1": st.tuples(pad, value, pad).map("".join), "y": label, note_name: note}
+        lines.append(",".join(_field(draw(cells[c]), draw(st.booleans())) for c in columns))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestLoadCsvMatchesRowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_texts())
+    def test_numpy_parser_gives_the_row_loop_result(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "equivalence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        X, y, clamped = _row_loop(path, "y", SPEC)
+        with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError):
+            ds = load_csv(str(path), None, SPEC)  # the per-row loop would raise
+        assert np.array_equal(ds.X, X) and ds.X.dtype == np.int64 and ds.X.flags.f_contiguous
+        assert np.array_equal(ds.y, y) and ds.y.dtype == np.int64
+        assert ds.clamp_warnings == clamped
+
+    def test_a_value_only_float_reads_takes_the_row_loop(self, tmp_path):
+        path = tmp_path / "underscore.csv"
+        path.write_text("y,a0,a1,note\n1,0.5,1_0,x\nneg,0.25,-1,y\n")
+        with mock.patch.object(dataset_module, "_read_rows",
+                               wraps=dataset_module._read_rows) as row_loop:
+            ds = load_csv(str(path), None, SPEC)
+        assert row_loop.called
+        X, y, clamped = _row_loop(path, "y", SPEC)
+        assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+        assert ds.clamp_warnings == clamped == 1
+
+    @pytest.mark.parametrize("cell", ["\x1c0.5", "0.5\x1f"], ids=["leading-x1c", "trailing-x1f"])
+    def test_separators_numpy_alone_strips_are_row_errors(self, tmp_path, cell):
+        path = tmp_path / "separator.csv"
+        path.write_text(f"a0,a1,y\n0.5,0.5,1\n0.5,{cell},neg\n")
+        with pytest.raises(DataError) as info:
+            load_csv(str(path), None, SPEC)
+        assert str(info.value) == f"{path}: row 3: could not convert string to float: {cell!r}"
 
 
 class TestDatasetInvariants:
