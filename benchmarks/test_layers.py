@@ -1,5 +1,6 @@
 """Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32),
-deep-tree prediction, the forest baseline, k-fold construction and one experiment grid.
+the weight update, deep-tree prediction, exponential-mechanism sampling, leaf
+noising, the forest baseline, k-fold construction and one experiment grid.
 
 Run from the repository root with::
 
@@ -24,10 +25,10 @@ from dpboost.dataset import (
     parse_domain_spec,
     stratified_kfold,
 )
-from dpboost.ensemble import boost_fit, predict, rf_fit
+from dpboost.ensemble import boost_fit, predict, rf_fit, update_weights
 from dpboost.harness import ExperimentConfig, run_experiment
-from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed
-from dpboost.tree import TreeConfig, TreePrivacy, induce_tree
+from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed, exponential_mechanism
+from dpboost.tree import TreeConfig, TreePrivacy, induce_tree, noisify_leaves
 
 M_ROWS, N_ATTRS, NVPRIV, DEPTH, OUTPUT_BOUND = 100_000, 20, 32, 6, 10.0
 
@@ -119,6 +120,13 @@ def test_training_outputs_from_induction(benchmark, wide, fitted):
     benchmark(outputs)
 
 
+def test_update_weights(benchmark, wide):
+    """One mirror weight update of the 100k weights against bounded predictions."""
+    dataset, weights = wide
+    predictions = np.random.default_rng(2).uniform(-OUTPUT_BOUND, OUTPUT_BOUND, M_ROWS)
+    benchmark(update_weights, 1.0, weights, 0.05, dataset.y, predictions)
+
+
 @pytest.fixture(scope="module")
 def blocks():
     """Blocks data as in the private workloads: 400 training and 2,000 held-out rows."""
@@ -132,6 +140,29 @@ def test_predict_deep_private(benchmark, blocks):
     config = TreeConfig(depth=8, alpha="oc", privacy=privacy)
     model = boost_fit(train, 10, config, accountant=BudgetAccountant(1.0), rng=RandomSource(0))
     benchmark(predict, model, held_out.X)
+
+
+def test_exponential_mechanism(benchmark):
+    """The 255 split draws of a private depth-8 tree over 36 candidates (4 attributes
+    x 9 thresholds, as on blocks data), each with its ledger entry."""
+    utilities = np.random.default_rng(3).normal(-50.0, 5.0, size=(255, 36))
+
+    def draws():
+        accountant, rng = BudgetAccountant(1.0), RandomSource(0)
+        return [exponential_mechanism(u, 3.0, 1e-3, accountant, rng) for u in utilities]
+
+    benchmark(draws)
+
+
+def test_noisify_leaves_deep_private(benchmark, blocks):
+    """Laplace release of the 256 leaves of a private depth-8 tree; every round
+    noises the same tree again, each leaf clamped to the output bound first."""
+    train, _ = blocks
+    privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=1)
+    tree = induce_tree(train, np.full(400, 0.5), TreeConfig(depth=8, alpha="oc", privacy=privacy),
+                       BudgetAccountant(1.0), RandomSource(0))
+    benchmark(lambda: noisify_leaves(tree, 0.5, 1.0, 1, OUTPUT_BOUND, BudgetAccountant(0.5),
+                                     RandomSource(1)))
 
 
 def test_forest_fit_and_vote(benchmark, blocks):

@@ -214,7 +214,7 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
     value only ``float`` reads such as ``1_0``) or there are no data rows,
     the file is read again row by row, which names the bad row; where the C
     parser succeeds, it returns exactly what the row loop would, except that
-    it has no limit on field length where ``csv`` raises ``csv.Error``.
+    it has no limit on field length; ``csv``'s limit raises a ``DataError``.
     """
     label_column = label_column or spec.label_column
     if label_column is None:
@@ -225,7 +225,10 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}: header row: {exc}") from exc
         if header is None:
             raise DataError(f"{path}: missing header row")
         missing = [d.name for d in spec.attributes if d.name not in header]
@@ -238,7 +241,7 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
         labels_of = {"-1": -1, "+1": 1, "1": 1, **spec.label_map}
         try:
             values, labels = _read_columns(fh, reader, usecols, labels_of)
-        except ValueError:
+        except (ValueError, csv.Error):  # csv.Error: the peek at the first data row
             fh.seek(0)
             values, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
     bins = np.empty(values.shape, dtype=np.int64, order="F")
@@ -276,15 +279,19 @@ def _read_rows(path, fh, label_column, attributes, labels_of):
     """Values and labels row by row: the only source of row-numbered errors."""
     raw_features: list[list[float]] = []
     labels: list[int] = []
-    for rownum, row in enumerate(csv.DictReader(fh), start=2):
-        try:
-            raw_features.append([float(row[d.name]) for d in attributes])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: row {rownum}: {exc}") from exc
-        raw_label = (row[label_column] or "").strip()
-        if raw_label not in labels_of:
-            raise DataError(f"{path}: row {rownum}: unknown label {raw_label!r}")
-        labels.append(labels_of[raw_label])
+    rownum = 1
+    try:
+        for rownum, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                raw_features.append([float(row[d.name]) for d in attributes])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: row {rownum}: {exc}") from exc
+            raw_label = (row[label_column] or "").strip()
+            if raw_label not in labels_of:
+                raise DataError(f"{path}: row {rownum}: unknown label {raw_label!r}")
+            labels.append(labels_of[raw_label])
+    except csv.Error as exc:  # raised while reading the row after the last one numbered
+        raise DataError(f"{path}: row {rownum + 1}: {exc}") from exc
     if not labels:
         raise DataError(f"{path}: no data rows")
     return np.asarray(raw_features, dtype=float), np.asarray(labels)

@@ -17,7 +17,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,15 +68,52 @@ class ConfigError(ValueError):
 
 ALGORITHMS = ("boost", "rf_laplace", "rf_exponential")
 
+
+def _checked(convert, ok, message: str, word: str | None = None):
+    """A parser of one value: ``word`` stands for itself; any other token is
+    converted and must be ``ok``, else ConfigError(message.format(value))."""
+    def parse(token: str):
+        if token == word:
+            return word
+        value = convert(token)
+        if not ok(value):
+            raise ConfigError(message.format(value))
+        return value
+    return parse
+
+
+def _float_named(key: str):
+    def convert(token: str) -> float:
+        try:
+            return float(token)
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} {token!r}") from exc
+    return convert
+
+
+# The grid's axes in result-column order: key -> (parser of one value, default).
+# A blank nvpriv keeps the domains file's grid.
+GRID_KEYS = {
+    "algorithm": (_checked(str, lambda a: a in ALGORITHMS, "unknown algorithm {!r}"), "boost"),
+    "T": (_checked(int, lambda t: t >= 1, "T and depth must be >= 1"), 10),
+    "depth": (_checked(int, lambda d: d >= 1, "T and depth must be >= 1"), 2),
+    "alpha": (_checked(_float_named("alpha"), lambda a: 0.0 <= a <= 1.0,
+                       "alpha {} outside [0, 1]", word="oc"), "oc"),
+    "epsilon": (_checked(_float_named("epsilon"), lambda e: e > 0.0,
+                         "epsilon {} must be positive", word="off"), "off"),
+    "beta_tree": (_checked(float, lambda b: 0.0 < b < 1.0, "beta_tree must lie in (0, 1)"), 0.5),
+    "nvpriv": (_checked(int, lambda nv: nv >= 2, "nvpriv must be >= 2"), ""),
+    "M": (_checked(float, lambda M: 0.0 < M < math.inf, "M must be positive and finite"), 10.0),
+}
+BOOSTING_ONLY = ("alpha", "beta_tree", "M")  # blank in a forest's cells
+# Keys with one value for the whole grid, parsed the same way.
+SCALAR_KEYS = {
+    "k_folds": (_checked(int, lambda k: k >= 2, "k_folds must be >= 2"), 10),
+    "lc_alpha": (_checked(float, lambda a: 0.0 <= a <= 1.0, "lc_alpha must lie in [0, 1]"), 1.0),
+}
+
 RESULT_COLUMNS = (
-    "algorithm",
-    "T",
-    "depth",
-    "alpha",
-    "epsilon",
-    "beta_tree",
-    "nvpriv",
-    "M",
+    *GRID_KEYS,
     "seed",
     "fold",
     "train_error",
@@ -99,47 +136,17 @@ def _parse_list(value: str, convert) -> tuple:
     return tuple(convert(v) for v in items)
 
 
-def _alpha_value(token: str):
-    if token == "oc":
-        return "oc"
-    try:
-        x = float(token)
-    except ValueError as exc:
-        raise ConfigError(f"bad alpha {token!r}") from exc
-    if not 0.0 <= x <= 1.0:
-        raise ConfigError(f"alpha {x} outside [0, 1]")
-    return x
-
-
-def _epsilon_value(token: str):
-    if token == "off":
-        return "off"
-    try:
-        x = float(token)
-    except ValueError as exc:
-        raise ConfigError(f"bad epsilon {token!r}") from exc
-    if not x > 0.0:
-        raise ConfigError(f"epsilon {x} must be positive")
-    return x
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated grid over algorithms and their parameters."""
+    """Validated grid over algorithms and their parameters; ``grid`` maps each
+    of ``GRID_KEYS`` to its values.  Build one with ``from_mapping``."""
 
     data: str
     domains: str
-    algorithms: tuple = ("boost",)
-    T: tuple = (10,)
-    depth: tuple = (2,)
-    alpha: tuple = ("oc",)
-    epsilon: tuple = ("off",)
-    beta_tree: tuple = (0.5,)
-    M: tuple = (10.0,)
-    nvpriv: tuple = (None,)
-    k_folds: int = 10
-    seeds: tuple = (0,)
-    lc_alpha: float = 1.0
+    grid: dict
+    seeds: tuple
+    k_folds: int
+    lc_alpha: float
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
@@ -147,76 +154,43 @@ class ExperimentConfig:
 
     @staticmethod
     def from_mapping(values: dict[str, str], origin: str = "<config>") -> "ExperimentConfig":
-        known = {
-            "data", "domains", "algorithm", "T", "depth", "alpha", "epsilon",
-            "beta_tree", "M", "nvpriv", "k_folds", "seeds", "lc_alpha",
-        }
-        unknown = set(values) - known
+        unknown = set(values) - {"data", "domains", "seeds", *GRID_KEYS, *SCALAR_KEYS}
         if unknown:
             raise ConfigError(f"{origin}: unknown keys {sorted(unknown)}")
         for required in ("data", "domains"):
             if required not in values:
                 raise ConfigError(f"{origin}: missing key {required!r}")
-        algorithms = _parse_list(values.get("algorithm", "boost"), str)
-        for alg in algorithms:
-            if alg not in ALGORITHMS:
-                raise ConfigError(f"{origin}: unknown algorithm {alg!r}")
         try:
-            cfg = ExperimentConfig(
+            return ExperimentConfig(
                 data=values["data"],
                 domains=values["domains"],
-                algorithms=algorithms,
-                T=_parse_list(values.get("T", "10"), int),
-                depth=_parse_list(values.get("depth", "2"), int),
-                alpha=_parse_list(values.get("alpha", "oc"), _alpha_value),
-                epsilon=_parse_list(values.get("epsilon", "off"), _epsilon_value),
-                beta_tree=_parse_list(values.get("beta_tree", "0.5"), float),
-                M=_parse_list(values.get("M", "10"), float),
-                nvpriv=_parse_list(values["nvpriv"], int) if "nvpriv" in values else (None,),
-                k_folds=int(values.get("k_folds", "10")),
+                grid={
+                    key: _parse_list(values[key], parse) if key in values else (default,)
+                    for key, (parse, default) in GRID_KEYS.items()
+                },
                 seeds=_parse_list(values.get("seeds", "0"), int),
-                lc_alpha=float(values.get("lc_alpha", "1.0")),
+                **{
+                    key: parse(values[key]) if key in values else default
+                    for key, (parse, default) in SCALAR_KEYS.items()
+                },
             )
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{origin}: {exc}") from exc
-        if cfg.k_folds < 2:
-            raise ConfigError(f"{origin}: k_folds must be >= 2")
-        if any(t < 1 for t in cfg.T) or any(d < 1 for d in cfg.depth):
-            raise ConfigError(f"{origin}: T and depth must be >= 1")
-        if any(not 0.0 < b < 1.0 for b in cfg.beta_tree):
-            raise ConfigError(f"{origin}: beta_tree must lie in (0, 1)")
-        if any(not 0.0 < M < math.inf for M in cfg.M):
-            raise ConfigError(f"{origin}: M must be positive and finite")
-        if not 0.0 <= cfg.lc_alpha <= 1.0:
-            raise ConfigError(f"{origin}: lc_alpha must lie in [0, 1]")
-        if any(nv is not None and nv < 2 for nv in cfg.nvpriv):
-            raise ConfigError(f"{origin}: nvpriv must be >= 2")
-        return cfg
 
     def cells(self) -> list[dict]:
         """The deduplicated grid: one dict of coordinates per cell.
 
-        Parameters that do not apply to an algorithm (alpha and beta_tree
-        for forests) are blanked, and the resulting duplicates dropped.
+        The boosting-only parameters (alpha, beta_tree and M) are blanked
+        for forests, and the resulting duplicates dropped.
         """
         seen = set()
         out = []
-        for alg, T, depth, alpha, eps, beta, nv, M in itertools.product(
-            self.algorithms, self.T, self.depth, self.alpha, self.epsilon,
-            self.beta_tree, self.nvpriv, self.M,
-        ):
-            cell = {
-                "algorithm": alg,
-                "T": T,
-                "depth": depth,
-                "alpha": alpha if alg == "boost" else "",
-                "epsilon": eps,
-                "beta_tree": beta if alg == "boost" else "",
-                "nvpriv": nv if nv is not None else "",
-                "M": M if alg == "boost" else "",
-            }
-            if alg != "boost" and eps == "off":
-                continue  # the forest baselines are DP-only
+        for values in itertools.product(*(self.grid[key] for key in GRID_KEYS)):
+            cell = dict(zip(GRID_KEYS, values))
+            if cell["algorithm"] != "boost":
+                if cell["epsilon"] == "off":
+                    continue  # the forest baselines are DP-only
+                cell.update(dict.fromkeys(BOOSTING_ONLY, ""))
             key = cell_key(cell)
             if key not in seen:
                 seen.add(key)
@@ -265,15 +239,9 @@ def cell_key(cell: dict) -> str:
 
 def _load_for_nvpriv(config: ExperimentConfig, nvpriv) -> Dataset:
     spec = parse_domain_spec(config.domains)
-    if nvpriv not in ("", None):
-        spec = DomainSpec(
-            tuple(
-                AttributeDomain(dom.name, dom.lo, dom.hi, int(nvpriv))
-                for dom in spec.attributes
-            ),
-            spec.label_map,
-            spec.label_column,
-        )
+    if nvpriv != "":  # re-quantize every attribute to nvpriv levels
+        attributes = tuple(replace(dom, nvpriv=nvpriv) for dom in spec.attributes)
+        spec = replace(spec, attributes=attributes)
     return load_csv(config.data, spec.label_column, spec)
 
 
@@ -307,8 +275,7 @@ def _format(value) -> str:
 
 
 def _record_key(row: dict) -> tuple:
-    return tuple(_format(row[k]) for k in ("algorithm", "T", "depth", "alpha", "epsilon",
-                                           "beta_tree", "nvpriv", "M", "seed", "fold"))
+    return tuple(_format(row[k]) for k in (*GRID_KEYS, "seed", "fold"))
 
 
 def run_experiment(config: ExperimentConfig, out_path: str) -> int:

@@ -441,12 +441,11 @@ def induce_tree(
     err_root = error_count / m
 
     oc = config.objective_calibration
-    stop_all = oc and err_root == 0.0  # already pure: loss ratio undefined
 
     # (leaf, its rows in ascending order, its live slot)
     frontier: list[tuple[Node, np.ndarray, int]] = [(root, np.arange(m), 0)]
     final: list[tuple[Node, np.ndarray]] = []  # leaves that stopped early
-    for level in range(0 if stop_all else config.depth):
+    for level in range(config.depth):
         if not private:  # pure leaves stay leaves
             pure = [
                 leaf.w1 <= 0.0 or leaf.w1 >= leaf.w or idx.size == 0 for leaf, idx, _ in frontier
@@ -463,10 +462,12 @@ def induce_tree(
         live_w1 = np.concatenate([live_w1, np.empty(len(frontier))])
         next_frontier: list[tuple[Node, np.ndarray, int]] = []
         for k, (leaf, idx, slot) in enumerate(frontier):
-            if oc:
-                alpha_l = objective_calibration_alpha(error_count / m, err_root)
-            else:
+            if not oc:
                 alpha_l = float(config.alpha)
+            elif err_root > 0.0:
+                alpha_l = objective_calibration_alpha(error_count / m, err_root)
+            else:  # a pure root leaves the ratio undefined: the public start value
+                alpha_l = 1.0
 
             live_risk = _leaf_risks(live_w[:n_live], live_w1[:n_live], alpha_l).tolist()
             risk_before = math.fsum(live_risk)

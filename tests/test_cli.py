@@ -121,6 +121,20 @@ class TestFitEval:
                    "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_DATA
 
+    def test_long_field_in_first_row_is_data_error(self, tmp_path, blocks_files, capsys):
+        data, domains = blocks_files
+        with open(data) as fh:
+            header, first, *rest = fh.read().splitlines()
+        long_data = tmp_path / "long.csv"
+        long_data.write_text("\n".join(
+            [header + ",note", first + "," + "x" * 200_000, *(row + ",a" for row in rest)]
+        ) + "\n")
+        rc = main(["fit", "--config", _fit_config(tmp_path), "--data", str(long_data),
+                   "--domains", domains, "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("command, missing, code", [
         ("fit", "config", EXIT_CONFIG),
         ("fit", "domains", EXIT_DATA),

@@ -157,9 +157,14 @@ class TestLoadCsv:
             ("", "missing header row"),
             ("f1,f2,y\n", "no data rows"),
             ("f1,f2,y\n\n\r\n", "no data rows"),
+            ("f1,f2,note,y\n0.1,0.0," + "x" * 200_000 + ",1\n",
+             f"row 2: field larger than field limit ({csv.field_size_limit()})"),
+            ("f1,f2," + "n" * 200_000 + ",y\n0.1,0.0,a,1\n",
+             f"header row: field larger than field limit ({csv.field_size_limit()})"),
         ],
         ids=["non-numeric", "short-row", "unknown-label", "missing-attribute",
-             "missing-label-column", "missing-header", "header-only", "blank-lines-only"],
+             "missing-label-column", "missing-header", "header-only", "blank-lines-only",
+             "long-field-row-1", "long-header-field"],
     )
     def test_error_messages(self, tmp_path, spec_file, text, message):
         path = tmp_path / "bad.csv"
@@ -167,6 +172,13 @@ class TestLoadCsv:
         with pytest.raises(DataError) as info:
             load_csv(str(path), "y", parse_domain_spec(spec_file))
         assert str(info.value) == f"{path}: {message}"
+
+    def test_long_field_after_the_first_row_loads(self, tmp_path, spec_file):
+        # numpy's parser has no field limit; csv reads only the header and row 1 here
+        path = tmp_path / "long.csv"
+        path.write_text("f1,f2,note,y\n0.1,0.0,a,1\n0.9,2.0," + "x" * 200_000 + ",0\n")
+        ds = load_csv(str(path), "y", parse_domain_spec(spec_file))
+        assert ds.X.tolist() == [[1, 2], [8, 4]] and ds.y.tolist() == [1, -1]
 
     def test_unopenable_path_message(self, tmp_path, spec_file):
         path = tmp_path / "absent.csv"

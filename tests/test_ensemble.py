@@ -162,6 +162,21 @@ class TestBoostFit:
         boost_fit(ds, 5, cfg, accountant=acc, rng=RandomSource(3))
         assert acc.total_spent == pytest.approx(1.0, abs=1e-12)
 
+    def test_private_oc_pure_labels_release_the_neighbors_shape(self):
+        # all labels +1 against one label flipped: a private fit must grow and
+        # spend the same on both, or the released shape tells them apart
+        ds = make_blocks_dataset(40, 4, seed=0)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0, ensemble_size=2)
+        cfg = TreeConfig(depth=3, alpha="oc", privacy=privacy)
+        released = []
+        for y in (np.ones(40, dtype=int), np.r_[-1, np.ones(39, dtype=int)]):
+            acc = BudgetAccountant(1.0)
+            model = boost_fit(Dataset(ds.X, y, ds.domains), 2, cfg, accountant=acc,
+                              rng=RandomSource(0))
+            released.append((model.n_leaves, acc.spends))
+        assert released[0] == released[1]
+        assert released[0][0] == 2 * 2**3
+
     def test_private_requires_matching_T(self):
         ds = make_blocks_dataset(50, 2, seed=1)
         privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0, ensemble_size=3)

@@ -57,7 +57,7 @@ def blocks_files(tmp_path):
     return _write_blocks_csv(tmp_path)
 
 
-def _config_file(tmp_path, data, domains, **overrides):
+def _config_file(tmp_path, data, domains, /, **overrides):
     lines = {
         "data": data,
         "domains": domains,
@@ -69,9 +69,9 @@ def _config_file(tmp_path, data, domains, **overrides):
         "k_folds": "3",
         "seeds": "0",
     }
-    lines.update(overrides)
+    lines.update(overrides)  # a value of None drops the key
     path = tmp_path / "grid.config"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items() if v is not None))
     return str(path)
 
 
@@ -107,6 +107,41 @@ class TestConfig:
             path = _config_file(tmp_path, data, domains, **overrides)
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_file(path)
+
+    INT_X = "invalid literal for int() with base 10: 'x'"
+    FLOAT_X = "could not convert string to float: 'x'"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("algorithm", "svm", "unknown algorithm 'svm'"),
+        ("T", "x", INT_X),
+        ("T", "0", "T and depth must be >= 1"),
+        ("depth", "x", INT_X),
+        ("depth", "0", "T and depth must be >= 1"),
+        ("alpha", "x", "bad alpha 'x'"),
+        ("alpha", "2.0", "alpha 2.0 outside [0, 1]"),
+        ("epsilon", "x", "bad epsilon 'x'"),
+        ("epsilon", "-1", "epsilon -1.0 must be positive"),
+        ("beta_tree", "x", FLOAT_X),
+        ("beta_tree", "1.5", "beta_tree must lie in (0, 1)"),
+        ("nvpriv", "x", INT_X),
+        ("nvpriv", "1", "nvpriv must be >= 2"),
+        ("M", "x", FLOAT_X),
+        ("M", "0", "M must be positive and finite"),
+        ("k_folds", "x", INT_X),
+        ("k_folds", "1", "k_folds must be >= 2"),
+        ("lc_alpha", "x", FLOAT_X),
+        ("lc_alpha", "1.5", "lc_alpha must lie in [0, 1]"),
+        ("seeds", "x", INT_X),
+        ("depth", ",", "empty list value ','"),
+        ("bogus", "1", "unknown keys ['bogus']"),
+        ("data", None, "missing key 'data'"),
+    ])
+    def test_error_messages(self, tmp_path, blocks_files, key, value, message):
+        data, domains = blocks_files
+        path = _config_file(tmp_path, data, domains, **{key: value})
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_file(path)
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("M", ["0", "-5", "10, 0", "inf", "nan"])
     def test_output_bound_must_be_positive_and_finite(self, tmp_path, blocks_files, M):
