@@ -1,6 +1,7 @@
-"""Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32),
-the weight update, deep-tree prediction, exponential-mechanism sampling, leaf
-noising, the forest baseline, k-fold construction and one experiment grid.
+"""Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32)
+and its memory peak, the weight update, deep private induction, deep-tree
+prediction, exponential-mechanism sampling, leaf noising, the forest baseline,
+k-fold construction and one experiment grid.
 
 Run from the repository root with::
 
@@ -12,6 +13,7 @@ timed on the feature layout its own ``Dataset`` stores.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,22 @@ def test_boost_iteration(benchmark, wide):
     )
 
 
+def test_induce_tree_wide(benchmark, wide):
+    """One non-private OC ``induce_tree`` of depth 6 on the wide data.  ``extra_info``
+    holds the tracemalloc peak of one more, untimed fit: what the fit allocates
+    above its inputs (level histograms, candidate risk parts, leaf rows), in MB."""
+    dataset, weights = wide
+    config = TreeConfig(depth=DEPTH, alpha="oc")
+    tracemalloc.start()
+    try:
+        induce_tree(dataset, weights, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mb"] = peak / 2**20
+    benchmark.pedantic(induce_tree, args=(dataset, weights, config), rounds=5, iterations=1)
+
+
 def test_training_outputs_by_traversal(benchmark, wide, fitted):
     """Training outputs of one iteration by routing every row through the tree."""
     dataset, _ = wide
@@ -131,6 +149,16 @@ def test_update_weights(benchmark, wide):
 def blocks():
     """Blocks data as in the private workloads: 400 training and 2,000 held-out rows."""
     return make_blocks_dataset(400, 4, seed=3), make_blocks_dataset(2000, 4, seed=4)
+
+
+def test_induce_tree_deep_private(benchmark, blocks):
+    """One private OC ``induce_tree`` of depth 8 on the 400 training rows: 255 splits,
+    each scored from the leaves' risk parts and drawn by the exponential mechanism."""
+    train, _ = blocks
+    privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=1)
+    config = TreeConfig(depth=8, alpha="oc", privacy=privacy)
+    weights = np.full(400, 0.5)
+    benchmark(lambda: induce_tree(train, weights, config, BudgetAccountant(1.0), RandomSource(0)))
 
 
 def test_predict_deep_private(benchmark, blocks):

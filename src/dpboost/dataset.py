@@ -276,22 +276,23 @@ def _read_columns(fh, reader, usecols, labels_of):
 
 
 def _read_rows(path, fh, label_column, attributes, labels_of):
-    """Values and labels row by row: the only source of row-numbered errors."""
+    """Values and labels row by row: the only source of row-numbered errors, which
+    name the file line a row ends on."""
     raw_features: list[list[float]] = []
     labels: list[int] = []
-    rownum = 1
+    rows = csv.DictReader(fh)
     try:
-        for rownum, row in enumerate(csv.DictReader(fh), start=2):
+        for row in rows:
             try:
                 raw_features.append([float(row[d.name]) for d in attributes])
             except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: row {rownum}: {exc}") from exc
+                raise DataError(f"{path}: row {rows.line_num}: {exc}") from exc
             raw_label = (row[label_column] or "").strip()
             if raw_label not in labels_of:
-                raise DataError(f"{path}: row {rownum}: unknown label {raw_label!r}")
+                raise DataError(f"{path}: row {rows.line_num}: unknown label {raw_label!r}")
             labels.append(labels_of[raw_label])
-    except csv.Error as exc:  # raised while reading the row after the last one numbered
-        raise DataError(f"{path}: row {rownum + 1}: {exc}") from exc
+    except csv.Error as exc:  # DictReader sets its line_num only once a row is read
+        raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
     if not labels:
         raise DataError(f"{path}: no data rows")
     return np.asarray(raw_features, dtype=float), np.asarray(labels)

@@ -89,6 +89,17 @@ def _check_unit_interval(q, name: str):
     return np.clip(q, 0.0, 1.0)
 
 
+# The malpha formula in two steps, for tree induction; internal, so not in __all__.
+def malpha_parts(u) -> tuple:
+    """Alpha-free parts ``(sqrt(u (1 - u)), min(u, 1 - u))`` of the malpha risk at ``u``."""
+    return np.sqrt(u * (1.0 - u)), np.minimum(u, 1.0 - u)
+
+
+def malpha_combine(alpha: float, s, mn):
+    """The malpha Bayes risk ``2 (alpha s + (1 - alpha) mn)`` from ``malpha_parts``."""
+    return 2.0 * (alpha * s + (1.0 - alpha) * mn)
+
+
 def bayes_risk(spec: LossSpec, q) -> float | np.ndarray:
     """Pointwise Bayes risk at class probability ``q``.
 
@@ -98,8 +109,7 @@ def bayes_risk(spec: LossSpec, q) -> float | np.ndarray:
     """
     u = _check_unit_interval(q, "q")
     if spec.kind == "malpha":
-        a = spec.alpha
-        val = 2.0 * (a * np.sqrt(u * (1.0 - u)) + (1.0 - a) * np.minimum(u, 1.0 - u))
+        val = malpha_combine(spec.alpha, *malpha_parts(u))
     elif spec.kind == "square":
         val = 4.0 * u * (1.0 - u)
     else:  # log, normalized so the value at 1/2 is 1

@@ -12,9 +12,13 @@ split uses ``alpha = err(current tree) / err(root)``, so induction starts
 at the Matsushita risk and drifts toward the 0/1 risk as the tree fits.
 
 A split is scored from level-wise histograms (one ``bincount`` per
-attribute over (frontier leaf, bin) keys covers the whole level) and one
-vectorized Bayes-risk pass over the live leaves at the split's alpha.
-Every sum is formed in the order a per-leaf evaluation would use, so the
+attribute over (frontier leaf, bin) keys covers the whole level) and from
+alpha-free parts of each leaf's risk (``w``, ``sqrt(u (1 - u))`` and
+``min(u, 1 - u)`` at ``u = w1 / w``): those of every candidate's children
+are computed once per level, a live leaf's once when it is made.  The live
+leaves' risks are kept for the alpha they were mixed at and mixed again
+only when a split's alpha differs.  Every value is formed by the operations
+a per-leaf ``bayes_risk`` evaluation would use, in its order, so the
 released numbers carry the same bits.
 """
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DataError, Dataset, SplitCandidate, candidate_splits
-from .losses import LossSpec, bayes_risk, canonical_link, sensitivity_bound
+from .losses import LossSpec, canonical_link, malpha_combine, malpha_parts, sensitivity_bound
 from .privacy import (
     BudgetAccountant,
     RandomSource,
@@ -269,15 +273,28 @@ def _node_from_dict(data: dict, depth: int) -> Node:
     return node
 
 
-def _leaf_risks(w: np.ndarray, w1: np.ndarray, alpha: float) -> np.ndarray:
-    """Unnormalized risk ``w * bayes_risk(w1 / w)`` of each leaf; 0 when empty.
-
-    One vectorized ``bayes_risk`` call.  Its operations are element-wise
-    and correctly rounded, so each entry has the bits of a scalar call.
-    """
+def _leaf_parts(w: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Alpha-free parts ``(w, *malpha_parts(clip(w1 / w, 0, 1)))`` of each leaf's risk,
+    stacked on a new first axis; all three are 0 for an empty leaf (``w <= 0``)."""
     nonempty = w > 0.0
-    q = np.clip(w1 / np.where(nonempty, w, 1.0), 0.0, 1.0)
-    return np.where(nonempty, w * bayes_risk(LossSpec.malpha(alpha), q), 0.0)
+    s, mn = malpha_parts(np.clip(w1 / np.where(nonempty, w, 1.0), 0.0, 1.0))
+    return np.where(nonempty, np.stack([w, s, mn]), 0.0)
+
+
+def _node_parts(node: Node) -> tuple[float, float, float]:
+    """``_leaf_parts`` of one node's own (w, w1), on python floats: the same
+    correctly rounded operations without the per-call cost of small arrays."""
+    if not node.w > 0.0:
+        return 0.0, 0.0, 0.0
+    s, mn = malpha_parts(min(max(node.w1 / node.w, 0.0), 1.0))
+    return node.w, float(s), float(mn)
+
+
+def _risks(parts, alpha: float):
+    """Unnormalized risk ``w * bayes_risk(w1 / w)`` of each leaf at ``alpha`` from its
+    parts, with the bits of a scalar ``bayes_risk`` call (element-wise operations)."""
+    w, s, mn = parts
+    return w * malpha_combine(alpha, s, mn)
 
 
 def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray, alpha: float) -> float:
@@ -293,7 +310,7 @@ def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray,
     rows = [idx for _, idx in tree.leaf_rows(dataset.X)]
     w = np.array([weights[idx].sum() for idx in rows])
     w1 = np.array([weights[idx[pos[idx]]].sum() for idx in rows])
-    return math.fsum(_leaf_risks(w, w1, alpha).tolist())
+    return math.fsum(_risks(_leaf_parts(w, w1), alpha).tolist())
 
 
 def split_budget(depth_of_leaf: int, d: int, T: int, beta_tree: float, epsilon: float) -> float:
@@ -346,21 +363,21 @@ def _frontier_histograms(
     return np.concatenate(w_parts, axis=1), np.concatenate(w1_parts, axis=1)
 
 
-def _split_utilities(
-    w_left: np.ndarray,
-    w1_left: np.ndarray,
-    w_leaf: float,
-    w1_leaf: float,
-    alpha: float,
-    risk_rest: float,
-) -> np.ndarray:
-    """Utility of every candidate: negative total risk of the grown tree."""
-    k = w_left.size
-    child_risk = _leaf_risks(
-        np.concatenate([w_left, w_leaf - w_left]),
-        np.concatenate([w1_left, w1_leaf - w1_left]),
-        alpha,
+def _candidate_parts(w_left, w1_left, w_leaf, w1_leaf) -> np.ndarray:
+    """``_leaf_parts`` of both children of every candidate at every frontier leaf, from
+    ``_frontier_histograms``' results and the leaves' own (w, w1): entry ``[:, s]``
+    holds leaf ``s``'s left children, then its right ones."""
+    return _leaf_parts(
+        np.concatenate([w_left, w_leaf[:, None] - w_left], axis=1),
+        np.concatenate([w1_left, w1_leaf[:, None] - w1_left], axis=1),
     )
+
+
+def _candidate_utilities(parts: np.ndarray, alpha: float, risk_rest: float) -> np.ndarray:
+    """Utility of every candidate of one leaf, from its ``_candidate_parts`` entry:
+    the negative total risk of the grown tree."""
+    child_risk = _risks(parts, alpha)
+    k = child_risk.size // 2
     return -(risk_rest + (child_risk[:k] + child_risk[k:]))
 
 
@@ -378,9 +395,10 @@ def root_split_probabilities(
     w_left, w1_left = _frontier_histograms(
         dataset.X, weights, weights * pos, [np.arange(dataset.n_examples)], dataset.domains
     )
-    utilities = _split_utilities(
-        w_left[0], w1_left[0], float(weights.sum()), float(weights[pos].sum()), alpha, 0.0
+    parts = _candidate_parts(
+        w_left, w1_left, np.array([weights.sum()]), np.array([weights[pos].sum()])
     )
+    utilities = _candidate_utilities(parts[:, 0], alpha, 0.0)
     delta = sensitivity_bound(LossSpec.malpha(alpha), dataset.n_examples)
     return exponential_mechanism_probabilities(utilities, delta, epsilon_node)
 
@@ -434,9 +452,10 @@ def induce_tree(
 
     root = make_node(0, np.arange(m))
     tree = DecisionTree(root=root)
-    # (w, w1) of the live leaves in their first n_live slots; a split puts
-    # its left child in the leaf's slot and its right child in a new one
-    live_w, live_w1, n_live = np.array([root.w]), np.array([root.w1]), 1
+    # _node_parts of the live leaves by slot; a split puts its left child
+    # in the leaf's slot and its right child in a new one
+    live = [_node_parts(root)]
+    live_risk, risk_alpha = [], None  # the live leaves' risks, as mixed at risk_alpha
     error_count = root.error_count
     err_root = error_count / m
 
@@ -457,9 +476,8 @@ def induce_tree(
         w_left, w1_left = _frontier_histograms(
             X, weights, pos_weights, [idx for _, idx, _ in frontier], dataset.domains
         )
-        # every frontier leaf splits once, adding one live slot
-        live_w = np.concatenate([live_w, np.empty(len(frontier))])
-        live_w1 = np.concatenate([live_w1, np.empty(len(frontier))])
+        leaf_stats = np.array([(leaf.w, leaf.w1) for leaf, _, _ in frontier]).T
+        cand_parts = _candidate_parts(w_left, w1_left, *leaf_stats)
         next_frontier: list[tuple[Node, np.ndarray, int]] = []
         for k, (leaf, idx, slot) in enumerate(frontier):
             if not oc:
@@ -469,12 +487,12 @@ def induce_tree(
             else:  # a pure root leaves the ratio undefined: the public start value
                 alpha_l = 1.0
 
-            live_risk = _leaf_risks(live_w[:n_live], live_w1[:n_live], alpha_l).tolist()
+            if alpha_l != risk_alpha:
+                live_risk = _risks(np.array(live).T, alpha_l).tolist()
+                risk_alpha = alpha_l
             risk_before = math.fsum(live_risk)
             risk_rest = risk_before - live_risk[slot]
-            utilities = _split_utilities(
-                w_left[k], w1_left[k], leaf.w, leaf.w1, alpha_l, risk_rest
-            )
+            utilities = _candidate_utilities(cand_parts[:, k], alpha_l, risk_rest)
 
             if private:
                 eps_node = split_budget(
@@ -499,11 +517,12 @@ def induce_tree(
             right = make_node(level + 1, right_idx)
             leaf.split = cand
             leaf.left, leaf.right = left, right
-            live_w[slot], live_w1[slot] = left.w, left.w1
-            live_w[n_live], live_w1[n_live] = right.w, right.w1
             next_frontier.append((left, left_idx, slot))
-            next_frontier.append((right, right_idx, n_live))
-            n_live += 1
+            next_frontier.append((right, right_idx, len(live)))
+            live[slot] = _node_parts(left)
+            live.append(_node_parts(right))
+            live_risk[slot] = _risks(live[slot], alpha_l)
+            live_risk.append(_risks(live[-1], alpha_l))
             error_count += left.error_count + right.error_count - leaf.error_count
             tree.records.append(
                 SplitRecord(

@@ -150,7 +150,7 @@ class TestLoadCsv:
             ("f1,f2,y\n0.1,0.0,1\nnot-a-number,0.0,1\n",
              "row 3: could not convert string to float: 'not-a-number'"),
             ("f1,f2,y\n0.1,0.0,1\n\n0.2\n",
-             "row 3: float() argument must be a string or a real number, not 'NoneType'"),
+             "row 4: float() argument must be a string or a real number, not 'NoneType'"),
             ("f1,f2,y\n0.1,0.0,1\n0.2,0.0, maybe \n", "row 3: unknown label 'maybe'"),
             ("f1,y\n0.1,1\n", "columns not found: ['f2']"),
             ("f1,f2,label\n0.1,0.0,1\n", "label column 'y' not found"),

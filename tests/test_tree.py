@@ -417,6 +417,119 @@ class TestFrontierHistograms:
         )
 
 
+def _reference_risk(w, w1, spec):
+    # reference: w * bayes_risk(w1 / w) per leaf, 0 when empty
+    w, w1 = np.asarray(w, dtype=float), np.asarray(w1, dtype=float)
+    nonempty = w > 0.0
+    q = np.clip(w1 / np.where(nonempty, w, 1.0), 0.0, 1.0)
+    return np.where(nonempty, w * bayes_risk(spec, q), 0.0)
+
+
+def _reference_split_scores(tree, ds, weights, config):
+    """(alpha, risk_before, utilities) of every split of ``tree``, in induction
+    order, recomputed from scratch: every live leaf's risk from its own
+    (w, w1) at the split's alpha, and every candidate from per-leaf histograms."""
+    pos = ds.y == 1
+    m = ds.n_examples
+    err_root = tree.root.error_count / m
+    live = {id(tree.root): tree.root}
+    frontier, out = [(tree.root, np.arange(m))], []
+    for _ in range(config.depth):
+        next_frontier = []
+        for node, idx in frontier:
+            if node.is_leaf:  # a leaf that stopped early stays live
+                continue
+            if not config.objective_calibration:
+                alpha = config.alpha
+            elif err_root > 0.0:
+                errors = sum(leaf.error_count for leaf in live.values())
+                alpha = objective_calibration_alpha(errors / m, err_root)
+            else:
+                alpha = 1.0
+            spec = LossSpec.malpha(alpha)
+            risks = {key: float(_reference_risk(n.w, n.w1, spec)) for key, n in live.items()}
+            risk_before = math.fsum(risks.values())
+            w_left, w1_left = _per_leaf_histogram(ds.X, weights, pos, idx, ds.domains)
+            left = _reference_risk(w_left, w1_left, spec)
+            right = _reference_risk(node.w - w_left, node.w1 - w1_left, spec)
+            out.append((alpha, risk_before, -((risk_before - risks[id(node)]) + (left + right))))
+            del live[id(node)]
+            live[id(node.left)], live[id(node.right)] = node.left, node.right
+            mask = ds.X[idx, node.split.attribute] <= node.split.threshold_bin
+            next_frontier += [(node.left, idx[mask]), (node.right, idx[~mask])]
+        frontier = next_frontier
+    return out
+
+
+def _noisy_threshold_dataset():
+    # 80 rows with 20% label noise: greedy depth-5 trees stop some leaves
+    # early as pure and grow others to the cap
+    rng = np.random.default_rng(1)
+    X = rng.integers(0, 5, size=(80, 3))
+    y = np.where((X[:, 0] > 2) ^ (rng.random(80) < 0.2), 1, -1)
+    ds = Dataset(X, y, [AttributeDomain(f"a{j}", 0.0, 1.0, 5) for j in range(3)])
+    return ds, rng.uniform(0.05, 1.0, 80)
+
+
+class TestRiskBookkeeping:
+    def test_every_split_scores_as_a_fresh_evaluation(self, monkeypatch):
+        seen = []
+        sampler, argmax = tree_module.exponential_mechanism, np.argmax
+
+        def spy_sampler(utilities, *args, **kwargs):
+            seen.append(np.array(utilities, copy=True))
+            return sampler(utilities, *args, **kwargs)
+
+        def spy_argmax(utilities, *args, **kwargs):
+            seen.append(np.array(utilities, copy=True))
+            return argmax(utilities, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "exponential_mechanism", spy_sampler)
+        monkeypatch.setattr(np, "argmax", spy_argmax)
+
+        ds = make_blocks_dataset(120, 3, seed=5)
+        rng = RandomSource(5)
+        weights = np.array([0.05 + 0.95 * rng.uniform() for _ in range(120)])
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+        private = TreeConfig(depth=5, alpha="oc", privacy=privacy)
+        noisy, noisy_weights = _noisy_threshold_dataset()
+        greedy = TreeConfig(depth=5, alpha=0.3)
+        private_tree = induce_tree(ds, weights, private, BudgetAccountant(1.0), RandomSource(6))
+        greedy_tree = induce_tree(noisy, noisy_weights, greedy)
+        # the cases under test occur: alpha changes within a level, empty
+        # leaves, and leaves that stopped early
+        assert any(len({r.alpha for r in private_tree.records if r.depth == d}) > 1
+                   for d in range(5))
+        assert any(leaf.w <= 0.0 for leaf in private_tree.leaves())
+        assert any(leaf.depth < 5 for leaf in greedy_tree.leaves())
+
+        scores = []
+        fits = [(ds, weights, private, private_tree), (noisy, noisy_weights, greedy, greedy_tree)]
+        for data, w, config, tree in fits:
+            reference = _reference_split_scores(tree, data, w, config)
+            assert len(reference) == len(tree.records)
+            scores += zip(tree.records, reference)
+        assert len(seen) == len(scores)
+        for utilities, (record, (alpha, risk_before, expected)) in zip(seen, scores):
+            assert record.alpha == alpha
+            assert record.risk_before == risk_before
+            assert np.array_equal(utilities, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w=st.one_of(st.just(0.0), st.floats(-1e-9, 0.0), st.floats(1e-300, 1e6)),
+        u=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1e-3, 1.001)),
+        alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_parts_then_mix_equal_bayes_risk_bit_for_bit(self, w, u, alpha):
+        w1 = u * abs(w)
+        expected = np.float64(_reference_risk(w, w1, LossSpec.malpha(alpha))).tobytes()
+        vector = tree_module._risks(tree_module._leaf_parts(np.array([w]), np.array([w1])), alpha)
+        node = tree_module._risks(tree_module._node_parts(tree_module.Node(0, w, w1, 0, 0)), alpha)
+        assert vector[0].tobytes() == expected
+        assert np.float64(node).tobytes() == expected
+
+
 class TestDifferentialPrivacyRatio:
     def test_split_selection_ratio_bounded(self):
         doms = [AttributeDomain("a", 0.0, 2.0, 3), AttributeDomain("b", 0.0, 2.0, 3)]
