@@ -286,12 +286,12 @@ def _read_rows(path, fh, label_column, attributes, labels_of):
             try:
                 raw_features.append([float(row[d.name]) for d in attributes])
             except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: row {rows.line_num}: {exc}") from exc
+                raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
             raw_label = (row[label_column] or "").strip()
             if raw_label not in labels_of:
-                raise DataError(f"{path}: row {rows.line_num}: unknown label {raw_label!r}")
+                raise DataError(f"{path}: row {rows.reader.line_num}: unknown label {raw_label!r}")
             labels.append(labels_of[raw_label])
-    except csv.Error as exc:  # DictReader sets its line_num only once a row is read
+    except csv.Error as exc:
         raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
     if not labels:
         raise DataError(f"{path}: no data rows")

@@ -152,6 +152,10 @@ class TestLoadCsv:
             ("f1,f2,y\n0.1,0.0,1\n\n0.2\n",
              "row 4: float() argument must be a string or a real number, not 'NoneType'"),
             ("f1,f2,y\n0.1,0.0,1\n0.2,0.0, maybe \n", "row 3: unknown label 'maybe'"),
+            ("f1,f2,y\n0.1,0.0,1\n\n\r\nnot-a-number,0.0,1\n",
+             "row 5: could not convert string to float: 'not-a-number'"),
+            ("f1,f2,y\r\n\r\n0.1,0.0,1\r\n\r\n0.2,0.0,maybe\r\n", "row 5: unknown label 'maybe'"),
+            ("f1,f2,y\n\n0.1,0.0,\"two\nlines\"\n", "row 4: unknown label 'two\\nlines'"),
             ("f1,y\n0.1,1\n", "columns not found: ['f2']"),
             ("f1,f2,label\n0.1,0.0,1\n", "label column 'y' not found"),
             ("", "missing header row"),
@@ -162,7 +166,8 @@ class TestLoadCsv:
             ("f1,f2," + "n" * 200_000 + ",y\n0.1,0.0,a,1\n",
              f"header row: field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["non-numeric", "short-row", "unknown-label", "missing-attribute",
+        ids=["non-numeric", "short-row", "unknown-label", "non-numeric-after-blank-lines",
+             "unknown-label-after-blank-lines", "label-over-two-lines", "missing-attribute",
              "missing-label-column", "missing-header", "header-only", "blank-lines-only",
              "long-field-row-1", "long-header-field"],
     )
