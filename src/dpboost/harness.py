@@ -18,6 +18,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .dataset import (
     stratified_kfold,
 )
 from .ensemble import BoostedEnsemble, RandomForest, boost_fit, empirical_risk, rf_fit
-from .losses import LossSpec, bayes_risk, sensitivity_bound
+from .losses import LossSpec, perspective_at, sensitivity_bound
 from .privacy import (
     BudgetAccountant,
     RandomSource,
@@ -302,6 +303,8 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
         if write_header:
             writer.writerow(RESULT_COLUMNS)
             fh.flush()
+        elif not Path(out_path).read_bytes().endswith(b"\n"):  # a torn last record
+            fh.write("\r\n")
         for cell, seed, fold in itertools.product(
             config.cells(), config.seeds, range(config.k_folds)
         ):
@@ -343,16 +346,25 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
 
 
 def read_results(path: str) -> list[dict]:
-    """Load a results CSV, failing loudly on header drift."""
+    """Load a results CSV, failing loudly on header drift; a row that lacks a
+    column, torn by an interrupted write, is left out, so a rerun rewrites it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != RESULT_COLUMNS:
             raise ConfigError(f"{path}: unexpected results header {reader.fieldnames}")
-        return list(reader)
+        return [row for row in reader if None not in row.values()]
 
 
-def _valid_rows(rows: list[dict]) -> list[dict]:
-    return [r for r in rows if not r.get("error") and r.get("test_error") not in ("", None)]
+def _valid_groups(rows: list[dict], columns: tuple[str, ...]) -> dict[tuple, list[dict]]:
+    """Rows without an error and with a test error, grouped by result ``columns``."""
+    unknown = [c for c in columns if c not in RESULT_COLUMNS]
+    if unknown:
+        raise ConfigError(f"unknown group-by columns {unknown}")
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        if not row.get("error") and row.get("test_error") not in ("", None):
+            groups.setdefault(tuple(row[k] for k in columns), []).append(row)
+    return groups
 
 
 def summarize_cumulative(rows: list[dict], group_by: tuple[str, ...]) -> list[dict]:
@@ -364,13 +376,10 @@ def summarize_cumulative(rows: list[dict], group_by: tuple[str, ...]) -> list[di
     """
     if not rows:
         raise ConfigError("no results to summarize")
-    valid = _valid_rows(rows)
-    if not valid:
+    groups = _valid_groups(rows, group_by)
+    if not groups:
         warnings.warn("all rows carry errors; nothing to summarize")
         return []
-    groups: dict[tuple, list[dict]] = {}
-    for row in valid:
-        groups.setdefault(tuple(row[k] for k in group_by), []).append(row)
     out = []
     for key in sorted(groups):
         members = groups[key]
@@ -456,7 +465,7 @@ def students_t_test(sample_a, sample_b) -> tuple[float, float]:
     df = na + nb - 2
     pooled = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / df
     se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    diff = a.mean() - b.mean()
+    diff = float(a.mean() - b.mean())
     if se == 0.0:
         return (0.0, 1.0) if diff == 0.0 else (math.copysign(math.inf, diff), 0.0)
     t = diff / se
@@ -487,15 +496,7 @@ def compare(
     two-sided pooled t test.  Wins are counted among significant cells
     only, by lower mean error.
     """
-    def collect(rows):
-        groups: dict[tuple, list[float]] = {}
-        for row in _valid_rows(rows):
-            groups.setdefault(tuple(row[k] for k in cell_columns), []).append(
-                float(row["test_error"])
-            )
-        return groups
-
-    groups_a, groups_b = collect(rows_a), collect(rows_b)
+    groups_a, groups_b = _valid_groups(rows_a, cell_columns), _valid_groups(rows_b, cell_columns)
     if not groups_a or set(groups_a) != set(groups_b):
         only_a = sorted(set(groups_a) - set(groups_b))
         only_b = sorted(set(groups_b) - set(groups_a))
@@ -506,12 +507,13 @@ def compare(
     significant = a_wins = b_wins = 0
     per_cell = []
     for key in sorted(groups_a):
-        t, p = students_t_test(groups_a[key], groups_b[key])
+        a, b = ([float(r["test_error"]) for r in groups[key]] for groups in (groups_a, groups_b))
+        t, p = students_t_test(a, b)
         is_significant = p < p_threshold
         winner = ""
         if is_significant:
             significant += 1
-            if float(np.mean(groups_a[key])) < float(np.mean(groups_b[key])):
+            if float(np.mean(a)) < float(np.mean(b)):
                 a_wins += 1
                 winner = "a"
             else:
@@ -526,7 +528,7 @@ def compare(
 
 
 def _leaf_criterion(alpha: float, threshold_bin: int):
-    """Per-leaf risk f(S) = w(leaf) * bayes_risk(w1 / w) on a public leaf.
+    """Per-leaf risk f(S) = perspective_at(w1, w) = w * bayes_risk(w1 / w) on a public leaf.
 
     The leaf is the region "attribute 0 bin <= threshold_bin", so a
     replacement can move an example in or out of it.
@@ -536,10 +538,8 @@ def _leaf_criterion(alpha: float, threshold_bin: int):
     def criterion(dataset: Dataset) -> float:
         member = dataset.X[:, 0] <= threshold_bin
         w = float(dataset.weights[member].sum())
-        if w <= 0.0:
-            return 0.0
         w1 = float(dataset.weights[member & (dataset.y == 1)].sum())
-        return w * float(bayes_risk(spec, w1 / w))
+        return perspective_at(spec, w1, w)
 
     return criterion
 
@@ -658,7 +658,12 @@ def load_model(path: str):
         data = payload["model"]
         if data["kind"] not in MODEL_CLASSES:
             raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")
-        return MODEL_CLASSES[data["kind"]].from_dict(data), spec
+        model = MODEL_CLASSES[data["kind"]].from_dict(data)
+        for node in (n for tree in model.trees for n in tree.nodes() if not n.is_leaf):
+            j, b = node.split.attribute, node.split.threshold_bin
+            if not (0 <= j < len(spec.attributes) and 0 <= b < spec.attributes[j].nvpriv - 1):
+                raise ConfigError(f"{path}: split on attribute {j} at bin {b} outside the domains")
+        return model, spec
     except ConfigError:
         raise
     except KeyError as exc:

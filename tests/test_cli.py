@@ -174,8 +174,13 @@ class TestFitEval:
         (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].pop("prediction"),
          "'prediction'"),
         (lambda p: p["model"].update(betas=p["model"]["betas"][:1]), "1 betas for 3 trees"),
+        (lambda p: p["model"]["trees"][0]["root"]["split"].update(attribute=7), "attribute 7"),
+        (lambda p: p["model"]["trees"][0]["root"]["split"].update(attribute=-1), "attribute -1"),
+        (lambda p: p["model"]["trees"][0]["root"]["split"].update(threshold_bin=-5), "bin -5"),
+        (lambda p: p["model"]["trees"][0]["root"]["split"].update(threshold_bin=9), "bin 9"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
-            "betas-cut-to-one"])
+            "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
+            "negative-threshold", "threshold-past-last-gap"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
@@ -282,6 +287,47 @@ class TestExperimentPipeline:
         rc = main(["summarize", "--results", results, "--out",
                    str(tmp_path / "c.csv"), "--by", "no_such_column"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["summarize", "compare"])
+    def test_unknown_group_column_is_one_config_error(self, tmp_path, blocks_files, capsys,
+                                                      command):
+        data, domains = blocks_files
+        grid = tmp_path / "grid.config"
+        grid.write_text(f"data = {data}\ndomains = {domains}\nT = 2\ndepth = 1\nk_folds = 3\n")
+        results = str(tmp_path / "results.csv")
+        assert main(["experiment", "--config", str(grid), "--out", results]) == EXIT_OK
+        inputs = ["--results", results] if command == "summarize" else ["--a", results,
+                                                                         "--b", results]
+        out = tmp_path / "table.csv"
+        assert main([command, *inputs, "--out", str(out), "--by", "epsilon,nosuch"]) == EXIT_CONFIG
+        assert "config error: unknown group-by columns ['nosuch']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_cells_are_plain_numbers(self, tmp_path, blocks_files):
+        data, domains = blocks_files
+        paths = {}
+        for alpha in ("0.0", "1.0"):
+            grid = tmp_path / f"grid{alpha}.config"
+            grid.write_text(f"data = {data}\ndomains = {domains}\nT = 3\ndepth = 2\n"
+                            f"alpha = {alpha}\nk_folds = 3\nseeds = 0,1\n")
+            paths[alpha] = str(tmp_path / f"results{alpha}.csv")
+            assert main(["experiment", "--config", str(grid), "--out", paths[alpha]]) == EXIT_OK
+        table = tmp_path / "cmp.csv"
+        assert main(["compare", "--a", paths["0.0"], "--b", paths["1.0"],
+                     "--out", str(table)]) == EXIT_OK
+        errors = {
+            alpha: {
+                seed: [float(r["test_error"]) for r in read_results(path) if r["seed"] == seed]
+                for seed in ("0", "1")
+            }
+            for alpha, path in paths.items()
+        }
+        with open(table, newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        assert [c["seed"] for c in cells] == ["0", "1"]
+        for cell in cells:
+            t, p = harness.students_t_test(errors["0.0"][cell["seed"]], errors["1.0"][cell["seed"]])
+            assert (float(cell["t"]), float(cell["p"])) == (t, p)
 
 
 class TestSensitivityAuditCommand:

@@ -258,6 +258,30 @@ class TestRunExperiment:
         ]
         assert strip(read_results(out)) == strip(read_results(full))
 
+    def test_torn_last_record_is_rewritten(self, tmp_path, blocks_files):
+        data, domains = blocks_files
+        cfg = ExperimentConfig.from_file(
+            _config_file(tmp_path, data, domains, k_folds="2", seeds="0,1")
+        )
+        out = tmp_path / "res.csv"
+        assert run_experiment(cfg, str(out)) == 4
+        full = read_results(str(out))
+        # an interrupted write: the last line ends inside its mean_depth field
+        raw = out.read_bytes()
+        start = raw.rstrip(b"\r\n").rindex(b"\n") + 1
+        before = raw[start:].split(b",")[: RESULT_COLUMNS.index("mean_depth")]
+        out.write_bytes(raw[: start + len(b",".join(before)) + 2])  # one character of it
+        assert read_results(str(out)) == full[:3]  # neither done nor valid
+        assert run_experiment(cfg, str(out)) == 1
+        with open(out, newline="", encoding="utf-8") as fh:
+            lengths = [len(r) for r in csv.reader(fh)]
+        # the torn line stays; the rewritten record starts a line of its own
+        assert len(lengths) == 6 and lengths[-2] < len(RESULT_COLUMNS) == lengths[-1]
+        rows = read_results(str(out))
+        assert all(None not in r.values() and r["error"] == "" for r in rows)
+        strip = lambda rows: [[r[c] for c in RESULT_COLUMNS if c != "wall_time_s"] for r in rows]
+        assert strip(rows) == strip(full)
+
     def test_folds_built_once_per_seed(self, tmp_path, blocks_files, monkeypatch):
         data, domains = blocks_files
         cfg = ExperimentConfig.from_file(_config_file(

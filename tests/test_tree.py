@@ -23,7 +23,6 @@ from dpboost.privacy import (
     BudgetAccountant,
     RandomSource,
     exponential_mechanism_probabilities,
-    replacement_neighbors,
 )
 from dpboost.tree import (
     DecisionTree,
@@ -528,27 +527,6 @@ class TestRiskBookkeeping:
         node = tree_module._risks(tree_module._node_parts(tree_module.Node(0, w, w1, 0, 0)), alpha)
         assert vector[0].tobytes() == expected
         assert np.float64(node).tobytes() == expected
-
-
-class TestDifferentialPrivacyRatio:
-    def test_split_selection_ratio_bounded(self):
-        doms = [AttributeDomain("a", 0.0, 2.0, 3), AttributeDomain("b", 0.0, 2.0, 3)]
-        rng = RandomSource(99)
-        weight_grid = (0.25, 0.5, 1.0)
-        bases = []
-        for _ in range(4):
-            X = np.array([[rng.randint(3), rng.randint(3)] for _ in range(3)])
-            y = np.array([1 if rng.uniform() < 0.5 else -1 for _ in range(3)])
-            w = np.array([weight_grid[rng.randint(3)] for _ in range(3)])
-            bases.append(Dataset(X, y, doms, w))
-        for alpha in (0.0, 0.3, 1.0):
-            for eps in (0.01, 0.1, 1.0):
-                for base in bases:
-                    p = root_split_probabilities(base, base.weights, alpha, eps)
-                    for neighbor in replacement_neighbors(base, weight_grid=weight_grid):
-                        q = root_split_probabilities(neighbor, neighbor.weights, alpha, eps)
-                        ratio = max(float(np.max(p / q)), float(np.max(q / p)))
-                        assert ratio <= math.exp(eps) * (1.0 + 1e-9)
 
 
 class TestNoisifyLeaves:
