@@ -84,15 +84,6 @@ class BoostedEnsemble:
             total += beta * clipped
         return total
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(len(t.leaves()) for t in self.trees)
-
-    @property
-    def mean_leaf_depth(self) -> float:
-        depths = [leaf.depth for t in self.trees for leaf in t.leaves()]
-        return float(np.mean(depths)) if depths else 0.0
-
     def to_dict(self) -> dict:
         return {
             "kind": "boost",
@@ -106,10 +97,16 @@ class BoostedEnsemble:
     def from_dict(data: dict) -> "BoostedEnsemble":
         if len(data["betas"]) != len(data["trees"]):
             raise ValueError(f"{len(data['betas'])} betas for {len(data['trees'])} trees")
+        betas = [float(b) for b in data["betas"]]
+        if not all(map(math.isfinite, betas)):
+            raise ValueError(f"non-finite beta in {betas}")
+        output_bound = float(data["output_bound"])
+        if not 0.0 < output_bound < math.inf:
+            raise ValueError(f"output_bound {output_bound} is not positive and finite")
         return BoostedEnsemble(
             trees=[DecisionTree.from_dict(t) for t in data["trees"]],
-            betas=[float(b) for b in data["betas"]],
-            output_bound=float(data["output_bound"]),
+            betas=betas,
+            output_bound=output_bound,
             lc_alpha=float(data["lc_alpha"]),
         )
 
@@ -238,7 +235,6 @@ class RandomForest:
     """Ensemble of structure-random trees with privately released leaf labels."""
 
     trees: list[DecisionTree]
-    depth: int
     leaf_mechanism: str
 
     def margins(self, X: np.ndarray) -> np.ndarray:
@@ -247,18 +243,9 @@ class RandomForest:
             votes += tree.predict_bins(X)
         return votes
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.trees) * 2**self.depth
-
-    @property
-    def mean_leaf_depth(self) -> float:
-        return float(self.depth)
-
     def to_dict(self) -> dict:
         return {
             "kind": "forest",
-            "depth": self.depth,
             "leaf_mechanism": self.leaf_mechanism,
             "trees": [_node_to_dict(tree.root) for tree in self.trees],
         }
@@ -267,21 +254,19 @@ class RandomForest:
     def from_dict(data: dict) -> "RandomForest":
         return RandomForest(
             trees=[DecisionTree(_node_from_dict(t, depth=0)) for t in data["trees"]],
-            depth=int(data["depth"]),
             leaf_mechanism=str(data["leaf_mechanism"]),
         )
 
 
 def _random_structure(depth: int, candidates, rng: RandomSource) -> DecisionTree:
-    root = Node(depth=0, w=0.0, w1=0.0, n_pos=0, n_neg=0)
+    root = Node(depth=0)
     stack = [root]
     while stack:  # splits are drawn depth-first, left subtree first
         node = stack.pop()
         if node.depth >= depth:
             continue
         node.split = candidates[rng.randint(len(candidates))]
-        node.left = Node(depth=node.depth + 1, w=0.0, w1=0.0, n_pos=0, n_neg=0)
-        node.right = Node(depth=node.depth + 1, w=0.0, w1=0.0, n_pos=0, n_neg=0)
+        node.left, node.right = Node(depth=node.depth + 1), Node(depth=node.depth + 1)
         stack.append(node.right)
         stack.append(node.left)
     return DecisionTree(root)
@@ -314,13 +299,12 @@ def rf_fit(
     for t in range(T):
         tree_rng = rng.spawn("rf-tree", t)
         tree = _random_structure(depth, candidates, tree_rng)
-        for leaf, idx in tree.leaf_rows(dataset.X):  # unreached leaves keep zero counts
-            leaf.n_pos = int(np.count_nonzero(dataset.y[idx] == 1))
-            leaf.n_neg = int(idx.size) - leaf.n_pos
-            leaf.w, leaf.w1 = float(idx.size), float(leaf.n_pos)
+        reached = {id(leaf): idx for leaf, idx in tree.leaf_rows(dataset.X)}
         # every leaf is released, right to left: the release order fixes the draws
         for leaf in reversed(tree.leaves()):
-            n_pos, n_neg = leaf.n_pos, leaf.n_neg
+            labels = dataset.y[reached.get(id(leaf), [])]  # no rows: zero counts
+            n_pos = int(np.count_nonzero(labels == 1))
+            n_neg = labels.size - n_pos
             if leaf_mechanism == "laplace":
                 accountant.spend("rf-leaf", eps_leaf)
                 noisy_pos = n_pos + laplace_sample(tree_rng, 2.0 / eps_leaf)
@@ -332,4 +316,4 @@ def rf_fit(
                 )
                 leaf.prediction = 1.0 if choice == 1 else -1.0
         trees.append(tree)
-    return RandomForest(trees=trees, depth=depth, leaf_mechanism=leaf_mechanism)
+    return RandomForest(trees=trees, leaf_mechanism=leaf_mechanism)

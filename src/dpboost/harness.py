@@ -326,14 +326,15 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
                     cell, train, config.lc_alpha, derive_seed(seed, cell_key(cell), fold)
                 )
                 pos_frac = float(np.mean(test.y == 1))
+                depths = [leaf.depth for tree in model.trees for leaf in tree.leaves()]
                 record.update(
                     # boosting traced the training error of its final model
                     train_error=model.traces.train_error[-1]
                     if isinstance(model, BoostedEnsemble) else empirical_risk(model, train),
                     test_error=empirical_risk(model, test),
                     default_error=min(pos_frac, 1.0 - pos_frac),
-                    leaves=model.n_leaves,
-                    mean_depth=model.mean_leaf_depth,
+                    leaves=len(depths),
+                    mean_depth=float(np.mean(depths)),
                     spent_epsilon=spent,
                 )
             except Exception as exc:  # recorded, run continues
@@ -615,7 +616,7 @@ def write_csv(path: str, rows: list[dict], columns: tuple[str, ...]) -> None:
 # --- model persistence -----------------------------------------------------
 
 MODEL_FORMAT = "dpboost-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # load_model still reads version 1, which also wrote node statistics
 MODEL_CLASSES = {"boost": BoostedEnsemble, "forest": RandomForest}
 
 
@@ -638,15 +639,18 @@ def save_model(path: str, model, spec: DomainSpec) -> None:
 
 
 def load_model(path: str):
-    """Inverse of :func:`save_model`; returns (model, DomainSpec)."""
+    """Inverse of :func:`save_model` for version 1 and 2 files; returns (model, DomainSpec).
+
+    A released value that no fit can produce is a ``ConfigError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
     try:
-        if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_VERSION:
-            raise ConfigError(f"{path}: not a version-{MODEL_VERSION} {MODEL_FORMAT} file")
+        if payload.get("format") != MODEL_FORMAT or payload.get("version") not in (1, 2):
+            raise ConfigError(f"{path}: not a version-1 or version-2 {MODEL_FORMAT} file")
         spec = DomainSpec(
             tuple(
                 AttributeDomain(d["name"], float(d["lo"]), float(d["hi"]), int(d["nvpriv"]))
@@ -659,7 +663,13 @@ def load_model(path: str):
         if data["kind"] not in MODEL_CLASSES:
             raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")
         model = MODEL_CLASSES[data["kind"]].from_dict(data)
-        for node in (n for tree in model.trees for n in tree.nodes() if not n.is_leaf):
+        # a forest leaf releases a vote, a boosted leaf any finite value
+        leaf_ok = (lambda v: v in (-1.0, 1.0)) if data["kind"] == "forest" else math.isfinite
+        for node in (n for tree in model.trees for n in tree.nodes()):
+            if node.is_leaf:
+                if not leaf_ok(node.prediction):
+                    raise ConfigError(f"{path}: {data['kind']} leaf prediction {node.prediction}")
+                continue
             j, b = node.split.attribute, node.split.threshold_bin
             if not (0 <= j < len(spec.attributes) and 0 <= b < spec.attributes[j].nvpriv - 1):
                 raise ConfigError(f"{path}: split on attribute {j} at bin {b} outside the domains")

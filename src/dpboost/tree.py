@@ -20,6 +20,9 @@ leaves' risks are kept for the alpha they were mixed at and mixed again
 only when a split's alpha differs.  Every value is formed by the operations
 a per-leaf ``bayes_risk`` evaluation would use, in its order, so the
 released numbers carry the same bits.
+
+Nodes hold only what a model releases.  A leaf's training statistics (``w``,
+``w1``, the errors of its majority label) live in induction's frontier only.
 """
 
 from __future__ import annotations
@@ -118,17 +121,9 @@ class TreeConfig:
 
 @dataclass
 class Node:
-    """Tree node; a leaf until ``split`` is assigned.
-
-    Leaves carry the training statistics that determine their prediction:
-    total weight ``w``, positive weight ``w1`` and raw example counts.
-    """
+    """Released tree node: a leaf with its ``prediction`` until ``split`` is assigned."""
 
     depth: int
-    w: float
-    w1: float
-    n_pos: int
-    n_neg: int
     prediction: float = 0.0
     split: SplitCandidate | None = None
     left: "Node | None" = None
@@ -137,22 +132,6 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return self.split is None
-
-    @property
-    def q(self) -> float:
-        """Positive-class proportion, clamped for the link."""
-        if self.w <= 0.0:
-            return 0.5
-        return min(max(self.w1 / self.w, Q_CLAMP), 1.0 - Q_CLAMP)
-
-    @property
-    def majority_label(self) -> int:
-        # Weighted majority; the exact tie goes negative like a 0 margin.
-        return 1 if self.w1 > self.w - self.w1 else -1
-
-    @property
-    def error_count(self) -> int:
-        return self.n_neg if self.majority_label == 1 else self.n_pos
 
 
 def margin_labels(margins: np.ndarray) -> np.ndarray:
@@ -250,26 +229,22 @@ class DecisionTree:
 
 
 def _node_to_dict(node: Node) -> dict:
-    stats = {"w": node.w, "w1": node.w1, "n_pos": node.n_pos, "n_neg": node.n_neg}
     if node.is_leaf:
-        return {"leaf": {"prediction": node.prediction, **stats}}
+        return {"leaf": {"prediction": node.prediction}}
     return {
         "split": {"attribute": node.split.attribute, "threshold_bin": node.split.threshold_bin},
-        "stats": stats,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
 
 
 def _node_from_dict(data: dict, depth: int) -> Node:
-    stats = data["leaf"] if "leaf" in data else data["stats"]
+    """Inverse of ``_node_to_dict``; a version-1 node's training statistics are not read."""
     split = data.get("split")
-    node = Node(depth, float(stats["w"]), float(stats["w1"]), int(stats["n_pos"]), int(stats["n_neg"]))
     if split is None:
-        node.prediction = float(stats["prediction"])
-    else:
-        node.split = SplitCandidate(int(split["attribute"]), int(split["threshold_bin"]))
-        node.left, node.right = (_node_from_dict(data[side], depth + 1) for side in ("left", "right"))
+        return Node(depth, float(data["leaf"]["prediction"]))
+    node = Node(depth, split=SplitCandidate(int(split["attribute"]), int(split["threshold_bin"])))
+    node.left, node.right = (_node_from_dict(data[side], depth + 1) for side in ("left", "right"))
     return node
 
 
@@ -281,13 +256,13 @@ def _leaf_parts(w: np.ndarray, w1: np.ndarray) -> np.ndarray:
     return np.where(nonempty, np.stack([w, s, mn]), 0.0)
 
 
-def _node_parts(node: Node) -> tuple[float, float, float]:
-    """``_leaf_parts`` of one node's own (w, w1), on python floats: the same
+def _node_parts(w: float, w1: float) -> tuple[float, float, float]:
+    """``_leaf_parts`` of one leaf's (w, w1), on python floats: the same
     correctly rounded operations without the per-call cost of small arrays."""
-    if not node.w > 0.0:
+    if not w > 0.0:
         return 0.0, 0.0, 0.0
-    s, mn = malpha_parts(min(max(node.w1 / node.w, 0.0), 1.0))
-    return node.w, float(s), float(mn)
+    s, mn = malpha_parts(min(max(w1 / w, 0.0), 1.0))
+    return w, float(s), float(mn)
 
 
 def _risks(parts, alpha: float):
@@ -300,8 +275,8 @@ def _risks(parts, alpha: float):
 def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray, alpha: float) -> float:
     """Sum over leaves of ``w(leaf) * bayes_risk(w1(leaf) / w(leaf))``.
 
-    Empty leaves contribute nothing.  Recomputed from the data, not from
-    stored statistics, so it also validates them.
+    Empty leaves contribute nothing; each leaf's sums are taken over the
+    training rows that reach it.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0.0):
@@ -444,42 +419,41 @@ def induce_tree(
     pos_mask = y == 1
     pos_weights = weights * pos_mask
 
-    def make_node(depth: int, idx: np.ndarray) -> Node:
+    def leaf_stats(idx: np.ndarray) -> tuple[float, float, int]:
+        # (w, w1, errors of the weighted majority label; a tie goes negative like a 0 margin)
         w = float(weights[idx].sum()) if idx.size else 0.0
         w1 = float(weights[idx[pos_mask[idx]]].sum()) if idx.size else 0.0
         n_pos = int(np.count_nonzero(pos_mask[idx]))
-        return Node(depth=depth, w=w, w1=w1, n_pos=n_pos, n_neg=int(idx.size) - n_pos)
+        return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos)
 
-    root = make_node(0, np.arange(m))
-    tree = DecisionTree(root=root)
+    tree = DecisionTree(root=Node(depth=0))
+    root_stats = leaf_stats(np.arange(m))
     # _node_parts of the live leaves by slot; a split puts its left child
     # in the leaf's slot and its right child in a new one
-    live = [_node_parts(root)]
+    live = [_node_parts(*root_stats[:2])]
     live_risk, risk_alpha = [], None  # the live leaves' risks, as mixed at risk_alpha
-    error_count = root.error_count
+    error_count = root_stats[2]
     err_root = error_count / m
 
     oc = config.objective_calibration
 
-    # (leaf, its rows in ascending order, its live slot)
-    frontier: list[tuple[Node, np.ndarray, int]] = [(root, np.arange(m), 0)]
-    final: list[tuple[Node, np.ndarray]] = []  # leaves that stopped early
+    # (leaf, its rows in ascending order, its live slot, its leaf_stats)
+    frontier: list[tuple[Node, np.ndarray, int, tuple]] = [(tree.root, np.arange(m), 0, root_stats)]
+    final: list[tuple[Node, np.ndarray, int, tuple]] = []  # leaves that stopped early
     for level in range(config.depth):
         if not private:  # pure leaves stay leaves
-            pure = [
-                leaf.w1 <= 0.0 or leaf.w1 >= leaf.w or idx.size == 0 for leaf, idx, _ in frontier
-            ]
-            final += [(leaf, idx) for (leaf, idx, _), p in zip(frontier, pure) if p]
+            pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, _, (w, w1, _) in frontier]
+            final += [f for f, p in zip(frontier, pure) if p]
             frontier = [f for f, p in zip(frontier, pure) if not p]
         if not frontier:
             break
         w_left, w1_left = _frontier_histograms(
-            X, weights, pos_weights, [idx for _, idx, _ in frontier], dataset.domains
+            X, weights, pos_weights, [idx for _, idx, _, _ in frontier], dataset.domains
         )
-        leaf_stats = np.array([(leaf.w, leaf.w1) for leaf, _, _ in frontier]).T
-        cand_parts = _candidate_parts(w_left, w1_left, *leaf_stats)
-        next_frontier: list[tuple[Node, np.ndarray, int]] = []
-        for k, (leaf, idx, slot) in enumerate(frontier):
+        leaf_w = np.array([stats[:2] for *_, stats in frontier]).T
+        cand_parts = _candidate_parts(w_left, w1_left, *leaf_w)
+        next_frontier: list[tuple[Node, np.ndarray, int, tuple]] = []
+        for k, (leaf, idx, slot, stats) in enumerate(frontier):
             if not oc:
                 alpha_l = float(config.alpha)
             elif err_root > 0.0:
@@ -513,17 +487,17 @@ def induce_tree(
             cand = candidates[choice]
             mask = X[:, cand.attribute][idx] <= cand.threshold_bin
             left_idx, right_idx = idx[mask], idx[~mask]
-            left = make_node(level + 1, left_idx)
-            right = make_node(level + 1, right_idx)
+            left, right = Node(level + 1), Node(level + 1)
+            left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
             leaf.split = cand
             leaf.left, leaf.right = left, right
-            next_frontier.append((left, left_idx, slot))
-            next_frontier.append((right, right_idx, len(live)))
-            live[slot] = _node_parts(left)
-            live.append(_node_parts(right))
+            next_frontier.append((left, left_idx, slot, left_stats))
+            next_frontier.append((right, right_idx, len(live), right_stats))
+            live[slot] = _node_parts(*left_stats[:2])
+            live.append(_node_parts(*right_stats[:2]))
             live_risk[slot] = _risks(live[slot], alpha_l)
             live_risk.append(_risks(live[-1], alpha_l))
-            error_count += left.error_count + right.error_count - leaf.error_count
+            error_count += left_stats[2] + right_stats[2] - stats[2]
             tree.records.append(
                 SplitRecord(
                     depth=level,
@@ -537,18 +511,19 @@ def induce_tree(
                 )
             )
         frontier = next_frontier
+    leaves = final + frontier
     if _leaf_rows is not None:
-        _leaf_rows += final + [(leaf, idx) for leaf, idx, _ in frontier]
+        _leaf_rows += [(leaf, idx) for leaf, idx, _, _ in leaves]
 
     if oc:
         tree.prediction_alpha = tree.records[-1].alpha if tree.records else 1.0
     else:
         tree.prediction_alpha = float(config.alpha)
     link_spec = LossSpec.malpha(tree.prediction_alpha)
-    for leaf in tree.leaves():
-        leaf.prediction = (
-            0.0 if leaf.w <= 0.0 else float(canonical_link(link_spec, leaf.q))
-        )
+    for leaf, _, _, (w, w1, _) in leaves:  # empty leaves keep prediction 0
+        if w > 0.0:
+            q = min(max(w1 / w, Q_CLAMP), 1.0 - Q_CLAMP)
+            leaf.prediction = float(canonical_link(link_spec, q))
     return tree
 
 

@@ -3,13 +3,14 @@
 Every released number of three fits is hashed and compared with digests
 pinned from the per-leaf induction that preceded the level-wise one.  A
 speed-up of ``induce_tree`` must keep all of them: split records, leaf
-statistics and predictions, leveraging coefficients and training margins.
-The boosting traces and the serialized model are pinned from the code that
-still recomputed training outputs with ``predict_bins``.  The forest fits,
-``unnormalized_risk`` and ``tree_efficiency`` are pinned from the code that
-still routed rows through a tree in five separate loops.  An experiment
-grid's result columns and ``stratified_kfold``'s folds are pinned from the
-loop that rebuilt the folds for every record.
+predictions, leveraging coefficients and training margins.  The boosting
+traces are pinned from the code that still recomputed training outputs with
+``predict_bins``.  The forest fits, ``unnormalized_risk`` and
+``tree_efficiency`` are pinned from the code that still routed rows through
+a tree in five separate loops.  An experiment grid's result columns and
+``stratified_kfold``'s folds are pinned from the loop that rebuilt the folds
+for every record.  The serialized models are pinned from the version-2
+writer, which keeps no training statistics.
 """
 
 import dataclasses
@@ -49,7 +50,6 @@ def _fingerprint(model, dataset) -> dict[str, str]:
     }
     leaves = [leaf for tree in model.trees for leaf in tree.leaves()]
     out["leaf.prediction"] = _sha([leaf.prediction for leaf in leaves])
-    out["leaf.stats"] = _sha([(leaf.w, leaf.w1, leaf.n_pos, leaf.n_neg) for leaf in leaves])
     out["betas"] = _sha([float(b) for b in model.betas])
     out["margins"] = _sha(model.margins(dataset.X).tolist())
     for f in dataclasses.fields(BoostTraces):
@@ -87,7 +87,6 @@ GOLDEN = {
     "private_oc_depth8": {
         "betas": "3a5beaddfb05da6a",
         "leaf.prediction": "97bdcd956d5d0013",
-        "leaf.stats": "5f1ea333276354c5",
         "margins": "90f7e07b966c1b2d",
         "record.alpha": "dd796d43a38256fd",
         "record.attribute": "480daddebfc9e427",
@@ -97,7 +96,7 @@ GOLDEN = {
         "record.risk_before": "183a03c889b32b88",
         "record.threshold_bin": "75b00dc2f9265d98",
         "record.utility": "511f2ce1b9aa2792",
-        "model.to_dict": "8572d569905b15b4",
+        "model.to_dict": "752f44aaa0a3cb49",
         "traces.betas": "3a5beaddfb05da6a",
         "traces.edges": "b140baf43cd993a8",
         "traces.mean_weight": "4b5b03a8d3d6bdad",
@@ -107,7 +106,6 @@ GOLDEN = {
     "fixed_alpha_depth5": {
         "betas": "9c041ac1e1aeefc9",
         "leaf.prediction": "e067d1b401bd365d",
-        "leaf.stats": "9a2606ee711d2096",
         "margins": "cad416e3b3355bc6",
         "record.alpha": "00f65c44d1872843",
         "record.attribute": "77f4ee621a12963c",
@@ -117,7 +115,7 @@ GOLDEN = {
         "record.risk_before": "a668ff28a9ce0721",
         "record.threshold_bin": "565e843b97ec90f9",
         "record.utility": "14b9dff3399afd03",
-        "model.to_dict": "4aed65308a881eee",
+        "model.to_dict": "e781fb7f9ac4d2f3",
         "traces.betas": "9c041ac1e1aeefc9",
         "traces.edges": "50e652a72fe71d28",
         "traces.mean_weight": "3db347ea08eb5c6d",
@@ -127,7 +125,6 @@ GOLDEN = {
     "oc_depth5": {
         "betas": "f0b0970f084e188f",
         "leaf.prediction": "6fc58e0e4ec4cc02",
-        "leaf.stats": "4223575c357f96c0",
         "margins": "20274018b636a784",
         "record.alpha": "ffdc161fc9287ae8",
         "record.attribute": "d3aa484231161023",
@@ -137,7 +134,7 @@ GOLDEN = {
         "record.risk_before": "2e974b3983dc22fb",
         "record.threshold_bin": "7ea598958e8af283",
         "record.utility": "1fd3ca603b242e21",
-        "model.to_dict": "11b1d126f57882a3",
+        "model.to_dict": "8630615fd4486af1",
         "traces.betas": "f0b0970f084e188f",
         "traces.edges": "c68c46c8409812cf",
         "traces.mean_weight": "8ad487a0d3ac5f7a",
@@ -178,9 +175,11 @@ def _pure_root_fit():
 @pytest.mark.parametrize(
     "fit, check",
     [
-        (lambda: _non_private_fit(0.6), lambda leaves: any(leaf.depth < 5 for leaf in leaves)),
-        (_private_deep_fit, lambda leaves: any(leaf.w == 0.0 for leaf in leaves)),
-        (_pure_root_fit, lambda leaves: len(leaves) == 1),
+        (lambda: _non_private_fit(0.6),
+         lambda tree, ds: any(leaf.depth < 5 for leaf in tree.leaves())),
+        # a leaf that no training row reaches
+        (_private_deep_fit, lambda tree, ds: len(tree.leaf_rows(ds.X)) < len(tree.leaves())),
+        (_pure_root_fit, lambda tree, ds: len(tree.leaves()) == 1),
     ],
     ids=["early_pure_leaves", "private_empty_leaves", "pure_root"],
 )
@@ -197,7 +196,7 @@ def test_training_outputs_are_the_tree_predictions(monkeypatch, fit, check):
     assert len(seen) == len(model.trees)
     M = model.output_bound
     for h, tree in zip(seen, model.trees):
-        assert check(tree.leaves())
+        assert check(tree, ds)
         assert np.array_equal(h, np.clip(tree.predict_bins(ds.X), -M, M))
 
 
@@ -211,15 +210,13 @@ FOREST_FITS = {
 FOREST_GOLDEN = {
     "laplace": {
         "leaf.prediction": "d221e05aad26aa43",
-        "leaf.counts": "135f95710ea3bfce",
         "margins": "bfef536775f31179",
-        "model.to_dict": "413e6a11610aa881",
+        "model.to_dict": "fa74a5471f5dceb7",
     },
     "exponential": {
         "leaf.prediction": "491d725de035d049",
-        "leaf.counts": "3083a03b6192406d",
         "margins": "e48871f20d316ce7",
-        "model.to_dict": "7439a4a226cf5898",
+        "model.to_dict": "df26e07cffdc46f2",
     },
 }
 
@@ -233,7 +230,6 @@ def test_forest_matches_golden_digests(name):
     leaves = [leaf for tree in forest.trees for leaf in tree.leaves()]
     assert {
         "leaf.prediction": _sha([leaf.prediction for leaf in leaves]),
-        "leaf.counts": _sha([(leaf.n_pos, leaf.n_neg) for leaf in leaves]),
         "margins": _sha(forest.margins(ds.X).tolist()),
         "model.to_dict": _sha(json.dumps(forest.to_dict(), sort_keys=True)),
     } == FOREST_GOLDEN[name]

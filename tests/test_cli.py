@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -178,13 +179,24 @@ class TestFitEval:
         (lambda p: p["model"]["trees"][0]["root"]["split"].update(attribute=-1), "attribute -1"),
         (lambda p: p["model"]["trees"][0]["root"]["split"].update(threshold_bin=-5), "bin -5"),
         (lambda p: p["model"]["trees"][0]["root"]["split"].update(threshold_bin=9), "bin 9"),
+        (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].update(prediction=math.nan),
+         "boost leaf prediction nan"),
+        (lambda p: p["model"]["betas"].__setitem__(1, math.inf), "non-finite beta"),
+        (lambda p: p["model"].update(output_bound=math.nan), "output_bound nan"),
+        (lambda p: p["model"].update(output_bound=-1), "output_bound -1.0"),
+        (lambda p: p["model"]["trees"][0]["left"]["leaf"].update(prediction=1e300),
+         "forest leaf prediction 1e+300"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
             "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
-            "negative-threshold", "threshold-past-last-gap"])
+            "negative-threshold", "threshold-past-last-gap", "nan-leaf", "infinite-beta",
+            "nan-output-bound", "negative-output-bound", "forest-vote-past-one"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
-        rc = main(["fit", "--config", _fit_config(tmp_path), "--data", data,
+        # a forest of stumps for the forest row, else the boosted default
+        forest = {"algorithm": "rf_laplace", "epsilon": "1.0", "depth": "1"}
+        config = _fit_config(tmp_path, **(forest if "forest" in key else {}))
+        rc = main(["fit", "--config", config, "--data", data,
                    "--domains", domains, "--out", str(model_path)])
         assert rc == EXIT_OK
         payload = json.loads(model_path.read_text())
@@ -274,19 +286,6 @@ class TestExperimentPipeline:
         assert main(["experiment", "--config", str(grid), "--out", str(results)]) == EXIT_CONFIG
         assert "nvpriv must be >= 2" in capsys.readouterr().err
         assert not results.exists()
-
-    def test_bad_group_column(self, tmp_path, blocks_files):
-        data, domains = blocks_files
-        grid = tmp_path / "grid.config"
-        grid.write_text(
-            f"data = {data}\ndomains = {domains}\nT = 2\ndepth = 1\n"
-            "alpha = 1.0\nk_folds = 3\n"
-        )
-        results = str(tmp_path / "results.csv")
-        main(["experiment", "--config", str(grid), "--out", results])
-        rc = main(["summarize", "--results", results, "--out",
-                   str(tmp_path / "c.csv"), "--by", "no_such_column"])
-        assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["summarize", "compare"])
     def test_unknown_group_column_is_one_config_error(self, tmp_path, blocks_files, capsys,

@@ -173,7 +173,7 @@ class TestBoostFit:
             acc = BudgetAccountant(1.0)
             model = boost_fit(Dataset(ds.X, y, ds.domains), 2, cfg, accountant=acc,
                               rng=RandomSource(0))
-            released.append((model.n_leaves, acc.spends))
+            released.append((sum(len(t.leaves()) for t in model.trees), acc.spends))
         assert released[0] == released[1]
         assert released[0][0] == 2 * 2**3
 
@@ -211,7 +211,7 @@ class TestPredict:
         assert np.all(labels == -1)
 
     def test_single_leaf_tree_scaled(self):
-        leaf = Node(depth=0, w=1.0, w1=1.0, n_pos=1, n_neg=0, prediction=3.0)
+        leaf = Node(depth=0, prediction=3.0)
         tree = DecisionTree(root=leaf)
         ens = BoostedEnsemble(trees=[tree], betas=[2.0], output_bound=10.0)
         margins, labels = predict(ens, np.zeros((2, 1), dtype=int))
@@ -219,14 +219,14 @@ class TestPredict:
         assert np.all(labels == 1)
 
     def test_opposite_trees_cancel_to_negative_label(self):
-        up = DecisionTree(root=Node(depth=0, w=1, w1=1, n_pos=1, n_neg=0, prediction=4.0))
-        down = DecisionTree(root=Node(depth=0, w=1, w1=0, n_pos=0, n_neg=1, prediction=-4.0))
+        up = DecisionTree(root=Node(depth=0, prediction=4.0))
+        down = DecisionTree(root=Node(depth=0, prediction=-4.0))
         ens = BoostedEnsemble(trees=[up, down], betas=[1.0, 1.0], output_bound=10.0)
         margins, labels = predict(ens, np.zeros((1, 1), dtype=int))
         assert margins[0] == 0.0 and labels[0] == -1
 
     def test_outputs_clamped_at_prediction_time(self):
-        spike = DecisionTree(root=Node(depth=0, w=1, w1=1, n_pos=1, n_neg=0, prediction=1e6))
+        spike = DecisionTree(root=Node(depth=0, prediction=1e6))
         ens = BoostedEnsemble(trees=[spike], betas=[1.0], output_bound=10.0)
         margins, _ = predict(ens, np.zeros((1, 1), dtype=int))
         assert margins[0] == 10.0
@@ -237,7 +237,7 @@ class TestEmpiricalRisk:
         doms = [AttributeDomain("x", 0.0, 1.0, 2)]
         ds = Dataset(np.zeros((10, 1), dtype=int), np.array([1] * 10), doms)
         always_down = BoostedEnsemble(
-            trees=[DecisionTree(root=Node(depth=0, w=1, w1=0, n_pos=0, n_neg=1, prediction=-1.0))],
+            trees=[DecisionTree(root=Node(depth=0, prediction=-1.0))],
             betas=[1.0],
             output_bound=10.0,
         )
@@ -268,12 +268,13 @@ class TestRandomForest:
         rf = rf_fit(ds, 21, 2, 1e6, "laplace", acc, RandomSource(2))
         agreements = 0
         leaves = 0
-        for node in (leaf for tree in rf.trees for leaf in tree.leaves()):
-            if node.n_pos == node.n_neg:
-                continue  # tied or empty: majority undefined
+        for leaf, idx in (pair for tree in rf.trees for pair in tree.leaf_rows(ds.X)):
+            n_pos = int(np.count_nonzero(ds.y[idx] == 1))
+            if 2 * n_pos == idx.size:
+                continue  # tied: majority undefined; unreached leaves are absent
             leaves += 1
-            majority = 1.0 if node.n_pos > node.n_neg else -1.0
-            agreements += node.prediction == majority
+            majority = 1.0 if 2 * n_pos > idx.size else -1.0
+            agreements += leaf.prediction == majority
         assert leaves > 20
         assert agreements / leaves >= 0.999
 

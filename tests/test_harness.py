@@ -6,6 +6,7 @@ itself.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -34,7 +35,10 @@ from dpboost.harness import (
     write_csv,
 )
 from dpboost.losses import LossSpec, bayes_risk
-from dpboost.dataset import parse_domain_spec
+from dpboost.dataset import load_csv, parse_domain_spec
+from dpboost.ensemble import boost_fit, rf_fit
+from dpboost.privacy import BudgetAccountant, RandomSource
+from dpboost.tree import TreeConfig, TreePrivacy
 
 
 def _write_blocks_csv(tmp_path, m=60, n=3, seed=2):
@@ -491,6 +495,75 @@ class TestSensitivityAudit:
         assert tuple(header) == AUDIT_COLUMNS
 
 
+# every key a model file may hold; the entries of "domains" and "label_map"
+# are the public domain spec
+RELEASE_KEYS = {
+    "format", "version", "model", "domains", "label_map", "label_column", "kind",
+    "output_bound", "lc_alpha", "betas", "trees", "prediction_alpha", "noised", "root",
+    "split", "attribute", "threshold_bin", "left", "right", "leaf", "prediction",
+    "leaf_mechanism",
+}
+
+
+def _keys(value):
+    """Every key of a JSON value, outside the public domain spec."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            if key not in ("domains", "label_map"):
+                yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+def _private_oc_boost(depth):
+    privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0, ensemble_size=2)
+    config = TreeConfig(depth=depth, alpha="oc", privacy=privacy)
+    return lambda ds: boost_fit(ds, 2, config, accountant=BudgetAccountant(1.0),
+                                rng=RandomSource(0))
+
+
+def _forest(mechanism, depth):
+    return lambda ds: rf_fit(ds, 3, depth, 1.0, mechanism, BudgetAccountant(1.0), RandomSource(0))
+
+
+# models of make_blocks_dataset(60, 3, seed=2) as the version-1 writer wrote
+# them: a private OC boost (T=2, depth 1, epsilon 1, seed 0) and a laplace
+# forest (T=3, depth 1, epsilon 1, seed 0)
+V1_BOOST = (
+    '{"betas": [0.005, -0.02004165365193367], "kind": "boost", "lc_alpha": 1.0, '
+    '"output_bound": 10.0, "trees": [{"noised": true, "prediction_alpha": 1.0, "root": '
+    '{"left": {"leaf": {"n_neg": 24, "n_pos": 18, "prediction": -89.76981834257879, "w": '
+    '21.0, "w1": 9.0}}, "right": {"leaf": {"n_neg": 9, "n_pos": 9, "prediction": '
+    '233.59620175074917, "w": 9.0, "w1": 4.5}}, "split": {"attribute": 2, '
+    '"threshold_bin": 5}, "stats": {"n_neg": 33, "n_pos": 27, "w": 30.0, "w1": 13.5}}}, '
+    '{"noised": true, "prediction_alpha": 1.0, "root": {"left": {"leaf": {"n_neg": 19, '
+    '"n_pos": 4, "prediction": 120.20130847548283, "w": 11.362542948618886, "w1": 2.0}}, '
+    '"right": {"leaf": {"n_neg": 14, "n_pos": 23, "prediction": -27.504927946024026, '
+    '"w": 18.562480477900507, "w1": 11.612464860220914}}, "split": {"attribute": 0, '
+    '"threshold_bin": 3}, "stats": {"n_neg": 33, "n_pos": 27, "w": 29.925023426519388, '
+    '"w1": 13.612464860220914}}}]}'
+)
+V1_FOREST = (
+    '{"depth": 1, "kind": "forest", "leaf_mechanism": "laplace", "trees": [{"left": '
+    '{"leaf": {"n_neg": 26, "n_pos": 3, "prediction": -1.0, "w": 29.0, "w1": 3.0}}, '
+    '"right": {"leaf": {"n_neg": 7, "n_pos": 24, "prediction": 1.0, "w": 31.0, "w1": '
+    '24.0}}, "split": {"attribute": 1, "threshold_bin": 4}, "stats": {"n_neg": 0, '
+    '"n_pos": 0, "w": 0.0, "w1": 0.0}}, {"left": {"leaf": {"n_neg": 28, "n_pos": 22, '
+    '"prediction": -1.0, "w": 50.0, "w1": 22.0}}, "right": {"leaf": {"n_neg": 5, '
+    '"n_pos": 5, "prediction": -1.0, "w": 10.0, "w1": 5.0}}, "split": {"attribute": 2, '
+    '"threshold_bin": 7}, "stats": {"n_neg": 0, "n_pos": 0, "w": 0.0, "w1": 0.0}}, '
+    '{"left": {"leaf": {"n_neg": 23, "n_pos": 13, "prediction": -1.0, "w": 36.0, "w1": '
+    '13.0}}, "right": {"leaf": {"n_neg": 10, "n_pos": 14, "prediction": 1.0, "w": 24.0, '
+    '"w1": 14.0}}, "split": {"attribute": 0, "threshold_bin": 5}, "stats": {"n_neg": 0, '
+    '"n_pos": 0, "w": 0.0, "w1": 0.0}}]}'
+)
+
+
+V1_FITS = {"boost": (V1_BOOST, _private_oc_boost(1)), "forest": (V1_FOREST, _forest("laplace", 1))}
+
+
 class TestModelIO:
     def test_round_trip_boost(self, tmp_path, blocks_files):
         data, domains = blocks_files
@@ -508,6 +581,40 @@ class TestModelIO:
         m0, l0 = predict(model, ds.X)
         m1, l1 = predict(loaded, ds.X)
         assert np.array_equal(m0, m1) and np.array_equal(l0, l1)
+
+    @pytest.mark.parametrize("fit", [_private_oc_boost(2), _forest("laplace", 2),
+                                     _forest("exponential", 2)],
+                             ids=["private-oc-boost", "laplace-forest", "exponential-forest"])
+    def test_files_hold_only_the_release_record(self, tmp_path, blocks_files, fit):
+        spec = parse_domain_spec(blocks_files[1])
+        path = tmp_path / "model.json"
+        save_model(str(path), fit(load_csv(blocks_files[0], spec.label_column, spec)), spec)
+        payload = json.loads(path.read_text())
+        assert set(_keys(payload)) <= RELEASE_KEYS
+        assert payload["domains"] == [
+            {"name": d.name, "lo": d.lo, "hi": d.hi, "nvpriv": d.nvpriv} for d in spec.attributes
+        ]
+        assert payload["label_map"] == spec.label_map
+
+    @pytest.mark.parametrize("kind", sorted(V1_FITS))
+    def test_version_1_files_load_to_the_same_margins(self, tmp_path, kind):
+        ds = make_blocks_dataset(60, 3, seed=2)
+        written, fit = V1_FITS[kind]
+        fresh = fit(ds)
+        payload = {
+            "format": "dpboost-model", "version": 1, "model": json.loads(written),
+            "domains": [{"name": f"x{j}", "lo": 0.0, "hi": 9.0, "nvpriv": 10} for j in range(3)],
+            "label_map": {"-1": -1, "1": 1}, "label_column": "y",
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        model, _ = load_model(str(path))
+        assert model.margins(ds.X).tobytes() == fresh.margins(ds.X).tobytes()
+        assert model.to_dict() == fresh.to_dict()  # the statistics are not read
+        for version in (0, 3, "2", None):
+            path.write_text(json.dumps({**payload, "version": version}))
+            with pytest.raises(ConfigError, match="not a version-1 or version-2"):
+                load_model(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -191,19 +191,23 @@ class TestGreedyInduction:
     def test_no_pure_leaf_has_children(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         tree = induce_tree(ds, np.ones(200), TreeConfig(depth=6, alpha=1.0))
+        rows = tree.leaf_rows(ds.X)
         for node in tree.nodes():
-            if not node.is_leaf:
-                assert 0.0 < node.w1 < node.w
+            if not node.is_leaf:  # the training rows of the leaves below it hold both classes
+                below = {id(leaf) for leaf in DecisionTree(node).leaves()}
+                idx = np.concatenate([r for leaf, r in rows if id(leaf) in below])
+                assert set(ds.y[idx]) == {-1, 1}
 
     def test_leaf_predictions_use_clamped_link(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         tree = induce_tree(ds, np.ones(200), TreeConfig(depth=2, alpha=1.0))
         spec = LossSpec.malpha(tree.prediction_alpha)
+        reached = {id(leaf): idx for leaf, idx in tree.leaf_rows(ds.X)}
         for leaf in tree.leaves():
-            if leaf.w == 0:
+            if id(leaf) not in reached:  # no training row: no weight
                 assert leaf.prediction == 0.0
             else:
-                q = min(max(leaf.w1 / leaf.w, Q_CLAMP), 1 - Q_CLAMP)
+                q = min(max(np.mean(ds.y[reached[id(leaf)]] == 1), Q_CLAMP), 1 - Q_CLAMP)
                 assert leaf.prediction == pytest.approx(float(canonical_link(spec, q)))
 
     def test_objective_calibration_trace_non_increasing(self):
@@ -426,12 +430,20 @@ def _reference_risk(w, w1, spec):
 
 def _reference_split_scores(tree, ds, weights, config):
     """(alpha, risk_before, utilities) of every split of ``tree``, in induction
-    order, recomputed from scratch: every live leaf's risk from its own
-    (w, w1) at the split's alpha, and every candidate from per-leaf histograms."""
+    order, recomputed from scratch: every live leaf's risk from the (w, w1) of
+    its training rows at the split's alpha, and every candidate from per-leaf
+    histograms."""
     pos = ds.y == 1
     m = ds.n_examples
-    err_root = tree.root.error_count / m
-    live = {id(tree.root): tree.root}
+
+    def stats(idx):
+        # (w, w1, errors of the weighted majority label); the sums run over
+        # the rows in ascending order, as induction sums them
+        w, w1 = float(weights[idx].sum()), float(weights[idx[pos[idx]]].sum())
+        return w, w1, int(np.count_nonzero(ds.y[idx] != (1 if w1 > w - w1 else -1)))
+
+    live = {id(tree.root): stats(np.arange(m))}
+    err_root = live[id(tree.root)][2] / m
     frontier, out = [(tree.root, np.arange(m))], []
     for _ in range(config.depth):
         next_frontier = []
@@ -441,20 +453,20 @@ def _reference_split_scores(tree, ds, weights, config):
             if not config.objective_calibration:
                 alpha = config.alpha
             elif err_root > 0.0:
-                errors = sum(leaf.error_count for leaf in live.values())
+                errors = sum(e for _, _, e in live.values())
                 alpha = objective_calibration_alpha(errors / m, err_root)
             else:
                 alpha = 1.0
             spec = LossSpec.malpha(alpha)
-            risks = {key: float(_reference_risk(n.w, n.w1, spec)) for key, n in live.items()}
+            risks = {key: float(_reference_risk(w, w1, spec)) for key, (w, w1, _) in live.items()}
             risk_before = math.fsum(risks.values())
             w_left, w1_left = _per_leaf_histogram(ds.X, weights, pos, idx, ds.domains)
             left = _reference_risk(w_left, w1_left, spec)
-            right = _reference_risk(node.w - w_left, node.w1 - w1_left, spec)
+            w, w1, _ = live.pop(id(node))
+            right = _reference_risk(w - w_left, w1 - w1_left, spec)
             out.append((alpha, risk_before, -((risk_before - risks[id(node)]) + (left + right))))
-            del live[id(node)]
-            live[id(node.left)], live[id(node.right)] = node.left, node.right
             mask = ds.X[idx, node.split.attribute] <= node.split.threshold_bin
+            live[id(node.left)], live[id(node.right)] = stats(idx[mask]), stats(idx[~mask])
             next_frontier += [(node.left, idx[mask]), (node.right, idx[~mask])]
         frontier = next_frontier
     return out
@@ -499,7 +511,7 @@ class TestRiskBookkeeping:
         # leaves, and leaves that stopped early
         assert any(len({r.alpha for r in private_tree.records if r.depth == d}) > 1
                    for d in range(5))
-        assert any(leaf.w <= 0.0 for leaf in private_tree.leaves())
+        assert len(private_tree.leaf_rows(ds.X)) < len(private_tree.leaves())
         assert any(leaf.depth < 5 for leaf in greedy_tree.leaves())
 
         scores = []
@@ -524,7 +536,7 @@ class TestRiskBookkeeping:
         w1 = u * abs(w)
         expected = np.float64(_reference_risk(w, w1, LossSpec.malpha(alpha))).tobytes()
         vector = tree_module._risks(tree_module._leaf_parts(np.array([w]), np.array([w1])), alpha)
-        node = tree_module._risks(tree_module._node_parts(tree_module.Node(0, w, w1, 0, 0)), alpha)
+        node = tree_module._risks(tree_module._node_parts(w, w1), alpha)
         assert vector[0].tobytes() == expected
         assert np.float64(node).tobytes() == expected
 
@@ -642,9 +654,18 @@ class TestSerialization:
         tree = induce_tree(ds, np.ones(4), TreeConfig(depth=1, alpha=1.0))
         golden = (
             '{"noised": false, "prediction_alpha": 1.0, "root": {"left": {"leaf": '
+            '{"prediction": -99.98499937495625}}, "right": {"leaf": {"prediction": '
+            '99.98499937496176}}, "split": {"attribute": 0, "threshold_bin": 0}}}'
+        )
+        assert json.dumps(tree.to_dict(), sort_keys=True) == golden
+        # the same stump as version 1 wrote it, training statistics included
+        version1 = (
+            '{"noised": false, "prediction_alpha": 1.0, "root": {"left": {"leaf": '
             '{"n_neg": 2, "n_pos": 0, "prediction": -99.98499937495625, "w": 2.0, '
             '"w1": 0.0}}, "right": {"leaf": {"n_neg": 0, "n_pos": 2, "prediction": '
             '99.98499937496176, "w": 2.0, "w1": 2.0}}, "split": {"attribute": 0, '
             '"threshold_bin": 0}, "stats": {"n_neg": 2, "n_pos": 2, "w": 4.0, "w1": 2.0}}}'
         )
-        assert json.dumps(tree.to_dict(), sort_keys=True) == golden
+        clone = DecisionTree.from_dict(json.loads(version1))
+        assert np.array_equal(clone.predict_bins(ds.X), tree.predict_bins(ds.X))
+        assert json.dumps(clone.to_dict(), sort_keys=True) == golden
