@@ -103,11 +103,14 @@ class BoostedEnsemble:
         output_bound = float(data["output_bound"])
         if not 0.0 < output_bound < math.inf:
             raise ValueError(f"output_bound {output_bound} is not positive and finite")
+        lc_alpha = float(data["lc_alpha"])
+        if not 0.0 <= lc_alpha <= 1.0:
+            raise ValueError(f"lc_alpha {lc_alpha} outside [0, 1]")
         return BoostedEnsemble(
             trees=[DecisionTree.from_dict(t) for t in data["trees"]],
             betas=betas,
             output_bound=output_bound,
-            lc_alpha=float(data["lc_alpha"]),
+            lc_alpha=lc_alpha,
         )
 
 
@@ -229,6 +232,8 @@ def boost_fit(
 
 # --- random forest baselines ---------------------------------------------
 
+LEAF_MECHANISMS = ("laplace", "exponential")
+
 
 @dataclass
 class RandomForest:
@@ -252,9 +257,11 @@ class RandomForest:
 
     @staticmethod
     def from_dict(data: dict) -> "RandomForest":
+        if data["leaf_mechanism"] not in LEAF_MECHANISMS:
+            raise ValueError(f"unknown forest leaf_mechanism {data['leaf_mechanism']!r}")
         return RandomForest(
             trees=[DecisionTree(_node_from_dict(t, depth=0)) for t in data["trees"]],
-            leaf_mechanism=str(data["leaf_mechanism"]),
+            leaf_mechanism=data["leaf_mechanism"],
         )
 
 
@@ -289,7 +296,7 @@ def rf_fit(
     the argmax; the exponential variant selects the label with the counts
     as utilities (sensitivity 1).  An odd ``T`` avoids voting ties.
     """
-    if leaf_mechanism not in ("laplace", "exponential"):
+    if leaf_mechanism not in LEAF_MECHANISMS:
         raise ValueError("leaf_mechanism must be 'laplace' or 'exponential'")
     if not (epsilon > 0.0) or math.isinf(epsilon):
         raise ValueError("epsilon must be finite and positive")

@@ -29,6 +29,7 @@ __all__ = [
     "laplace_mechanism",
     "exponential_mechanism_probabilities",
     "exponential_mechanism",
+    "exponential_mechanism_uniform",
     "replacement_neighbors",
     "brute_force_sensitivity",
 ]
@@ -225,14 +226,28 @@ def exponential_mechanism(
     rng: RandomSource,
     label: str = "exponential",
 ) -> int:
-    """Sample an index with probability exp(eps u_i / (2 sens)) / Z.
-
-    Rounding can leave ``cdf[-1]`` below a draw close to 1; such a draw
-    selects the last index of positive probability.
-    """
+    """Sample an index with probability exp(eps u_i / (2 sens)) / Z."""
     probs = exponential_mechanism_probabilities(utilities, sensitivity, epsilon)
     accountant.spend(label, epsilon)
-    u = rng.uniform()
+    return _sample_index(probs, rng.uniform())
+
+
+def exponential_mechanism_uniform(
+    n: int, epsilon: float, accountant: BudgetAccountant, rng: RandomSource,
+    label: str = "exponential",
+) -> int:
+    """``exponential_mechanism`` over ``n`` equal utilities with finite scores, bit for
+    bit: the scores minus their maximum are all +0.0 and ``exp(0.0)`` is 1, so the weights
+    sum to exactly ``n`` and every probability is ``1.0 / n`` (the spend checks epsilon)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    accountant.spend(label, epsilon)
+    return _sample_index(np.full(n, 1.0 / n), rng.uniform())
+
+
+def _sample_index(probs: np.ndarray, u: float) -> int:
+    """The index whose cdf interval holds the uniform draw ``u``.  Rounding can leave
+    ``cdf[-1]`` below a draw close to 1, which selects the last positive entry."""
     cdf = np.cumsum(probs)
     choice = int(np.searchsorted(cdf, u, side="right"))
     if choice == probs.size:

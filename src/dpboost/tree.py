@@ -21,6 +21,10 @@ only when a split's alpha differs.  Every value is formed by the operations
 a per-leaf ``bayes_risk`` evaluation would use, in its order, so the
 released numbers carry the same bits.
 
+A tied leaf (no training rows, or one class) is not scored: its candidates'
+children all have risk 0, so a private split of it draws through
+``exponential_mechanism_uniform``, the mechanism over equal utilities, bit for bit.
+
 Nodes hold only what a model releases.  A leaf's training statistics (``w``,
 ``w1``, the errors of its majority label) live in induction's frontier only.
 """
@@ -39,6 +43,7 @@ from .privacy import (
     RandomSource,
     exponential_mechanism,
     exponential_mechanism_probabilities,
+    exponential_mechanism_uniform,
     laplace_mechanism,
 )
 
@@ -221,10 +226,15 @@ class DecisionTree:
 
     @staticmethod
     def from_dict(data: dict) -> "DecisionTree":
+        prediction_alpha = float(data["prediction_alpha"])
+        if not 0.0 <= prediction_alpha <= 1.0:
+            raise ValueError(f"prediction_alpha {prediction_alpha} outside [0, 1]")
+        if not isinstance(data["noised"], bool):
+            raise ValueError(f"noised {data['noised']!r} is not a JSON boolean")
         return DecisionTree(
             root=_node_from_dict(data["root"], depth=0),
-            prediction_alpha=float(data["prediction_alpha"]),
-            noised=bool(data["noised"]),
+            prediction_alpha=prediction_alpha,
+            noised=data["noised"],
         )
 
 
@@ -419,12 +429,15 @@ def induce_tree(
     pos_mask = y == 1
     pos_weights = weights * pos_mask
 
-    def leaf_stats(idx: np.ndarray) -> tuple[float, float, int]:
-        # (w, w1, errors of the weighted majority label; a tie goes negative like a 0 margin)
-        w = float(weights[idx].sum()) if idx.size else 0.0
-        w1 = float(weights[idx[pos_mask[idx]]].sum()) if idx.size else 0.0
+    def leaf_stats(idx: np.ndarray) -> tuple[float, float, int, bool]:
+        # (w, w1, errors of the weighted majority label, tied); a weight tie goes negative
+        # like a 0 margin.  Tied (no rows or one class) is by count: w1 == w can be rounding.
+        if idx.size == 0:
+            return 0.0, 0.0, 0, True
+        w = float(weights[idx].sum())
+        w1 = float(weights[idx[pos_mask[idx]]].sum())
         n_pos = int(np.count_nonzero(pos_mask[idx]))
-        return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos)
+        return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos), n_pos in (0, idx.size)
 
     tree = DecisionTree(root=Node(depth=0))
     root_stats = leaf_stats(np.arange(m))
@@ -442,18 +455,24 @@ def induce_tree(
     final: list[tuple[Node, np.ndarray, int, tuple]] = []  # leaves that stopped early
     for level in range(config.depth):
         if not private:  # pure leaves stay leaves
-            pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, _, (w, w1, _) in frontier]
+            pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, _, (w, w1, *_) in frontier]
             final += [f for f, p in zip(frontier, pure) if p]
             frontier = [f for f, p in zip(frontier, pure) if not p]
         if not frontier:
             break
-        w_left, w1_left = _frontier_histograms(
-            X, weights, pos_weights, [idx for _, idx, _, _ in frontier], dataset.domains
-        )
-        leaf_w = np.array([stats[:2] for *_, stats in frontier]).T
-        cand_parts = _candidate_parts(w_left, w1_left, *leaf_w)
+        # only untied leaves are scored, each taking the next candidate parts in
+        # frontier order (without privacy the tied ones stopped above)
+        scored = [(idx, stats) for _, idx, _, stats in frontier if not stats[3]]
+        if scored:
+            w_left, w1_left = _frontier_histograms(
+                X, weights, pos_weights, [idx for idx, _ in scored], dataset.domains
+            )
+            leaf_w = np.array([stats[:2] for _, stats in scored]).T
+            cand_parts = iter(_candidate_parts(w_left, w1_left, *leaf_w).swapaxes(0, 1))
+        pv, label = config.privacy, f"split@{level}"  # eps is None without privacy
+        eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
         next_frontier: list[tuple[Node, np.ndarray, int, tuple]] = []
-        for k, (leaf, idx, slot, stats) in enumerate(frontier):
+        for leaf, idx, slot, stats in frontier:
             if not oc:
                 alpha_l = float(config.alpha)
             elif err_root > 0.0:
@@ -466,23 +485,21 @@ def induce_tree(
                 risk_alpha = alpha_l
             risk_before = math.fsum(live_risk)
             risk_rest = risk_before - live_risk[slot]
-            utilities = _candidate_utilities(cand_parts[:, k], alpha_l, risk_rest)
 
-            if private:
-                eps_node = split_budget(
-                    level,
-                    config.depth,
-                    config.privacy.ensemble_size,
-                    config.privacy.beta_tree,
-                    config.privacy.epsilon,
-                )
-                delta = sensitivity_bound(LossSpec.malpha(alpha_l), m)
-                choice = exponential_mechanism(
-                    utilities, delta, eps_node, accountant, rng, label=f"split@{level}"
-                )
+            if stats[3]:  # tied
+                # Every candidate of a tied leaf scores -(risk_rest + 0.0): on its rows
+                # pos_weights is weights or 0, so each child's w1 is its w or 0 bit for
+                # bit (w_leaf - w_left too), u is 0 or 1, and s, mn and the risks are 0.
+                utility = -(risk_rest + 0.0)
+                choice = exponential_mechanism_uniform(len(candidates), eps, accountant, rng, label)
             else:
-                eps_node = None
-                choice = int(np.argmax(utilities))
+                utilities = _candidate_utilities(next(cand_parts), alpha_l, risk_rest)
+                if private:
+                    delta = sensitivity_bound(LossSpec.malpha(alpha_l), m)
+                    choice = exponential_mechanism(utilities, delta, eps, accountant, rng, label)
+                else:
+                    choice = int(np.argmax(utilities))
+                utility = float(utilities[choice])
 
             cand = candidates[choice]
             mask = X[:, cand.attribute][idx] <= cand.threshold_bin
@@ -502,10 +519,10 @@ def induce_tree(
                 SplitRecord(
                     depth=level,
                     alpha=alpha_l,
-                    epsilon=eps_node,
+                    epsilon=eps,
                     risk_before=risk_before,
-                    risk_after=-float(utilities[choice]),
-                    utility=float(utilities[choice]),
+                    risk_after=-utility,
+                    utility=utility,
                     attribute=cand.attribute,
                     threshold_bin=cand.threshold_bin,
                 )
@@ -520,7 +537,7 @@ def induce_tree(
     else:
         tree.prediction_alpha = float(config.alpha)
     link_spec = LossSpec.malpha(tree.prediction_alpha)
-    for leaf, _, _, (w, w1, _) in leaves:  # empty leaves keep prediction 0
+    for leaf, _, _, (w, w1, *_) in leaves:  # empty leaves keep prediction 0
         if w > 0.0:
             q = min(max(w1 / w, Q_CLAMP), 1.0 - Q_CLAMP)
             leaf.prediction = float(canonical_link(link_spec, q))

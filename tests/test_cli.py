@@ -186,10 +186,17 @@ class TestFitEval:
         (lambda p: p["model"].update(output_bound=-1), "output_bound -1.0"),
         (lambda p: p["model"]["trees"][0]["left"]["leaf"].update(prediction=1e300),
          "forest leaf prediction 1e+300"),
+        (lambda p: p["model"].update(lc_alpha=math.nan), "lc_alpha nan"),
+        (lambda p: p["model"]["trees"][0].update(prediction_alpha=-7), "prediction_alpha -7.0"),
+        (lambda p: p["model"]["trees"][0].update(noised="false"), "noised 'false'"),
+        (lambda p: p["model"].update(leaf_mechanism="gaussian"),
+         "forest leaf_mechanism 'gaussian'"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
             "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
             "negative-threshold", "threshold-past-last-gap", "nan-leaf", "infinite-beta",
-            "nan-output-bound", "negative-output-bound", "forest-vote-past-one"])
+            "nan-output-bound", "negative-output-bound", "forest-vote-past-one",
+            "nan-lc-alpha", "negative-prediction-alpha", "noised-as-string",
+            "unknown-leaf-mechanism"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpboost.dataset import AttributeDomain, Dataset
@@ -17,6 +17,7 @@ from dpboost.privacy import (
     derive_seed,
     exponential_mechanism,
     exponential_mechanism_probabilities,
+    exponential_mechanism_uniform,
     laplace_from_uniform,
     laplace_mechanism,
     laplace_sample,
@@ -174,6 +175,72 @@ class TestExponentialMechanism:
         probs = exponential_mechanism_probabilities(tail, 1.0, 10.0)
         assert probs[-1] == 0.0 and np.cumsum(probs)[-1] < LargestUniform().uniform()
         assert exponential_mechanism(tail, 1.0, 10.0, acc, LargestUniform()) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        c=st.floats(allow_nan=False, allow_infinity=False),
+        sensitivity=st.floats(1e-300, 1e300),
+        epsilon=st.floats(1e-300, 1e300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_uniform_draw_is_the_mechanism_over_equal_utilities(
+        self, n, c, sensitivity, epsilon, seed
+    ):
+        # the general mechanism's scores, as it forms them, must be finite
+        assume(math.isfinite(epsilon * c / (2.0 * sensitivity)))
+
+        class CountingSource(RandomSource):
+            draws = 0
+
+            def next_uint64(self):
+                self.draws += 1
+                return super().next_uint64()
+
+        runs = []
+        for sample in (
+            lambda acc, rng: exponential_mechanism_uniform(n, epsilon, acc, rng, "split@3"),
+            lambda acc, rng: exponential_mechanism(
+                np.full(n, c), sensitivity, epsilon, acc, rng, "split@3"
+            ),
+        ):
+            acc, rng = BudgetAccountant(epsilon), CountingSource(seed)
+            runs.append((sample(acc, rng), acc.spends, rng.draws))
+        assert runs[0] == runs[1]
+        assert runs[0][1:] == ([("split@3", epsilon)], 1)
+
+    def test_uniform_draw_at_every_cdf_step_and_past_the_last(self):
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def uniform(self):
+                return self.u
+
+        # A draw equal to cdf[i] opens interval i + 1; one at or past cdf[-1]
+        # falls back to the last index.  cdf[-1] rounds below 1 at n = 6, 7
+        # and 300 (at n = 6 it is the largest draw), above it at n = 9 and 11.
+        past_last = 0
+        for n in (1, 2, 6, 7, 9, 11, 300):
+            cdf = np.cumsum(np.full(n, 1.0 / n))
+            past = {np.nextafter(cdf[-1], 1.0), 1.0 - 2.0**-53}
+            cases = [(u, min(i + 1, n - 1)) for i, u in enumerate(cdf)]
+            cases += [(u, n - 1) for u in sorted(past) if cdf[-1] < u < 1.0]
+            for u, expected in cases:
+                acc = BudgetAccountant(2.0)
+                assert exponential_mechanism_uniform(n, 1.0, acc, Fixed(u)) == expected
+                assert exponential_mechanism(np.full(n, 0.5), 1.0, 1.0, acc, Fixed(u)) == expected
+            past_last += len(cases) - n
+        assert past_last == 3
+
+    def test_uniform_draw_rejects_what_the_mechanism_rejects(self):
+        acc = BudgetAccountant(1.0)
+        for n, eps in ((0, 1.0), (3, 0.0), (3, -1.0), (3, math.inf), (3, math.nan)):
+            with pytest.raises(ValueError):
+                exponential_mechanism_uniform(n, eps, acc, RandomSource(0))
+        with pytest.raises(BudgetExceededError):
+            exponential_mechanism_uniform(3, 2.0, acc, RandomSource(0))
+        assert acc.spends == []
 
 
 class TestBudgetAccountant:

@@ -484,18 +484,26 @@ def _noisy_threshold_dataset():
 
 class TestRiskBookkeeping:
     def test_every_split_scores_as_a_fresh_evaluation(self, monkeypatch):
+        # each split's scored utilities, or the candidate count of a tied
+        # leaf's uniform draw
         seen = []
         sampler, argmax = tree_module.exponential_mechanism, np.argmax
+        uniform = tree_module.exponential_mechanism_uniform
 
         def spy_sampler(utilities, *args, **kwargs):
             seen.append(np.array(utilities, copy=True))
             return sampler(utilities, *args, **kwargs)
+
+        def spy_uniform(n, *args, **kwargs):
+            seen.append(n)
+            return uniform(n, *args, **kwargs)
 
         def spy_argmax(utilities, *args, **kwargs):
             seen.append(np.array(utilities, copy=True))
             return argmax(utilities, *args, **kwargs)
 
         monkeypatch.setattr(tree_module, "exponential_mechanism", spy_sampler)
+        monkeypatch.setattr(tree_module, "exponential_mechanism_uniform", spy_uniform)
         monkeypatch.setattr(np, "argmax", spy_argmax)
 
         ds = make_blocks_dataset(120, 3, seed=5)
@@ -521,10 +529,17 @@ class TestRiskBookkeeping:
             assert len(reference) == len(tree.records)
             scores += zip(tree.records, reference)
         assert len(seen) == len(scores)
+        # the private fit takes both samplers
+        n_private = len(private_tree.records)
+        assert {isinstance(s, int) for s in seen[:n_private]} == {True, False}
         for utilities, (record, (alpha, risk_before, expected)) in zip(seen, scores):
             assert record.alpha == alpha
             assert record.risk_before == risk_before
-            assert np.array_equal(utilities, expected)
+            if isinstance(utilities, int):  # a tied leaf: every candidate scores alike
+                assert utilities == len(expected)
+                assert np.all(expected == record.utility)
+            else:
+                assert np.array_equal(utilities, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(
