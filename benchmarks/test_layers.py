@@ -1,7 +1,7 @@
 """Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32)
 and its memory peak, the weight update, deep private induction, deep-tree
-prediction, exponential-mechanism sampling, leaf noising, the forest baseline,
-k-fold construction and one experiment grid.
+prediction, exponential-mechanism sampling (scored and uniform), leaf noising,
+the forest baseline, k-fold construction and one experiment grid.
 
 Run from the repository root with::
 
@@ -29,7 +29,13 @@ from dpboost.dataset import (
 )
 from dpboost.ensemble import boost_fit, predict, rf_fit, update_weights
 from dpboost.harness import ExperimentConfig, run_experiment
-from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed, exponential_mechanism
+from dpboost.privacy import (
+    BudgetAccountant,
+    RandomSource,
+    derive_seed,
+    exponential_mechanism,
+    exponential_mechanism_uniform,
+)
 from dpboost.tree import TreeConfig, TreePrivacy, induce_tree, noisify_leaves
 
 M_ROWS, N_ATTRS, NVPRIV, DEPTH, OUTPUT_BOUND = 100_000, 20, 32, 6, 10.0
@@ -178,6 +184,16 @@ def test_exponential_mechanism(benchmark):
     def draws():
         accountant, rng = BudgetAccountant(1.0), RandomSource(0)
         return [exponential_mechanism(u, 3.0, 1e-3, accountant, rng) for u in utilities]
+
+    benchmark(draws)
+
+
+def test_exponential_mechanism_uniform(benchmark):
+    """2,000 split draws of tied leaves over 36 candidates, each with its ledger entry."""
+
+    def draws():
+        accountant, rng = BudgetAccountant(1.0), RandomSource(0)
+        return [exponential_mechanism_uniform(36, 1e-4, accountant, rng) for _ in range(2000)]
 
     benchmark(draws)
 

@@ -495,8 +495,10 @@ def compare(
     Rows are grouped by ``cell_columns`` (which must yield the same cell
     set on both sides); within a cell the fold test errors feed a
     two-sided pooled t test.  Wins are counted among significant cells
-    only, by lower mean error.
+    only, by lower mean error; ``p_threshold`` must lie in (0, 1).
     """
+    if not 0.0 < p_threshold < 1.0:  # NaN fails too
+        raise ConfigError(f"p threshold must lie in (0, 1), got {p_threshold}")
     groups_a, groups_b = _valid_groups(rows_a, cell_columns), _valid_groups(rows_b, cell_columns)
     if not groups_a or set(groups_a) != set(groups_b):
         only_a = sorted(set(groups_a) - set(groups_b))
@@ -575,6 +577,8 @@ def sensitivity_audit(
     neighbors of a random dataset, the closed-form bound, and the
     lone-positive-flip value for that (m, alpha).
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     weight_grid = (0.25, 0.5, 1.0)
     rows = []
     for m in m_values:

@@ -13,6 +13,7 @@ randomness of existing ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -238,11 +239,18 @@ def exponential_mechanism_uniform(
 ) -> int:
     """``exponential_mechanism`` over ``n`` equal utilities with finite scores, bit for
     bit: the scores minus their maximum are all +0.0 and ``exp(0.0)`` is 1, so the weights
-    sum to exactly ``n`` and every probability is ``1.0 / n`` (the spend checks epsilon)."""
+    sum to exactly ``n`` and every probability is ``1.0 / n`` (the spend checks epsilon).
+    It searches their cdf, cached per ``n``; a draw past it takes ``n - 1``, the last entry."""
     if n < 1:
         raise ValueError("n must be positive")
     accountant.spend(label, epsilon)
-    return _sample_index(np.full(n, 1.0 / n), rng.uniform())
+    return min(int(_uniform_cdf(n).searchsorted(rng.uniform(), side="right")), n - 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_cdf(n: int) -> np.ndarray:
+    """``np.cumsum(np.full(n, 1.0 / n))`` over immutable bytes: every caller shares it."""
+    return np.frombuffer(np.cumsum(np.full(n, 1.0 / n)).tobytes())
 
 
 def _sample_index(probs: np.ndarray, u: float) -> int:

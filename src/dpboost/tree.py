@@ -24,6 +24,9 @@ released numbers carry the same bits.
 A tied leaf (no training rows, or one class) is not scored: its candidates'
 children all have risk 0, so a private split of it draws through
 ``exponential_mechanism_uniform``, the mechanism over equal utilities, bit for bit.
+Its children are tied: one weight sum each gives ``w1`` (``w`` or 0), parts
+``(w, 0, 0)``, risk +0.0 and no errors, so the exact ``math.fsum`` of the live
+risks stands until an untied split or a new alpha.
 
 Nodes hold only what a model releases.  A leaf's training statistics (``w``,
 ``w1``, the errors of its majority label) live in induction's frontier only.
@@ -271,6 +274,8 @@ def _node_parts(w: float, w1: float) -> tuple[float, float, float]:
     correctly rounded operations without the per-call cost of small arrays."""
     if not w > 0.0:
         return 0.0, 0.0, 0.0
+    if w1 == 0.0 or w1 == w:  # u is 0 or 1: zero parts, signed like w1 as malpha_parts signs them
+        return w, 0.0 * w1, 0.0 * w1
     s, mn = malpha_parts(min(max(w1 / w, 0.0), 1.0))
     return w, float(s), float(mn)
 
@@ -429,14 +434,17 @@ def induce_tree(
     pos_mask = y == 1
     pos_weights = weights * pos_mask
 
-    def leaf_stats(idx: np.ndarray) -> tuple[float, float, int, bool]:
+    def leaf_stats(idx: np.ndarray, parent: tuple | None = None) -> tuple[float, float, int, bool]:
         # (w, w1, errors of the weighted majority label, tied); a weight tie goes negative
         # like a 0 margin.  Tied (no rows or one class) is by count: w1 == w can be rounding.
         if idx.size == 0:
             return 0.0, 0.0, 0, True
-        w = float(weights[idx].sum())
-        w1 = float(weights[idx[pos_mask[idx]]].sum())
-        n_pos = int(np.count_nonzero(pos_mask[idx]))
+        wi = weights[idx]
+        w = float(wi.sum())
+        if parent and parent[3]:  # tied parent: tied child, w1 = w if all rows are positive
+            return w, (w if parent[1] > 0.0 else 0.0), 0, True
+        pm = pos_mask[idx]
+        w1, n_pos = float(wi[pm].sum()), int(np.count_nonzero(pm))
         return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos), n_pos in (0, idx.size)
 
     tree = DecisionTree(root=Node(depth=0))
@@ -444,7 +452,7 @@ def induce_tree(
     # _node_parts of the live leaves by slot; a split puts its left child
     # in the leaf's slot and its right child in a new one
     live = [_node_parts(*root_stats[:2])]
-    live_risk, risk_alpha = [], None  # the live leaves' risks, as mixed at risk_alpha
+    live_risk, risk_alpha, risk_before = [], None, None  # risks at risk_alpha; their fsum or None
     error_count = root_stats[2]
     err_root = error_count / m
 
@@ -482,8 +490,9 @@ def induce_tree(
 
             if alpha_l != risk_alpha:
                 live_risk = _risks(np.array(live).T, alpha_l).tolist()
-                risk_alpha = alpha_l
-            risk_before = math.fsum(live_risk)
+                risk_alpha, risk_before = alpha_l, None
+            if risk_before is None:
+                risk_before = math.fsum(live_risk)
             risk_rest = risk_before - live_risk[slot]
 
             if stats[3]:  # tied
@@ -502,10 +511,12 @@ def induce_tree(
                 utility = float(utilities[choice])
 
             cand = candidates[choice]
-            mask = X[:, cand.attribute][idx] <= cand.threshold_bin
-            left_idx, right_idx = idx[mask], idx[~mask]
+            left_idx = right_idx = idx  # an empty leaf's children are empty
+            if idx.size:
+                mask = X[:, cand.attribute][idx] <= cand.threshold_bin
+                left_idx, right_idx = idx[mask], idx[~mask]
             left, right = Node(level + 1), Node(level + 1)
-            left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
+            left_stats, right_stats = leaf_stats(left_idx, stats), leaf_stats(right_idx, stats)
             leaf.split = cand
             leaf.left, leaf.right = left, right
             next_frontier.append((left, left_idx, slot, left_stats))
@@ -527,6 +538,8 @@ def induce_tree(
                     threshold_bin=cand.threshold_bin,
                 )
             )
+            if not stats[3]:  # tied children have risk +0.0, as their leaf had
+                risk_before = None
         frontier = next_frontier
     leaves = final + frontier
     if _leaf_rows is not None:
@@ -536,11 +549,11 @@ def induce_tree(
         tree.prediction_alpha = tree.records[-1].alpha if tree.records else 1.0
     else:
         tree.prediction_alpha = float(config.alpha)
-    link_spec = LossSpec.malpha(tree.prediction_alpha)
-    for leaf, _, _, (w, w1, *_) in leaves:  # empty leaves keep prediction 0
-        if w > 0.0:
-            q = min(max(w1 / w, Q_CLAMP), 1.0 - Q_CLAMP)
-            leaf.prediction = float(canonical_link(link_spec, q))
+    # one link call; its ufuncs round each leaf as a scalar call does; empty leaves keep 0
+    fed = [(leaf, w1 / w) for leaf, _, _, (w, w1, *_) in leaves if w > 0.0]
+    q = np.clip([u for _, u in fed], Q_CLAMP, 1.0 - Q_CLAMP)
+    for (leaf, _), z in zip(fed, canonical_link(LossSpec.malpha(tree.prediction_alpha), q)):
+        leaf.prediction = float(z)
     return tree
 
 

@@ -335,6 +335,20 @@ class TestExperimentPipeline:
             t, p = harness.students_t_test(errors["0.0"][cell["seed"]], errors["1.0"][cell["seed"]])
             assert (float(cell["t"]), float(cell["p"])) == (t, p)
 
+    @pytest.mark.parametrize("p", ["0", "1", "1.5", "-1", "nan"])
+    def test_p_threshold_outside_unit_interval_is_config_error(self, tmp_path, capsys, p):
+        paths = []
+        for side, errors in (("a", (0.1, 0.2, 0.15)), ("b", (0.4, 0.5, 0.45))):
+            rows = [{"epsilon": 1.0, "depth": 2, "seed": 0, "fold": fold, "test_error": e}
+                    for fold, e in enumerate(errors)]
+            paths.append(str(tmp_path / f"{side}.csv"))
+            harness.write_csv(paths[-1], rows, harness.RESULT_COLUMNS)
+        out = tmp_path / "cmp.csv"
+        args = ["compare", "--a", paths[0], "--b", paths[1], "--out", str(out), "--p", p]
+        assert main(args) == EXIT_CONFIG
+        assert "p threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSensitivityAuditCommand:
     def test_writes_csv(self, tmp_path):
@@ -345,3 +359,10 @@ class TestSensitivityAuditCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 7 * 3  # m in 2..8, three alphas, one trial
         assert all(float(r["empirical_delta"]) <= float(r["bound"]) + 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_config_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "audit.csv"
+        assert main(["sensitivity-audit", "--out", str(out), "--trials", trials]) == EXIT_CONFIG
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert not out.exists()

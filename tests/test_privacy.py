@@ -23,6 +23,7 @@ from dpboost.privacy import (
     laplace_sample,
     replacement_neighbors,
 )
+from dpboost.privacy import _uniform_cdf
 
 
 class TestRandomSource:
@@ -241,6 +242,16 @@ class TestExponentialMechanism:
         with pytest.raises(BudgetExceededError):
             exponential_mechanism_uniform(3, 2.0, acc, RandomSource(0))
         assert acc.spends == []
+
+    @pytest.mark.parametrize("n", [1, 6, 36, 300])
+    def test_cached_uniform_cdf_is_the_cumsum_and_read_only(self, n):
+        cdf = _uniform_cdf(n)
+        assert cdf.tobytes() == np.cumsum(np.full(n, 1.0 / n)).tobytes()
+        assert _uniform_cdf(n) is cdf
+        with pytest.raises(ValueError):
+            cdf[0] = 1.0
+        with pytest.raises(ValueError):
+            cdf.flags.writeable = True
 
 
 class TestBudgetAccountant:

@@ -137,6 +137,18 @@ class TestUnnormalizedRisk:
         assert tree.root.is_leaf  # pure root is never split
 
 
+def _assert_leaves_use_clamped_link(tree, ds):
+    # every leaf predicts the link of its unit-weight class proportion, clamped
+    spec = LossSpec.malpha(tree.prediction_alpha)
+    reached = {id(leaf): idx for leaf, idx in tree.leaf_rows(ds.X)}
+    for leaf in tree.leaves():
+        if id(leaf) not in reached:  # no training row: no weight
+            assert leaf.prediction == 0.0
+        else:
+            q = min(max(np.mean(ds.y[reached[id(leaf)]] == 1), Q_CLAMP), 1 - Q_CLAMP)
+            assert leaf.prediction == pytest.approx(float(canonical_link(spec, q)))
+
+
 class TestGreedyInduction:
     def test_xor_reaches_zero_error(self):
         ds = _xor_dataset()
@@ -201,14 +213,23 @@ class TestGreedyInduction:
     def test_leaf_predictions_use_clamped_link(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         tree = induce_tree(ds, np.ones(200), TreeConfig(depth=2, alpha=1.0))
-        spec = LossSpec.malpha(tree.prediction_alpha)
-        reached = {id(leaf): idx for leaf, idx in tree.leaf_rows(ds.X)}
-        for leaf in tree.leaves():
-            if id(leaf) not in reached:  # no training row: no weight
-                assert leaf.prediction == 0.0
-            else:
-                q = min(max(np.mean(ds.y[reached[id(leaf)]] == 1), Q_CLAMP), 1 - Q_CLAMP)
-                assert leaf.prediction == pytest.approx(float(canonical_link(spec, q)))
+        _assert_leaves_use_clamped_link(tree, ds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        q=st.lists(
+            st.one_of(st.sampled_from([Q_CLAMP, 0.5, 1.0 - Q_CLAMP]),
+                      st.floats(Q_CLAMP, 1.0 - Q_CLAMP)),
+            max_size=40,
+        ),
+    )
+    def test_one_link_call_equals_a_call_per_leaf(self, alpha, q):
+        # induction links every leaf of a tree in one call
+        spec = LossSpec.malpha(alpha)
+        batched = canonical_link(spec, np.array(q, dtype=float))
+        per_leaf = [canonical_link(spec, float(u)) for u in q]
+        assert batched.tobytes() == np.array(per_leaf, dtype=float).tobytes()
 
     def test_objective_calibration_trace_non_increasing(self):
         ds = make_blocks_dataset(300, 4, seed=5)
@@ -242,6 +263,13 @@ class TestPrivateInduction:
         assert [r.epsilon for r in tree.records] == [
             split_budget(r.depth, 2, 1, 0.5, 1.0) for r in tree.records
         ]
+
+    def test_leaf_predictions_use_clamped_link(self):
+        # this fit splits empty leaves and one-class leaves of both classes down to depth 6
+        ds = make_blocks_dataset(200, 4, seed=3)
+        cfg = self._private_config(depth=6, T=1, eps=1.0, alpha="oc")
+        tree = induce_tree(ds, np.ones(200), cfg, BudgetAccountant(1.0), RandomSource(0))
+        _assert_leaves_use_clamped_link(tree, ds)
 
     def test_requires_accountant_and_rng(self):
         ds = make_blocks_dataset(50, 2, seed=1)
