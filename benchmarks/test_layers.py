@@ -209,12 +209,13 @@ def test_noisify_leaves_deep_private(benchmark, blocks):
                                      RandomSource(1)))
 
 
-def test_forest_fit_and_vote(benchmark, blocks):
+@pytest.mark.parametrize("mechanism", ["laplace", "exponential"])
+def test_forest_fit_and_vote(benchmark, blocks, mechanism):
     """``rf_fit`` of 21 depth-2 trees on the training rows, then its votes on them."""
     train, _ = blocks
 
     def fit_and_vote():
-        forest = rf_fit(train, 21, 2, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(0))
+        forest = rf_fit(train, 21, 2, 1.0, mechanism, BudgetAccountant(1.0), RandomSource(0))
         return forest.margins(train.X)
 
     benchmark(fit_and_vote)

@@ -8,7 +8,9 @@ Tree outputs are clamped to the output bound everywhere they are consumed.
 
 The random forests pick split features and thresholds purely at random, so
 their structure costs no privacy budget; only the per-leaf class counts are
-protected, through either the Laplace or the exponential mechanism.
+protected, through either the Laplace or the exponential mechanism.  Their
+trees are complete and of one depth, so a forest is heap tables, and it is
+fitted and voted in whole-forest array passes.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from .losses import LossSpec, canonical_link, inverse_link, surrogate
 from .privacy import (
     BudgetAccountant,
     RandomSource,
-    exponential_mechanism,
+    _sample_index,
+    exponential_mechanism_probabilities,
     laplace_sample,
 )
 from .tree import (
     DecisionTree,
-    Node,
     TreeConfig,
-    _node_from_dict,
-    _node_to_dict,
+    heap_leaves,
     induce_tree,
     margin_labels,
     noisify_leaves,
@@ -237,46 +238,86 @@ LEAF_MECHANISMS = ("laplace", "exponential")
 
 @dataclass
 class RandomForest:
-    """Ensemble of structure-random trees with privately released leaf labels."""
+    """Complete structure-random trees of one depth with privately released leaf votes.
 
-    trees: list[DecisionTree]
+    The trees are heap tables walked by ``heap_leaves``: row ``t`` of ``attribute``
+    and ``threshold_bin`` (shape ``(T, 2^d - 1)``) holds tree ``t``'s splits, node ``k``
+    with children ``2k + 1`` and ``2k + 2``, and ``votes[t]`` (shape ``(T, 2^d)``, each
+    +1.0 or -1.0) its leaves' labels, left to right.
+    """
+
+    attribute: np.ndarray
+    threshold_bin: np.ndarray
+    votes: np.ndarray
     leaf_mechanism: str
 
+    @property
+    def depth(self) -> int:
+        return self.attribute.shape[1].bit_length()
+
     def margins(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(np.shape(X)[0])
-        for tree in self.trees:
-            votes += tree.predict_bins(X)
-        return votes
+        leaf = heap_leaves(self.attribute, self.threshold_bin, X)
+        # small integers: the sum over the trees is exact in any order
+        return np.take_along_axis(self.votes, leaf, axis=1).sum(axis=0)
 
     def to_dict(self) -> dict:
+        attribute, threshold_bin, votes = (
+            a.tolist() for a in (self.attribute, self.threshold_bin, self.votes)
+        )
+
+        def node(t: int, k: int) -> dict:
+            if k >= len(attribute[t]):
+                return {"leaf": {"prediction": votes[t][k - len(attribute[t])]}}
+            return {
+                "split": {"attribute": attribute[t][k], "threshold_bin": threshold_bin[t][k]},
+                "left": node(t, 2 * k + 1),
+                "right": node(t, 2 * k + 2),
+            }
+
         return {
             "kind": "forest",
             "leaf_mechanism": self.leaf_mechanism,
-            "trees": [_node_to_dict(tree.root) for tree in self.trees],
+            "trees": [node(t, 0) for t in range(len(votes))],
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RandomForest":
+        """Inverse of ``to_dict``; a version-1 node's training statistics are not read."""
         if data["leaf_mechanism"] not in LEAF_MECHANISMS:
             raise ValueError(f"unknown forest leaf_mechanism {data['leaf_mechanism']!r}")
+        trees = [_heap_tables(tree) for tree in data["trees"]]
+        if not trees or len(trees[0][2]) < 2:
+            raise ValueError("a forest needs at least one tree of depth >= 1")
+        if len({len(votes) for _, _, votes in trees}) > 1:
+            raise ValueError("forest trees differ in depth")
+        attribute, threshold_bin, votes = zip(*trees)
         return RandomForest(
-            trees=[DecisionTree(_node_from_dict(t, depth=0)) for t in data["trees"]],
+            attribute=np.array(attribute, dtype=np.intp),
+            threshold_bin=np.array(threshold_bin, dtype=np.intp),
+            votes=np.array(votes, dtype=float),
             leaf_mechanism=data["leaf_mechanism"],
         )
 
 
-def _random_structure(depth: int, candidates, rng: RandomSource) -> DecisionTree:
-    root = Node(depth=0)
-    stack = [root]
-    while stack:  # splits are drawn depth-first, left subtree first
-        node = stack.pop()
-        if node.depth >= depth:
-            continue
-        node.split = candidates[rng.randint(len(candidates))]
-        node.left, node.right = Node(depth=node.depth + 1), Node(depth=node.depth + 1)
-        stack.append(node.right)
-        stack.append(node.left)
-    return DecisionTree(root)
+def _heap_tables(tree: dict) -> tuple[list[int], list[int], list[float]]:
+    """(attribute, threshold_bin, votes) of a serialized complete tree, in heap order."""
+    attribute, threshold_bin, level = [], [], [tree]
+    while level[0].get("split") is not None:
+        for node in level:
+            if node.get("split") is None:
+                raise ValueError("forest tree is not complete")
+            attribute.append(int(node["split"]["attribute"]))
+            threshold_bin.append(int(node["split"]["threshold_bin"]))
+        level = [child for node in level for child in (node["left"], node["right"])]
+    if any(node.get("split") is not None for node in level):
+        raise ValueError("forest tree is not complete")
+    return attribute, threshold_bin, [float(node["leaf"]["prediction"]) for node in level]
+
+
+def _preorder(k: int, depth: int) -> list[int]:
+    """The heap slots of the inner nodes of a ``depth``-deep subtree at slot ``k``,
+    depth-first, left subtree first."""
+    return [k, *_preorder(2 * k + 1, depth - 1), *_preorder(2 * k + 2, depth - 1)] if depth else []
 
 
 def rf_fit(
@@ -300,27 +341,44 @@ def rf_fit(
         raise ValueError("leaf_mechanism must be 'laplace' or 'exponential'")
     if not (epsilon > 0.0) or math.isinf(epsilon):
         raise ValueError("epsilon must be finite and positive")
+    if T < 1 or depth < 1:
+        raise ValueError("T and depth must be >= 1")
     candidates = candidate_splits(dataset)
-    eps_leaf = epsilon / (T * 2**depth)
-    trees = []
-    for t in range(T):
-        tree_rng = rng.spawn("rf-tree", t)
-        tree = _random_structure(depth, candidates, tree_rng)
-        reached = {id(leaf): idx for leaf, idx in tree.leaf_rows(dataset.X)}
-        # every leaf is released, right to left: the release order fixes the draws
-        for leaf in reversed(tree.leaves()):
-            labels = dataset.y[reached.get(id(leaf), [])]  # no rows: zero counts
-            n_pos = int(np.count_nonzero(labels == 1))
-            n_neg = labels.size - n_pos
-            if leaf_mechanism == "laplace":
-                accountant.spend("rf-leaf", eps_leaf)
-                noisy_pos = n_pos + laplace_sample(tree_rng, 2.0 / eps_leaf)
-                noisy_neg = n_neg + laplace_sample(tree_rng, 2.0 / eps_leaf)
-                leaf.prediction = 1.0 if noisy_pos > noisy_neg else -1.0
+    n_leaves = 2**depth
+    eps_leaf = epsilon / (T * n_leaves)
+    tree_rngs = [rng.spawn("rf-tree", t) for t in range(T)]
+    # each tree's candidate per heap slot, drawn depth-first, left subtree first
+    picks = np.empty((T, n_leaves - 1), dtype=np.intp)
+    picks[:, _preorder(0, depth)] = [
+        [r.randint(len(candidates)) for _ in range(n_leaves - 1)] for r in tree_rngs
+    ]
+    table = np.array([(c.attribute, c.threshold_bin) for c in candidates], dtype=np.intp)
+    attribute, threshold_bin = table[picks, 0], table[picks, 1]
+
+    # each training row's (tree, leaf) key, in every tree
+    keys = np.arange(T)[:, None] * n_leaves + heap_leaves(attribute, threshold_bin, dataset.X)
+    n_rows, n_pos = (
+        np.bincount(k.ravel(), minlength=T * n_leaves).reshape(T, n_leaves)
+        for k in (keys, keys[:, dataset.y == 1])
+    )
+    n_neg = n_rows - n_pos
+
+    # every leaf is released, right to left: the release order fixes the draws
+    draws = []
+    for tree_rng in tree_rngs:
+        for _ in range(n_leaves):
+            accountant.spend("rf-leaf", eps_leaf)
+            if leaf_mechanism == "laplace":  # n_pos's noise, then n_neg's
+                draws.append((laplace_sample(tree_rng, 2.0 / eps_leaf),
+                              laplace_sample(tree_rng, 2.0 / eps_leaf)))
             else:
-                choice = exponential_mechanism(
-                    [float(n_neg), float(n_pos)], 1.0, eps_leaf, accountant, tree_rng, label="rf-leaf"
-                )
-                leaf.prediction = 1.0 if choice == 1 else -1.0
-        trees.append(tree)
-    return RandomForest(trees=trees, leaf_mechanism=leaf_mechanism)
+                draws.append((tree_rng.uniform(),))
+    draws = np.array(draws).reshape(T, n_leaves, -1)[:, ::-1]
+    if leaf_mechanism == "laplace":
+        positive = n_pos + draws[..., 0] > n_neg + draws[..., 1]
+    else:
+        utilities = np.stack([n_neg, n_pos], axis=-1)
+        probs = exponential_mechanism_probabilities(utilities, 1.0, eps_leaf)
+        positive = _sample_index(probs, draws[..., 0]) == 1
+    votes = np.where(positive, 1.0, -1.0)
+    return RandomForest(attribute, threshold_bin, votes, leaf_mechanism)

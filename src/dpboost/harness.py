@@ -326,15 +326,20 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
                     cell, train, config.lc_alpha, derive_seed(seed, cell_key(cell), fold)
                 )
                 pos_frac = float(np.mean(test.y == 1))
-                depths = [leaf.depth for tree in model.trees for leaf in tree.leaves()]
-                record.update(
+                if isinstance(model, BoostedEnsemble):
+                    depths = [leaf.depth for tree in model.trees for leaf in tree.leaves()]
                     # boosting traced the training error of its final model
-                    train_error=model.traces.train_error[-1]
-                    if isinstance(model, BoostedEnsemble) else empirical_risk(model, train),
+                    train_error, leaves = model.traces.train_error[-1], len(depths)
+                    mean_depth = float(np.mean(depths))
+                else:  # complete trees of one depth
+                    train_error, leaves = empirical_risk(model, train), model.votes.size
+                    mean_depth = float(model.depth)
+                record.update(
+                    train_error=train_error,
                     test_error=empirical_risk(model, test),
                     default_error=min(pos_frac, 1.0 - pos_frac),
-                    leaves=len(depths),
-                    mean_depth=float(np.mean(depths)),
+                    leaves=leaves,
+                    mean_depth=mean_depth,
                     spent_epsilon=spent,
                 )
             except Exception as exc:  # recorded, run continues
@@ -667,14 +672,20 @@ def load_model(path: str):
         if data["kind"] not in MODEL_CLASSES:
             raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")
         model = MODEL_CLASSES[data["kind"]].from_dict(data)
+        forest = isinstance(model, RandomForest)
+        if forest:
+            predictions = model.votes.ravel().tolist()
+            splits = zip(model.attribute.ravel().tolist(), model.threshold_bin.ravel().tolist())
+        else:
+            nodes = [n for tree in model.trees for n in tree.nodes()]
+            predictions = [n.prediction for n in nodes if n.is_leaf]
+            splits = [(n.split.attribute, n.split.threshold_bin) for n in nodes if not n.is_leaf]
         # a forest leaf releases a vote, a boosted leaf any finite value
-        leaf_ok = (lambda v: v in (-1.0, 1.0)) if data["kind"] == "forest" else math.isfinite
-        for node in (n for tree in model.trees for n in tree.nodes()):
-            if node.is_leaf:
-                if not leaf_ok(node.prediction):
-                    raise ConfigError(f"{path}: {data['kind']} leaf prediction {node.prediction}")
-                continue
-            j, b = node.split.attribute, node.split.threshold_bin
+        leaf_ok = (lambda v: v in (-1.0, 1.0)) if forest else math.isfinite
+        for v in predictions:
+            if not leaf_ok(v):
+                raise ConfigError(f"{path}: {data['kind']} leaf prediction {v}")
+        for j, b in splits:
             if not (0 <= j < len(spec.attributes) and 0 <= b < spec.attributes[j].nvpriv - 1):
                 raise ConfigError(f"{path}: split on attribute {j} at bin {b} outside the domains")
         return model, spec

@@ -62,12 +62,20 @@ def derive_seed(master_seed: int, *labels: int | str) -> int:
     """
     state = int(master_seed) & _MASK64
     for label in labels:
-        data = label.encode("utf-8") if isinstance(label, str) else int(label).to_bytes(8, "little", signed=False)
-        for byte in data:
-            state, out = _splitmix64(state ^ byte)
-            state ^= out
+        state = _fold(state, label)
     _, out = _splitmix64(state)
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _fold(state: int, label: int | str) -> int:
+    """The state after folding one label's bytes into ``state``.  Cached: a seed's shared
+    prefix (a spawn's ``"spawn"`` and its name, a grid cell's key) is folded once."""
+    data = label.encode("utf-8") if isinstance(label, str) else int(label).to_bytes(8, "little", signed=False)
+    for byte in data:
+        state, out = _splitmix64(state ^ byte)
+        state ^= out
+    return state
 
 
 @dataclass
@@ -196,16 +204,19 @@ def laplace_mechanism(
 
 
 def exponential_mechanism_probabilities(
-    utilities: Sequence[float], sensitivity: float, epsilon: float
+    utilities: Sequence[float] | np.ndarray, sensitivity: float, epsilon: float
 ) -> np.ndarray:
     """Exact selection probabilities, proportional to exp(eps u / (2 sens)).
 
+    The last axis holds the candidates; leading axes are a batch, and each
+    row is normalized on its own with the operations of a 1-D call, so every
+    row equals that call bit for bit.  Every row must be non-empty and finite.
     Computed in log space with max subtraction so extreme scores stay
     finite.  Exposed separately from the sampler so privacy-ratio tests can
     inspect the exact vector.
     """
     u = np.asarray(utilities, dtype=float)
-    if u.size == 0:
+    if u.ndim == 0 or u.size == 0:
         raise ValueError("utilities must be non-empty")
     if not np.all(np.isfinite(u)):
         raise ValueError("utilities must be finite")
@@ -214,9 +225,9 @@ def exponential_mechanism_probabilities(
     if not (epsilon > 0.0) or math.isinf(epsilon):
         raise ValueError("epsilon must be finite and positive")
     scores = epsilon * u / (2.0 * sensitivity)
-    scores -= scores.max()
+    scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def exponential_mechanism(
@@ -253,14 +264,17 @@ def _uniform_cdf(n: int) -> np.ndarray:
     return np.frombuffer(np.cumsum(np.full(n, 1.0 / n)).tobytes())
 
 
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    """The index whose cdf interval holds the uniform draw ``u``.  Rounding can leave
-    ``cdf[-1]`` below a draw close to 1, which selects the last positive entry."""
-    cdf = np.cumsum(probs)
-    choice = int(np.searchsorted(cdf, u, side="right"))
-    if choice == probs.size:
-        choice = int(np.flatnonzero(probs)[-1])
-    return choice
+def _sample_index(probs: np.ndarray, u):
+    """The index whose cdf interval holds the uniform draw ``u``, per row of ``probs``
+    (its last axis; ``u`` has the shape of the other axes).  Rounding can leave
+    ``cdf[-1]`` below a draw close to 1, which selects the row's last positive entry."""
+    cdf = np.cumsum(probs, axis=-1)
+    if probs.ndim == 1:  # one row: a binary search, with no array bookkeeping
+        choice = int(np.searchsorted(cdf, u, side="right"))
+        return choice if choice < probs.size else int(np.flatnonzero(probs)[-1])
+    choice = (cdf <= u[..., None]).sum(axis=-1)  # each row's searchsorted, side="right"
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    return np.where(choice == probs.shape[-1], last, choice)
 
 
 # --- brute-force sensitivity oracle -------------------------------------

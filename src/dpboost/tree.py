@@ -57,6 +57,7 @@ __all__ = [
     "Node",
     "SplitRecord",
     "DecisionTree",
+    "heap_leaves",
     "unnormalized_risk",
     "split_budget",
     "objective_calibration_alpha",
@@ -145,6 +146,27 @@ class Node:
 def margin_labels(margins: np.ndarray) -> np.ndarray:
     """The label of each margin: +1 when positive, -1 otherwise (a zero margin is -1)."""
     return np.where(margins > 0.0, 1, -1)
+
+
+def heap_leaves(attribute: np.ndarray, threshold_bin: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of ``X`` reaches in each complete tree of a heap table, ``(T, m)``.
+
+    Row ``t`` of ``attribute`` and ``threshold_bin`` (shape ``(T, 2^d - 1)``) is a
+    depth-``d`` tree whose node ``k`` sends a row with bin at most ``threshold_bin[t, k]``
+    of attribute ``attribute[t, k]`` to child ``2k + 1``, else to ``2k + 2``.  Leaves are
+    numbered ``0 .. 2^d - 1`` left to right.
+    """
+    X = np.asarray(X)
+    (T, n_inner), m = attribute.shape, X.shape[0]
+    # flat tables: attribute j's bins start at j * m, tree t's nodes at t * n_inner
+    bins = np.asarray(X.T, order="C").ravel()
+    first, split_bin = (attribute * m).ravel(), threshold_bin.ravel()
+    tree_start, rows = np.arange(T)[:, None] * n_inner, np.arange(m)
+    node = np.zeros((T, m), dtype=np.intp)
+    for _ in range(n_inner.bit_length()):  # d steps: 2^d - 1 has d bits
+        k = tree_start + node
+        node = 2 * node + 1 + (bins.take(first.take(k) + rows) > split_bin.take(k))
+    return node - n_inner
 
 
 @dataclass(frozen=True)

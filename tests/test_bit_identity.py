@@ -226,10 +226,10 @@ def test_forest_matches_golden_digests(name):
     mechanism, T, depth, epsilon, seed = FOREST_FITS[name]
     ds = make_blocks_dataset(120, 4, seed=5)
     forest = rf_fit(ds, T, depth, epsilon, mechanism, BudgetAccountant(epsilon), RandomSource(seed))
-    assert all(isinstance(tree, DecisionTree) for tree in forest.trees)
-    leaves = [leaf for tree in forest.trees for leaf in tree.leaves()]
+    assert forest.votes.shape == (T, 2**depth)
     assert {
-        "leaf.prediction": _sha([leaf.prediction for leaf in leaves]),
+        # each tree's leaves left to right, the order the node trees listed them
+        "leaf.prediction": _sha(forest.votes.ravel().tolist()),
         "margins": _sha(forest.margins(ds.X).tolist()),
         "model.to_dict": _sha(json.dumps(forest.to_dict(), sort_keys=True)),
     } == FOREST_GOLDEN[name]

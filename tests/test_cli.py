@@ -191,12 +191,16 @@ class TestFitEval:
         (lambda p: p["model"]["trees"][0].update(noised="false"), "noised 'false'"),
         (lambda p: p["model"].update(leaf_mechanism="gaussian"),
          "forest leaf_mechanism 'gaussian'"),
+        (lambda p: p["model"]["trees"][0].update(left=p["model"]["trees"][1]),
+         "forest tree is not complete"),
+        (lambda p: p["model"]["trees"].__setitem__(1, p["model"]["trees"][1]["left"]),
+         "forest trees differ in depth"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
             "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
             "negative-threshold", "threshold-past-last-gap", "nan-leaf", "infinite-beta",
             "nan-output-bound", "negative-output-bound", "forest-vote-past-one",
             "nan-lc-alpha", "negative-prediction-alpha", "noised-as-string",
-            "unknown-leaf-mechanism"])
+            "unknown-leaf-mechanism", "incomplete-forest-tree", "forest-depths-differ"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"

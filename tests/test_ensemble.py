@@ -23,7 +23,7 @@ from dpboost.ensemble import (
 )
 from dpboost.losses import LossSpec, inverse_link
 from dpboost.privacy import BudgetAccountant, RandomSource
-from dpboost.tree import DecisionTree, Node, TreeConfig, TreePrivacy, induce_tree
+from dpboost.tree import DecisionTree, Node, TreeConfig, TreePrivacy, heap_leaves, induce_tree
 
 
 class TestEdge:
@@ -268,13 +268,15 @@ class TestRandomForest:
         rf = rf_fit(ds, 21, 2, 1e6, "laplace", acc, RandomSource(2))
         agreements = 0
         leaves = 0
-        for leaf, idx in (pair for tree in rf.trees for pair in tree.leaf_rows(ds.X)):
+        reached = heap_leaves(rf.attribute, rf.threshold_bin, ds.X)
+        for (t, j), vote in np.ndenumerate(rf.votes):
+            idx = np.flatnonzero(reached[t] == j)
             n_pos = int(np.count_nonzero(ds.y[idx] == 1))
             if 2 * n_pos == idx.size:
-                continue  # tied: majority undefined; unreached leaves are absent
+                continue  # tied: majority undefined, as for an unreached leaf
             leaves += 1
             majority = 1.0 if 2 * n_pos > idx.size else -1.0
-            agreements += leaf.prediction == majority
+            agreements += vote == majority
         assert leaves > 20
         assert agreements / leaves >= 0.999
 
@@ -284,14 +286,37 @@ class TestRandomForest:
         flipped = Dataset(ds1.X, -ds1.y, ds1.domains)
         rf1 = rf_fit(ds1, 5, 2, 1.0, "exponential", BudgetAccountant(1.0), RandomSource(9))
         rf2 = rf_fit(flipped, 5, 2, 1.0, "exponential", BudgetAccountant(1.0), RandomSource(9))
-        for a, b in zip((t.root for t in rf1.trees), (t.root for t in rf2.trees)):
-            assert a.split == b.split
-            assert a.left.split == b.left.split and a.right.split == b.right.split
+        assert np.array_equal(rf1.attribute, rf2.attribute)
+        assert np.array_equal(rf1.threshold_bin, rf2.threshold_bin)
 
     def test_invalid_mechanism(self):
         ds = make_blocks_dataset(20, 2, seed=1)
         with pytest.raises(ValueError):
             rf_fit(ds, 3, 1, 1.0, "gaussian", BudgetAccountant(1.0), RandomSource(0))
+
+    @pytest.mark.parametrize("T, depth", [(0, 2), (-1, 2), (3, 0), (3, -1)])
+    def test_rejects_an_empty_forest_or_leaf_trees_before_any_spend(self, T, depth):
+        ds = make_blocks_dataset(20, 2, seed=1)
+        acc, rng = BudgetAccountant(1.0), RandomSource(0)
+        with pytest.raises(ValueError, match="T and depth must be >= 1"):
+            rf_fit(ds, T, depth, 1.0, "laplace", acc, rng)
+        assert acc.spends == [] and rng.next_uint64() == RandomSource(0).next_uint64()
+
+    def test_from_dict_rejects_what_no_fit_makes(self):
+        ds = make_blocks_dataset(60, 2, seed=5)
+        data = rf_fit(ds, 3, 2, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(4)).to_dict()
+        leaf = {"leaf": {"prediction": 1.0}}
+        damages = {
+            "not complete": lambda d: d["trees"][1].update(right=leaf),
+            "differ in depth": lambda d: d["trees"][2].update(d["trees"][2]["left"]),
+            "at least one tree": lambda d: d.update(trees=[]),
+            "at least one tree of depth >= 1": lambda d: d.update(trees=[leaf, leaf]),
+        }
+        for message, damage in damages.items():
+            broken = json.loads(json.dumps(data))
+            damage(broken)
+            with pytest.raises(ValueError, match=message):
+                RandomForest.from_dict(broken)
 
     def test_serialization_round_trip(self):
         ds = make_blocks_dataset(60, 2, seed=5)

@@ -23,7 +23,20 @@ from dpboost.privacy import (
     laplace_sample,
     replacement_neighbors,
 )
-from dpboost.privacy import _uniform_cdf
+from dpboost.privacy import _sample_index, _splitmix64, _uniform_cdf
+
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_derive_seed(master_seed, *labels):
+    # every label's bytes folded afresh, as derive_seed did before it cached its folds
+    state = int(master_seed) & _MASK64
+    for label in labels:
+        data = label.encode("utf-8") if isinstance(label, str) else int(label).to_bytes(8, "little")
+        for byte in data:
+            state, out = _splitmix64(state ^ byte)
+            state ^= out
+    return _splitmix64(state)[1]
 
 
 class TestRandomSource:
@@ -61,6 +74,21 @@ class TestRandomSource:
         assert derive_seed(5, "cell", 3) == derive_seed(5, "cell", 3)
         assert derive_seed(5, "cell", 3) != derive_seed(5, "cell", 4)
         assert derive_seed(5, "cell") != derive_seed(6, "cell")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        labels=st.lists(st.one_of(st.text(max_size=30), st.integers(0, 2**64 - 1),
+                                  st.sampled_from(["spawn", "rf-tree", "é∑🙂", 0, 2**64 - 1])),
+                        max_size=5),
+    )
+    def test_derive_seed_equals_the_uncached_fold(self, seed, labels):
+        # twice: the second derivation reads every fold from the cache
+        expected = _reference_derive_seed(seed, *labels)
+        assert derive_seed(seed, *labels) == expected
+        assert derive_seed(seed, *labels) == expected
+        assert RandomSource(seed).spawn(*labels).seed == _reference_derive_seed(
+            seed, "spawn", *labels)
 
 
 class TestLaplace:
@@ -133,6 +161,31 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError):
             exponential_mechanism_probabilities([1.0, math.nan], 1.0, 1.0)
 
+    def test_every_row_of_a_batch_is_checked(self):
+        for bad in ([[1.0, 2.0], [1.0, math.nan]], [[1.0], [math.inf]], np.zeros((3, 0)), 4.0):
+            with pytest.raises(ValueError):
+                exponential_mechanism_probabilities(bad, 1.0, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=1,
+                        max_size=40),
+        epsilon=st.floats(1e-4, 10.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_each_row_of_a_batch_is_the_1d_call_bit_for_bit(self, counts, epsilon, seed):
+        utilities = np.array(counts, dtype=float).reshape(len(counts), 1, 2)
+        batch = exponential_mechanism_probabilities(utilities, 1.0, epsilon)
+        assert batch.shape == utilities.shape
+        rng = RandomSource(seed)
+        draws = np.array([rng.uniform() for _ in counts]).reshape(len(counts), 1)
+        picks = _sample_index(batch, draws)
+        for row, u, pick, probs in zip(counts, draws[:, 0], picks[:, 0], batch[:, 0]):
+            alone = exponential_mechanism_probabilities(list(row), 1.0, epsilon)
+            assert probs.tobytes() == alone.tobytes()
+            scalar = int(np.searchsorted(np.cumsum(alone), u, side="right"))
+            assert pick == (scalar if scalar < 2 else int(np.flatnonzero(alone)[-1]))
+
     def test_sampler_records_spend_and_is_deterministic(self):
         def run():
             acc = BudgetAccountant(5.0)
@@ -176,6 +229,9 @@ class TestExponentialMechanism:
         probs = exponential_mechanism_probabilities(tail, 1.0, 10.0)
         assert probs[-1] == 0.0 and np.cumsum(probs)[-1] < LargestUniform().uniform()
         assert exponential_mechanism(tail, 1.0, 10.0, acc, LargestUniform()) == 2
+        # a batch takes the same rule row by row
+        batch = exponential_mechanism_probabilities([tail, [0.0] * 4], 1.0, 10.0)
+        assert _sample_index(batch, np.array([LargestUniform().uniform(), 0.3])).tolist() == [2, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -29,6 +29,7 @@ from dpboost.tree import (
     Q_CLAMP,
     TreeConfig,
     TreePrivacy,
+    heap_leaves,
     induce_tree,
     noisify_leaves,
     objective_calibration_alpha,
@@ -380,9 +381,18 @@ class TestLeafRows:
         seed = data.draw(st.integers(0, 2**16))
         forest = rf_fit(ds, 3, depth, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(seed))
         query = X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=30))]
-        for tree in forest.trees:
-            self._check_against_walk(tree, ds.X)
-            self._check_against_walk(tree, query)
+        for Q in (ds.X, query):
+            leaves = heap_leaves(forest.attribute, forest.threshold_bin, Q)
+            assert leaves.shape == (3, Q.shape[0])
+            for t in range(3):
+                for r, row in enumerate(Q):
+                    k = 0  # one row at a time down the heap
+                    while k < 2**depth - 1:
+                        goes_right = row[forest.attribute[t, k]] > forest.threshold_bin[t, k]
+                        k = 2 * k + 2 if goes_right else 2 * k + 1
+                    assert leaves[t, r] == k - (2**depth - 1)
+            votes = [[forest.votes[t, leaves[t, r]] for t in range(3)] for r in range(Q.shape[0])]
+            assert forest.margins(Q).tolist() == [float(sum(v)) for v in votes]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 399), max_size=200))
