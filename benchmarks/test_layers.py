@@ -75,11 +75,11 @@ def test_load_csv(benchmark, wide_csv):
 
 @pytest.fixture(scope="module")
 def fitted(wide):
-    """A depth-6 tree on the wide data, with the rows induction routed to each leaf."""
+    """A depth-6 tree on the wide data, with the leaf id induction routed each row to."""
     dataset, weights = wide
-    leaf_rows = []
-    tree = induce_tree(dataset, weights, TreeConfig(depth=DEPTH, alpha="oc"), _leaf_rows=leaf_rows)
-    return tree, leaf_rows
+    leaf = np.empty(dataset.n_examples, dtype=np.intp)
+    tree = induce_tree(dataset, weights, TreeConfig(depth=DEPTH, alpha="oc"), _leaf_rows=leaf)
+    return tree, leaf
 
 
 def test_histogram_level(benchmark, wide):
@@ -128,15 +128,12 @@ def test_training_outputs_by_traversal(benchmark, wide, fitted):
 
 
 def test_training_outputs_from_induction(benchmark, wide, fitted):
-    """Training outputs of one iteration from the leaf rows induction reported."""
+    """Training outputs of one iteration from the leaf ids induction reported."""
     dataset, _ = wide
-    tree, leaf_rows = fitted
+    tree, leaf = fitted
 
     def outputs():
-        h = np.zeros(dataset.n_examples)
-        for leaf, rows in leaf_rows:
-            h[rows] = leaf.prediction
-        return np.clip(h, -OUTPUT_BOUND, OUTPUT_BOUND)
+        return np.clip(tree.value[leaf], -OUTPUT_BOUND, OUTPUT_BOUND)
 
     assert np.array_equal(
         outputs(), np.clip(tree.predict_bins(dataset.X), -OUTPUT_BOUND, OUTPUT_BOUND)

@@ -9,8 +9,8 @@ Tree outputs are clamped to the output bound everywhere they are consumed.
 The random forests pick split features and thresholds purely at random, so
 their structure costs no privacy budget; only the per-leaf class counts are
 protected, through either the Laplace or the exponential mechanism.  Their
-trees are complete and of one depth, so a forest is heap tables, and it is
-fitted and voted in whole-forest array passes.
+trees are complete and of one depth, so a forest stacks their node tables,
+and it is fitted and voted in whole-forest array passes.
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ from .privacy import (
     laplace_sample,
 )
 from .tree import (
+    LEAF_BIN,
     DecisionTree,
     TreeConfig,
-    heap_leaves,
     induce_tree,
     margin_labels,
     noisify_leaves,
+    tables_from_dict,
+    tables_to_dict,
+    walk,
 )
 
 __all__ = [
@@ -96,6 +99,8 @@ class BoostedEnsemble:
 
     @staticmethod
     def from_dict(data: dict) -> "BoostedEnsemble":
+        if not data["trees"]:
+            raise ValueError("a boosted model needs at least one tree")
         if len(data["betas"]) != len(data["trees"]):
             raise ValueError(f"{len(data['betas'])} betas for {len(data['trees'])} trees")
         betas = [float(b) for b in data["betas"]]
@@ -200,8 +205,8 @@ def boost_fit(
 
     for t in range(T):
         tree_rng = rng.spawn("tree", t) if rng is not None else None
-        leaves: list = []  # (leaf, its training rows), filled by induction
-        tree = induce_tree(dataset, weights, tree_config, accountant, tree_rng, _leaf_rows=leaves)
+        leaf = np.empty(m, dtype=np.intp)  # each training row's leaf id, filled by induction
+        tree = induce_tree(dataset, weights, tree_config, accountant, tree_rng, _leaf_rows=leaf)
         if private:
             tree = noisify_leaves(
                 tree,
@@ -212,11 +217,7 @@ def boost_fit(
                 accountant,
                 tree_rng,
             )
-        h = np.zeros(m)  # training outputs, read after any noising
-        while leaves:  # popping frees each leaf's rows once used
-            leaf, rows = leaves.pop()
-            h[rows] = leaf.prediction
-        h = np.clip(h, -M, M)
+        h = np.clip(tree.value[leaf], -M, M)  # training outputs, read after any noising
         beta = leveraging_coefficient(a, weights, y, h)
         mean_w = float(np.mean(weights))
         ensemble.traces.mean_weight.append(mean_w)
@@ -240,44 +241,33 @@ LEAF_MECHANISMS = ("laplace", "exponential")
 class RandomForest:
     """Complete structure-random trees of one depth with privately released leaf votes.
 
-    The trees are heap tables walked by ``heap_leaves``: row ``t`` of ``attribute``
-    and ``threshold_bin`` (shape ``(T, 2^d - 1)``) holds tree ``t``'s splits, node ``k``
-    with children ``2k + 1`` and ``2k + 2``, and ``votes[t]`` (shape ``(T, 2^d)``, each
-    +1.0 or -1.0) its leaves' labels, left to right.
+    The trees' node tables (see ``DecisionTree``) are stacked, shape ``(T, 2^(d+1) - 1)``:
+    numbered breadth-first, a complete tree's node ``k`` has children ``2k + 1`` and
+    ``2k + 2``, and its leaves are its last ``2^d`` nodes, left to right.  ``value`` holds
+    the leaves' votes, each +1.0 or -1.0.
     """
 
+    child: np.ndarray
     attribute: np.ndarray
     threshold_bin: np.ndarray
-    votes: np.ndarray
+    value: np.ndarray
     leaf_mechanism: str
 
     @property
     def depth(self) -> int:
-        return self.attribute.shape[1].bit_length()
+        return self.child.shape[1].bit_length() - 1
 
     def margins(self, X: np.ndarray) -> np.ndarray:
-        leaf = heap_leaves(self.attribute, self.threshold_bin, X)
+        leaf = walk(self, X, self.depth)
         # small integers: the sum over the trees is exact in any order
-        return np.take_along_axis(self.votes, leaf, axis=1).sum(axis=0)
+        return np.take_along_axis(self.value, leaf, axis=1).sum(axis=0)
 
     def to_dict(self) -> dict:
-        attribute, threshold_bin, votes = (
-            a.tolist() for a in (self.attribute, self.threshold_bin, self.votes)
-        )
-
-        def node(t: int, k: int) -> dict:
-            if k >= len(attribute[t]):
-                return {"leaf": {"prediction": votes[t][k - len(attribute[t])]}}
-            return {
-                "split": {"attribute": attribute[t][k], "threshold_bin": threshold_bin[t][k]},
-                "left": node(t, 2 * k + 1),
-                "right": node(t, 2 * k + 2),
-            }
-
         return {
             "kind": "forest",
             "leaf_mechanism": self.leaf_mechanism,
-            "trees": [node(t, 0) for t in range(len(votes))],
+            "trees": [tables_to_dict(*tables) for tables in
+                      zip(self.child, self.attribute, self.threshold_bin, self.value)],
         }
 
     @staticmethod
@@ -285,37 +275,26 @@ class RandomForest:
         """Inverse of ``to_dict``; a version-1 node's training statistics are not read."""
         if data["leaf_mechanism"] not in LEAF_MECHANISMS:
             raise ValueError(f"unknown forest leaf_mechanism {data['leaf_mechanism']!r}")
-        trees = [_heap_tables(tree) for tree in data["trees"]]
-        if not trees or len(trees[0][2]) < 2:
+        trees = [tables_from_dict(tree) for tree in data["trees"]]
+        if not trees or len(trees[0][0]) < 3:
             raise ValueError("a forest needs at least one tree of depth >= 1")
-        if len({len(votes) for _, _, votes in trees}) > 1:
-            raise ValueError("forest trees differ in depth")
-        attribute, threshold_bin, votes = zip(*trees)
-        return RandomForest(
-            attribute=np.array(attribute, dtype=np.intp),
-            threshold_bin=np.array(threshold_bin, dtype=np.intp),
-            votes=np.array(votes, dtype=float),
-            leaf_mechanism=data["leaf_mechanism"],
-        )
-
-
-def _heap_tables(tree: dict) -> tuple[list[int], list[int], list[float]]:
-    """(attribute, threshold_bin, votes) of a serialized complete tree, in heap order."""
-    attribute, threshold_bin, level = [], [], [tree]
-    while level[0].get("split") is not None:
-        for node in level:
-            if node.get("split") is None:
+        for child, *_ in trees:  # a complete tree of depth d has 2^(d+1) - 1 nodes
+            if not np.array_equal(child, _complete_child((len(child) + 1).bit_length() - 2)):
                 raise ValueError("forest tree is not complete")
-            attribute.append(int(node["split"]["attribute"]))
-            threshold_bin.append(int(node["split"]["threshold_bin"]))
-        level = [child for node in level for child in (node["left"], node["right"])]
-    if any(node.get("split") is not None for node in level):
-        raise ValueError("forest tree is not complete")
-    return attribute, threshold_bin, [float(node["leaf"]["prediction"]) for node in level]
+        if len({len(child) for child, *_ in trees}) > 1:
+            raise ValueError("forest trees differ in depth")
+        return RandomForest(*(np.array(table) for table in zip(*trees)), data["leaf_mechanism"])
+
+
+def _complete_child(depth: int) -> np.ndarray:
+    """The ``child`` table of a complete depth-``depth`` tree: node ``k``'s children are
+    ``2k + 1`` and ``2k + 2``, and its last ``2^depth`` nodes are leaves."""
+    k = np.arange(2 ** (depth + 1) - 1)
+    return np.where(k < 2**depth - 1, 2 * k + 1, k)
 
 
 def _preorder(k: int, depth: int) -> list[int]:
-    """The heap slots of the inner nodes of a ``depth``-deep subtree at slot ``k``,
+    """The ids of the inner nodes of a complete ``depth``-deep subtree at node ``k``,
     depth-first, left subtree first."""
     return [k, *_preorder(2 * k + 1, depth - 1), *_preorder(2 * k + 2, depth - 1)] if depth else []
 
@@ -347,16 +326,21 @@ def rf_fit(
     n_leaves = 2**depth
     eps_leaf = epsilon / (T * n_leaves)
     tree_rngs = [rng.spawn("rf-tree", t) for t in range(T)]
-    # each tree's candidate per heap slot, drawn depth-first, left subtree first
-    picks = np.empty((T, n_leaves - 1), dtype=np.intp)
+    # each tree's candidate per inner node, drawn depth-first, left subtree first
+    n_inner = n_leaves - 1
+    picks = np.empty((T, n_inner), dtype=np.intp)
     picks[:, _preorder(0, depth)] = [
-        [r.randint(len(candidates)) for _ in range(n_leaves - 1)] for r in tree_rngs
+        [r.randint(len(candidates)) for _ in range(n_inner)] for r in tree_rngs
     ]
     table = np.array([(c.attribute, c.threshold_bin) for c in candidates], dtype=np.intp)
-    attribute, threshold_bin = table[picks, 0], table[picks, 1]
+    attribute = np.zeros((T, n_inner + n_leaves), dtype=np.intp)
+    threshold_bin = np.full_like(attribute, LEAF_BIN)
+    attribute[:, :n_inner], threshold_bin[:, :n_inner] = table[picks].transpose(2, 0, 1)
+    child = np.tile(_complete_child(depth), (T, 1))
+    forest = RandomForest(child, attribute, threshold_bin, np.zeros(child.shape), leaf_mechanism)
 
-    # each training row's (tree, leaf) key, in every tree
-    keys = np.arange(T)[:, None] * n_leaves + heap_leaves(attribute, threshold_bin, dataset.X)
+    # each training row's (tree, leaf) key, in every tree; the leaves are the last nodes
+    keys = np.arange(T)[:, None] * n_leaves + walk(forest, dataset.X, depth) - n_inner
     n_rows, n_pos = (
         np.bincount(k.ravel(), minlength=T * n_leaves).reshape(T, n_leaves)
         for k in (keys, keys[:, dataset.y == 1])
@@ -380,5 +364,5 @@ def rf_fit(
         utilities = np.stack([n_neg, n_pos], axis=-1)
         probs = exponential_mechanism_probabilities(utilities, 1.0, eps_leaf)
         positive = _sample_index(probs, draws[..., 0]) == 1
-    votes = np.where(positive, 1.0, -1.0)
-    return RandomForest(attribute, threshold_bin, votes, leaf_mechanism)
+    forest.value[:, n_inner:] = np.where(positive, 1.0, -1.0)
+    return forest

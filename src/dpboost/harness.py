@@ -41,7 +41,7 @@ from .privacy import (
     derive_seed,
     replacement_neighbors,
 )
-from .tree import TreeConfig, TreePrivacy
+from .tree import TreeConfig, TreePrivacy, leaf_mask, node_depths
 
 __all__ = [
     "ConfigError",
@@ -327,12 +327,15 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
                 )
                 pos_frac = float(np.mean(test.y == 1))
                 if isinstance(model, BoostedEnsemble):
-                    depths = [leaf.depth for tree in model.trees for leaf in tree.leaves()]
+                    depths = np.concatenate(
+                        [node_depths(t.child)[leaf_mask(t.child)] for t in model.trees]
+                    )
                     # boosting traced the training error of its final model
-                    train_error, leaves = model.traces.train_error[-1], len(depths)
+                    train_error, leaves = model.traces.train_error[-1], depths.size
                     mean_depth = float(np.mean(depths))
                 else:  # complete trees of one depth
-                    train_error, leaves = empirical_risk(model, train), model.votes.size
+                    train_error = empirical_risk(model, train)
+                    leaves = int(np.count_nonzero(leaf_mask(model.child)))
                     mean_depth = float(model.depth)
                 record.update(
                     train_error=train_error,
@@ -655,7 +658,7 @@ def load_model(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
     try:
         if payload.get("format") != MODEL_FORMAT or payload.get("version") not in (1, 2):
@@ -673,21 +676,18 @@ def load_model(path: str):
             raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")
         model = MODEL_CLASSES[data["kind"]].from_dict(data)
         forest = isinstance(model, RandomForest)
-        if forest:
-            predictions = model.votes.ravel().tolist()
-            splits = zip(model.attribute.ravel().tolist(), model.threshold_bin.ravel().tolist())
-        else:
-            nodes = [n for tree in model.trees for n in tree.nodes()]
-            predictions = [n.prediction for n in nodes if n.is_leaf]
-            splits = [(n.split.attribute, n.split.threshold_bin) for n in nodes if not n.is_leaf]
         # a forest leaf releases a vote, a boosted leaf any finite value
         leaf_ok = (lambda v: v in (-1.0, 1.0)) if forest else math.isfinite
-        for v in predictions:
-            if not leaf_ok(v):
-                raise ConfigError(f"{path}: {data['kind']} leaf prediction {v}")
-        for j, b in splits:
-            if not (0 <= j < len(spec.attributes) and 0 <= b < spec.attributes[j].nvpriv - 1):
-                raise ConfigError(f"{path}: split on attribute {j} at bin {b} outside the domains")
+        for tree in [model] if forest else model.trees:
+            leaf = leaf_mask(tree.child)
+            for v in tree.value[leaf].tolist():
+                if not leaf_ok(v):
+                    raise ConfigError(f"{path}: {data['kind']} leaf prediction {v}")
+            for j, b in zip(tree.attribute[~leaf].tolist(), tree.threshold_bin[~leaf].tolist()):
+                if not (0 <= j < len(spec.attributes) and 0 <= b < spec.attributes[j].nvpriv - 1):
+                    raise ConfigError(
+                        f"{path}: split on attribute {j} at bin {b} outside the domains"
+                    )
         return model, spec
     except ConfigError:
         raise

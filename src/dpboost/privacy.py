@@ -100,9 +100,6 @@ class RandomSource:
         """Uniform draw on the open interval (0, 1)."""
         return (self.next_uint64() >> 11 | 1) * 2.0**-53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:

@@ -28,18 +28,22 @@ Its children are tied: one weight sum each gives ``w1`` (``w`` or 0), parts
 ``(w, 0, 0)``, risk +0.0 and no errors, so the exact ``math.fsum`` of the live
 risks stands until an untied split or a new alpha.
 
-Nodes hold only what a model releases.  A leaf's training statistics (``w``,
-``w1``, the errors of its majority label) live in induction's frontier only.
+A tree is a node table numbered breadth-first (``DecisionTree``); ``walk`` routes
+rows through it, ``tables_to_dict`` and ``tables_from_dict`` write and read it, and a
+forest stacks the same tables.  The tables hold only what a model releases.  A leaf's
+training statistics (``w``, ``w1``, the errors of its majority label) live in
+induction's frontier only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DataError, Dataset, SplitCandidate, candidate_splits
+from .dataset import DataError, Dataset, candidate_splits
 from .losses import LossSpec, canonical_link, malpha_combine, malpha_parts, sensitivity_bound
 from .privacy import (
     BudgetAccountant,
@@ -52,12 +56,16 @@ from .privacy import (
 
 __all__ = [
     "Q_CLAMP",
+    "LEAF_BIN",
     "TreePrivacy",
     "TreeConfig",
-    "Node",
     "SplitRecord",
     "DecisionTree",
-    "heap_leaves",
+    "leaf_mask",
+    "node_depths",
+    "walk",
+    "tables_to_dict",
+    "tables_from_dict",
     "unnormalized_risk",
     "split_budget",
     "objective_calibration_alpha",
@@ -70,6 +78,9 @@ __all__ = [
 # Leaf class proportions are clamped away from {0, 1} before they go
 # through the link, which diverges there.
 Q_CLAMP = 1e-4
+
+# The threshold of a leaf: no bin exceeds it, so a row that reaches a leaf stays there.
+LEAF_BIN = np.iinfo(np.intp).max
 
 OBJECTIVE_CALIBRATION = "oc"
 
@@ -128,45 +139,97 @@ class TreeConfig:
         return self.alpha == OBJECTIVE_CALIBRATION
 
 
-@dataclass
-class Node:
-    """Released tree node: a leaf with its ``prediction`` until ``split`` is assigned."""
-
-    depth: int
-    prediction: float = 0.0
-    split: SplitCandidate | None = None
-    left: "Node | None" = None
-    right: "Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split is None
-
-
 def margin_labels(margins: np.ndarray) -> np.ndarray:
     """The label of each margin: +1 when positive, -1 otherwise (a zero margin is -1)."""
     return np.where(margins > 0.0, 1, -1)
 
 
-def heap_leaves(attribute: np.ndarray, threshold_bin: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The leaf each row of ``X`` reaches in each complete tree of a heap table, ``(T, m)``.
+def leaf_mask(child: np.ndarray) -> np.ndarray:
+    """Which nodes of a ``child`` table (1-D, or stacked on leading axes) are leaves."""
+    return child == np.arange(child.shape[-1])
 
-    Row ``t`` of ``attribute`` and ``threshold_bin`` (shape ``(T, 2^d - 1)``) is a
-    depth-``d`` tree whose node ``k`` sends a row with bin at most ``threshold_bin[t, k]``
-    of attribute ``attribute[t, k]`` to child ``2k + 1``, else to ``2k + 2``.  Leaves are
-    numbered ``0 .. 2^d - 1`` left to right.
+
+def _level_ends(child: np.ndarray) -> list[int]:
+    """The first node after each level of a breadth-first ``child`` table.
+
+    A level's nodes are numbered together and the ``i``-th split's children are
+    ``2i + 1`` and ``2i + 2``, so the level after one that ends before node ``e``
+    ends before node ``1 + 2 * (splits before e)``.
+    """
+    splits, ends = np.flatnonzero(~leaf_mask(child)).tolist(), [1]
+    while ends[-1] < len(child):
+        ends.append(1 + 2 * bisect.bisect_left(splits, ends[-1]))
+        if ends[-1] == ends[-2]:  # a level without splits, yet nodes after it
+            raise ValueError("not a breadth-first child table")
+    return ends
+
+
+def node_depths(child: np.ndarray) -> np.ndarray:
+    """The depth of each node of a breadth-first ``child`` table."""
+    return np.searchsorted(_level_ends(child), np.arange(len(child)), side="right")
+
+
+def walk(tree, X: np.ndarray, steps: int) -> np.ndarray:
+    """The node each row of ``X`` is at after ``steps`` steps down each tree of ``tree``.
+
+    ``tree`` holds node tables (``child``, ``attribute``, ``threshold_bin``), 1-D for one
+    tree or stacked ``(T, N)`` for ``T``; the result is ``(m,)`` or ``(T, m)``.  A step takes
+    a row at node ``k`` to ``child[k]``, plus 1 when its bin of ``attribute[k]`` exceeds
+    ``threshold_bin[k]``; a leaf is its own child with a threshold no bin exceeds, so
+    ``depth`` steps leave every row at its leaf.
     """
     X = np.asarray(X)
-    (T, n_inner), m = attribute.shape, X.shape[0]
-    # flat tables: attribute j's bins start at j * m, tree t's nodes at t * n_inner
-    bins = np.asarray(X.T, order="C").ravel()
-    first, split_bin = (attribute * m).ravel(), threshold_bin.ravel()
-    tree_start, rows = np.arange(T)[:, None] * n_inner, np.arange(m)
-    node = np.zeros((T, m), dtype=np.intp)
-    for _ in range(n_inner.bit_length()):  # d steps: 2^d - 1 has d bits
-        k = tree_start + node
-        node = 2 * node + 1 + (bins.take(first.take(k) + rows) > split_bin.take(k))
-    return node - n_inner
+    m, child = X.shape[0], tree.child
+    # flat tables: attribute j's bins start at j * m, tree t's nodes at t * N
+    start = np.arange(0, child.size, child.shape[-1]).reshape(child.shape[:-1] + (1,))
+    to, first = (child + start).ravel(), (tree.attribute * m).ravel()
+    split_bin, bins = tree.threshold_bin.ravel(), np.asarray(X.T, order="C").ravel()
+    rows, node = np.arange(m), start.repeat(m, axis=-1)
+    for _ in range(steps):
+        node = to.take(node) + (bins.take(first.take(node) + rows) > split_bin.take(node))
+    return node - start
+
+
+def tables_to_dict(child, attribute, threshold_bin, value) -> dict:
+    """One tree's tables as nested nodes: ``{"leaf": {"prediction": v}}`` for a leaf, else
+    ``{"split": {"attribute": j, "threshold_bin": b}, "left": ..., "right": ...}``."""
+    child, attribute, threshold_bin, value = (
+        a.tolist() for a in (child, attribute, threshold_bin, value)
+    )
+    nodes = [None] * len(child)
+    for k in reversed(range(len(child))):  # children come after their parent
+        c = child[k]
+        nodes[k] = {"leaf": {"prediction": value[k]}} if c == k else {
+            "split": {"attribute": attribute[k], "threshold_bin": threshold_bin[k]},
+            "left": nodes[c],
+            "right": nodes[c + 1],
+        }
+    return nodes[0]
+
+
+def _split_int(split: dict, key: str) -> int:
+    value = split[key]
+    if type(value) is not int:  # a float or a boolean is not a split a fit makes
+        raise ValueError(f"split {key} {value!r} is not a JSON integer")
+    return value
+
+
+def tables_from_dict(root: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of ``tables_to_dict``, numbering the nodes breadth-first without recursion;
+    a version-1 node's training statistics are not read."""
+    nodes, rows = [root], []
+    for k, node in enumerate(nodes):  # the children join the queue as their parent is read
+        split = node.get("split")
+        if split is None:
+            prediction = node["leaf"]["prediction"]
+            if type(prediction) not in (int, float):
+                raise ValueError(f"leaf prediction {prediction!r} is not a JSON number")
+            rows.append((k, 0, LEAF_BIN, float(prediction)))
+        else:
+            j, b = _split_int(split, "attribute"), _split_int(split, "threshold_bin")
+            rows.append((len(nodes), j, b, 0.0))
+            nodes += (node["left"], node["right"])
+    return tuple(np.array(table) for table in zip(*rows))  # intp, intp, intp, float
 
 
 @dataclass(frozen=True)
@@ -185,7 +248,17 @@ class SplitRecord:
 
 @dataclass
 class DecisionTree:
-    root: Node
+    """One tree as a breadth-first node table (see ``walk``).
+
+    Node ``k`` of a split sends a row to ``child[k]`` when its bin of ``attribute[k]`` is
+    at most ``threshold_bin[k]``, else to ``child[k] + 1``.  A leaf is its own child, with
+    threshold ``LEAF_BIN``, and ``value[k]`` is its released prediction (0 at a split).
+    """
+
+    child: np.ndarray
+    attribute: np.ndarray
+    threshold_bin: np.ndarray
+    value: np.ndarray
     records: list[SplitRecord] = field(default_factory=list)
     prediction_alpha: float = 1.0
     noised: bool = False
@@ -198,55 +271,19 @@ class DecisionTree:
     def budget_trace(self) -> list[float]:
         return [r.epsilon for r in self.records if r.epsilon is not None]
 
-    def nodes(self) -> list[Node]:
-        """All nodes, depth-first, each before its children, left to right."""
-        out: list[Node] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
-
-    def leaves(self) -> list[Node]:
-        """All leaves, depth-first left to right (stable order)."""
-        return [node for node in self.nodes() if node.is_leaf]
-
-    def leaf_rows(self, X: np.ndarray) -> list[tuple[Node, np.ndarray]]:
-        """Each leaf that rows of ``X`` reach, with those rows, in ``leaves()`` order.
-
-        Rows are ascending.  Subtrees that no row reaches are not visited,
-        so their leaves are absent.
-        """
-        X = np.asarray(X)
-        out = []
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out.append((node, idx))
-            else:
-                mask = X[:, node.split.attribute][idx] <= node.split.threshold_bin
-                stack.append((node.right, idx[~mask]))
-                stack.append((node.left, idx[mask]))
-        return out
+    @property
+    def depth(self) -> int:
+        return len(_level_ends(self.child)) - 1
 
     def predict_bins(self, X: np.ndarray) -> np.ndarray:
         """Leaf predictions for quantized rows ``X``."""
-        out = np.zeros(np.shape(X)[0])
-        for leaf, rows in self.leaf_rows(X):
-            out[rows] = leaf.prediction
-        return out
+        return self.value[walk(self, X, self.depth)]
 
     def to_dict(self) -> dict:
         return {
             "prediction_alpha": self.prediction_alpha,
             "noised": self.noised,
-            "root": _node_to_dict(self.root),
+            "root": tables_to_dict(self.child, self.attribute, self.threshold_bin, self.value),
         }
 
     @staticmethod
@@ -256,31 +293,8 @@ class DecisionTree:
             raise ValueError(f"prediction_alpha {prediction_alpha} outside [0, 1]")
         if not isinstance(data["noised"], bool):
             raise ValueError(f"noised {data['noised']!r} is not a JSON boolean")
-        return DecisionTree(
-            root=_node_from_dict(data["root"], depth=0),
-            prediction_alpha=prediction_alpha,
-            noised=data["noised"],
-        )
-
-
-def _node_to_dict(node: Node) -> dict:
-    if node.is_leaf:
-        return {"leaf": {"prediction": node.prediction}}
-    return {
-        "split": {"attribute": node.split.attribute, "threshold_bin": node.split.threshold_bin},
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict, depth: int) -> Node:
-    """Inverse of ``_node_to_dict``; a version-1 node's training statistics are not read."""
-    split = data.get("split")
-    if split is None:
-        return Node(depth, float(data["leaf"]["prediction"]))
-    node = Node(depth, split=SplitCandidate(int(split["attribute"]), int(split["threshold_bin"])))
-    node.left, node.right = (_node_from_dict(data[side], depth + 1) for side in ("left", "right"))
-    return node
+        tables = tables_from_dict(data["root"])
+        return DecisionTree(*tables, prediction_alpha=prediction_alpha, noised=data["noised"])
 
 
 def _leaf_parts(w: np.ndarray, w1: np.ndarray) -> np.ndarray:
@@ -319,9 +333,10 @@ def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray,
     if np.any(weights <= 0.0):
         raise ValueError("weights must be strictly positive")
     pos = dataset.y == 1
-    rows = [idx for _, idx in tree.leaf_rows(dataset.X)]
-    w = np.array([weights[idx].sum() for idx in rows])
-    w1 = np.array([weights[idx[pos[idx]]].sum() for idx in rows])
+    leaf = walk(tree, dataset.X, tree.depth)
+    reaches = [leaf == k for k in np.unique(leaf)]
+    w = np.array([weights[rows].sum() for rows in reaches])
+    w1 = np.array([weights[rows & pos].sum() for rows in reaches])
     return math.fsum(_risks(_leaf_parts(w, w1), alpha).tolist())
 
 
@@ -422,7 +437,7 @@ def induce_tree(
     accountant: BudgetAccountant | None = None,
     rng: RandomSource | None = None,
     *,
-    _leaf_rows: list | None = None,
+    _leaf_rows: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow one tree, breadth-first.
 
@@ -435,9 +450,9 @@ def induce_tree(
     Leaf predictions apply the canonical link to the clamped class
     proportion; empty leaves predict 0.
 
-    ``_leaf_rows`` is private to boosting: when given, it receives one
-    ``(leaf, training rows)`` pair per leaf, so the training outputs need
-    no second pass over ``X``.  The rows are never stored on the tree.
+    ``_leaf_rows`` is private to boosting: when given (one entry per training
+    row), it receives each row's leaf id, so the training outputs need no
+    second pass over ``X``.  The ids are never stored on the tree.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dataset.n_examples,):
@@ -469,7 +484,9 @@ def induce_tree(
         w1, n_pos = float(wi[pm].sum()), int(np.count_nonzero(pm))
         return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos), n_pos in (0, idx.size)
 
-    tree = DecisionTree(root=Node(depth=0))
+    # (child, attribute, threshold_bin) of each node, numbered breadth-first as
+    # induction grows them; a new node is a leaf
+    nodes, records = [(0, 0, LEAF_BIN)], []
     root_stats = leaf_stats(np.arange(m))
     # _node_parts of the live leaves by slot; a split puts its left child
     # in the leaf's slot and its right child in a new one
@@ -480,9 +497,9 @@ def induce_tree(
 
     oc = config.objective_calibration
 
-    # (leaf, its rows in ascending order, its live slot, its leaf_stats)
-    frontier: list[tuple[Node, np.ndarray, int, tuple]] = [(tree.root, np.arange(m), 0, root_stats)]
-    final: list[tuple[Node, np.ndarray, int, tuple]] = []  # leaves that stopped early
+    # (leaf id, its rows in ascending order, its live slot, its leaf_stats)
+    frontier: list[tuple[int, np.ndarray, int, tuple]] = [(0, np.arange(m), 0, root_stats)]
+    final: list[tuple[int, np.ndarray, int, tuple]] = []  # leaves that stopped early
     for level in range(config.depth):
         if not private:  # pure leaves stay leaves
             pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, _, (w, w1, *_) in frontier]
@@ -501,8 +518,8 @@ def induce_tree(
             cand_parts = iter(_candidate_parts(w_left, w1_left, *leaf_w).swapaxes(0, 1))
         pv, label = config.privacy, f"split@{level}"  # eps is None without privacy
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
-        next_frontier: list[tuple[Node, np.ndarray, int, tuple]] = []
-        for leaf, idx, slot, stats in frontier:
+        next_frontier: list[tuple[int, np.ndarray, int, tuple]] = []
+        for k, idx, slot, stats in frontier:
             if not oc:
                 alpha_l = float(config.alpha)
             elif err_root > 0.0:
@@ -537,18 +554,18 @@ def induce_tree(
             if idx.size:
                 mask = X[:, cand.attribute][idx] <= cand.threshold_bin
                 left_idx, right_idx = idx[mask], idx[~mask]
-            left, right = Node(level + 1), Node(level + 1)
+            left = len(nodes)
+            nodes[k] = (left, cand.attribute, cand.threshold_bin)
+            nodes += [(left, 0, LEAF_BIN), (left + 1, 0, LEAF_BIN)]
             left_stats, right_stats = leaf_stats(left_idx, stats), leaf_stats(right_idx, stats)
-            leaf.split = cand
-            leaf.left, leaf.right = left, right
             next_frontier.append((left, left_idx, slot, left_stats))
-            next_frontier.append((right, right_idx, len(live), right_stats))
+            next_frontier.append((left + 1, right_idx, len(live), right_stats))
             live[slot] = _node_parts(*left_stats[:2])
             live.append(_node_parts(*right_stats[:2]))
             live_risk[slot] = _risks(live[slot], alpha_l)
             live_risk.append(_risks(live[-1], alpha_l))
             error_count += left_stats[2] + right_stats[2] - stats[2]
-            tree.records.append(
+            records.append(
                 SplitRecord(
                     depth=level,
                     alpha=alpha_l,
@@ -565,18 +582,19 @@ def induce_tree(
         frontier = next_frontier
     leaves = final + frontier
     if _leaf_rows is not None:
-        _leaf_rows += [(leaf, idx) for leaf, idx, _, _ in leaves]
+        for k, idx, _, _ in leaves:
+            _leaf_rows[idx] = k
 
     if oc:
-        tree.prediction_alpha = tree.records[-1].alpha if tree.records else 1.0
+        prediction_alpha = records[-1].alpha if records else 1.0
     else:
-        tree.prediction_alpha = float(config.alpha)
+        prediction_alpha = float(config.alpha)
     # one link call; its ufuncs round each leaf as a scalar call does; empty leaves keep 0
-    fed = [(leaf, w1 / w) for leaf, _, _, (w, w1, *_) in leaves if w > 0.0]
+    fed = [(k, w1 / w) for k, _, _, (w, w1, *_) in leaves if w > 0.0]
     q = np.clip([u for _, u in fed], Q_CLAMP, 1.0 - Q_CLAMP)
-    for (leaf, _), z in zip(fed, canonical_link(LossSpec.malpha(tree.prediction_alpha), q)):
-        leaf.prediction = float(z)
-    return tree
+    value = np.zeros(len(nodes))
+    value[[k for k, _ in fed]] = canonical_link(LossSpec.malpha(prediction_alpha), q)
+    return DecisionTree(*np.array(nodes).T.copy(), value, records, prediction_alpha)
 
 
 def noisify_leaves(
@@ -596,19 +614,19 @@ def noisify_leaves(
     noisy value is the released value and is not re-clamped here; consumers
     clamp at prediction time.
     """
-    leaves = tree.leaves()
+    leaves = np.flatnonzero(leaf_mask(tree.child))
     eps_leaf = beta_pred * epsilon / (T * len(leaves))
-    for leaf in leaves:
-        clamped = min(max(leaf.prediction, -output_bound), output_bound)
-        leaf.prediction = laplace_mechanism(
+    for k in leaves.tolist():  # a complete tree's leaf ids run left to right
+        clamped = min(max(float(tree.value[k]), -output_bound), output_bound)
+        tree.value[k] = laplace_mechanism(
             clamped, 2.0 * output_bound, eps_leaf, accountant, rng, label="leaf"
         )
     tree.noised = True
     return tree
 
 
-def tree_efficiency(node: Node, tree: DecisionTree, dataset: Dataset, weights: np.ndarray) -> float:
-    """Diagnostic ``8 w(node) err(tree)^2 / 2^depth(node)``.
+def tree_efficiency(node: int, tree: DecisionTree, dataset: Dataset, weights: np.ndarray) -> float:
+    """Diagnostic ``8 w(node) err(tree)^2 / 2^depth(node)`` of node id ``node``.
 
     ``w(node)`` is the normalized weight of examples reaching the node and
     ``err`` the unweighted 0/1 training error of the tree's sign
@@ -617,11 +635,9 @@ def tree_efficiency(node: Node, tree: DecisionTree, dataset: Dataset, weights: n
     """
     weights = np.asarray(weights, dtype=float)
     total_w = float(weights.sum())
-    if not any(n is node for n in tree.nodes()):
+    if not 0 <= node < len(tree.child):
         raise ValueError("node does not belong to the tree")
-    below = {id(leaf) for leaf in DecisionTree(node).leaves()}
-    rows = [idx for leaf, idx in tree.leaf_rows(dataset.X) if id(leaf) in below]
-    node_w = float(weights[np.sort(np.concatenate(rows))].sum()) if rows else 0.0
+    depth = int(node_depths(tree.child)[node])
+    node_w = float(weights[walk(tree, dataset.X, depth) == node].sum())
     err = float(np.mean(margin_labels(tree.predict_bins(dataset.X)) != dataset.y))
-    return 8.0 * (node_w / total_w) * err**2 / 2.0**node.depth
-
+    return 8.0 * (node_w / total_w) * err**2 / 2.0**depth

@@ -10,7 +10,9 @@ traces are pinned from the code that still recomputed training outputs with
 a tree in five separate loops.  An experiment grid's result columns and
 ``stratified_kfold``'s folds are pinned from the loop that rebuilt the folds
 for every record.  The serialized models are pinned from the version-2
-writer, which keeps no training statistics.
+writer, which keeps no training statistics.  Leaves and nodes are listed
+depth-first, left to right, the order the node graphs that preceded the node
+tables listed them in.
 """
 
 import dataclasses
@@ -27,12 +29,14 @@ from dpboost.harness import RESULT_COLUMNS, ExperimentConfig, read_results, run_
 from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed
 from dpboost.tree import (
     DecisionTree,
-    Node,
     SplitRecord,
     TreeConfig,
     TreePrivacy,
+    leaf_mask,
+    node_depths,
     tree_efficiency,
     unnormalized_risk,
+    walk,
 )
 
 
@@ -42,14 +46,26 @@ def _sha(values) -> str:
     return hashlib.sha256(repr(values).encode("utf-8")).hexdigest()[:16]
 
 
+def _preorder(tree) -> list[int]:
+    # node ids depth-first, each before its children, left to right
+    out, stack = [], [0]
+    while stack:
+        k = stack.pop()
+        out.append(k)
+        if tree.child[k] != k:
+            stack += [tree.child[k] + 1, tree.child[k]]
+    return out
+
+
 def _fingerprint(model, dataset) -> dict[str, str]:
     records = [r for tree in model.trees for r in tree.records]
     out = {
         f"record.{f.name}": _sha([getattr(r, f.name) for r in records])
         for f in dataclasses.fields(SplitRecord)
     }
-    leaves = [leaf for tree in model.trees for leaf in tree.leaves()]
-    out["leaf.prediction"] = _sha([leaf.prediction for leaf in leaves])
+    out["leaf.prediction"] = _sha([
+        float(tree.value[k]) for tree in model.trees for k in _preorder(tree) if tree.child[k] == k
+    ])
     out["betas"] = _sha([float(b) for b in model.betas])
     out["margins"] = _sha(model.margins(dataset.X).tolist())
     for f in dataclasses.fields(BoostTraces):
@@ -158,11 +174,14 @@ def _field_names(cls) -> set[str]:
 def test_fit_matches_golden_digests(name):
     model, ds = FITS[name]()
     assert _fingerprint(model, ds) == GOLDEN[name]
-    # the training rows of each leaf are not kept on the model
+    # the training rows of each leaf are not kept on the model: a tree holds
+    # only its tables, records, prediction_alpha and noised
     assert set(vars(model)) == _field_names(BoostedEnsemble)
+    tables = {"child", "attribute", "threshold_bin", "value"}
+    assert _field_names(DecisionTree) == tables | {"records", "prediction_alpha", "noised"}
     for tree in model.trees:
         assert set(vars(tree)) == _field_names(DecisionTree)
-        assert all(set(vars(node)) == _field_names(Node) for node in tree.nodes())
+        assert {getattr(tree, name).shape for name in tables} == {tree.child.shape}
 
 
 def _pure_root_fit():
@@ -176,10 +195,11 @@ def _pure_root_fit():
     "fit, check",
     [
         (lambda: _non_private_fit(0.6),
-         lambda tree, ds: any(leaf.depth < 5 for leaf in tree.leaves())),
+         lambda tree, ds: np.any(node_depths(tree.child)[leaf_mask(tree.child)] < 5)),
         # a leaf that no training row reaches
-        (_private_deep_fit, lambda tree, ds: len(tree.leaf_rows(ds.X)) < len(tree.leaves())),
-        (_pure_root_fit, lambda tree, ds: len(tree.leaves()) == 1),
+        (_private_deep_fit, lambda tree, ds: np.unique(walk(tree, ds.X, tree.depth)).size
+         < np.count_nonzero(leaf_mask(tree.child))),
+        (_pure_root_fit, lambda tree, ds: np.count_nonzero(leaf_mask(tree.child)) == 1),
     ],
     ids=["early_pure_leaves", "private_empty_leaves", "pure_root"],
 )
@@ -226,17 +246,17 @@ def test_forest_matches_golden_digests(name):
     mechanism, T, depth, epsilon, seed = FOREST_FITS[name]
     ds = make_blocks_dataset(120, 4, seed=5)
     forest = rf_fit(ds, T, depth, epsilon, mechanism, BudgetAccountant(epsilon), RandomSource(seed))
-    assert forest.votes.shape == (T, 2**depth)
+    assert forest.value.shape == (T, 2 ** (depth + 1) - 1)
     assert {
         # each tree's leaves left to right, the order the node trees listed them
-        "leaf.prediction": _sha(forest.votes.ravel().tolist()),
+        "leaf.prediction": _sha(forest.value[leaf_mask(forest.child)].tolist()),
         "margins": _sha(forest.margins(ds.X).tolist()),
         "model.to_dict": _sha(json.dumps(forest.to_dict(), sort_keys=True)),
     } == FOREST_GOLDEN[name]
 
 
 # unnormalized_risk of each tree at its prediction alpha and tree_efficiency
-# of each node in nodes() order, under weights linspace(0.05, 1, m)
+# of each node, depth-first, under weights linspace(0.05, 1, m)
 DIAGNOSTICS_GOLDEN = {
     "fixed_alpha_depth5": {
         "unnormalized_risk": "bd684c02528e8eeb",
@@ -258,7 +278,7 @@ def test_tree_diagnostics_match_golden_digests(name):
     model, ds = FITS[name]()
     weights = np.linspace(0.05, 1.0, ds.n_examples)
     risks = [unnormalized_risk(t, ds, weights, t.prediction_alpha) for t in model.trees]
-    efficiencies = [tree_efficiency(n, t, ds, weights) for t in model.trees for n in t.nodes()]
+    efficiencies = [tree_efficiency(k, t, ds, weights) for t in model.trees for k in _preorder(t)]
     assert {
         "unnormalized_risk": _sha(risks),
         "tree_efficiency": _sha(efficiencies),

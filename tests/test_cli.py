@@ -9,7 +9,7 @@ import pytest
 import dpboost.harness as harness
 from dpboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from dpboost.dataset import load_csv, make_blocks_dataset
-from dpboost.ensemble import empirical_risk
+from dpboost.ensemble import empirical_risk, predict
 from dpboost.harness import load_model, read_results
 
 
@@ -195,12 +195,16 @@ class TestFitEval:
          "forest tree is not complete"),
         (lambda p: p["model"]["trees"].__setitem__(1, p["model"]["trees"][1]["left"]),
          "forest trees differ in depth"),
+        (lambda p: p["model"].update(trees=[], betas=[]), "at least one tree"),
+        (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].update(prediction="0.5"),
+         "leaf prediction '0.5' is not a JSON number"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
             "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
             "negative-threshold", "threshold-past-last-gap", "nan-leaf", "infinite-beta",
             "nan-output-bound", "negative-output-bound", "forest-vote-past-one",
             "nan-lc-alpha", "negative-prediction-alpha", "noised-as-string",
-            "unknown-leaf-mechanism", "incomplete-forest-tree", "forest-depths-differ"])
+            "unknown-leaf-mechanism", "incomplete-forest-tree", "forest-depths-differ",
+            "boost-with-empty-trees", "prediction-as-string"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
@@ -219,6 +223,67 @@ class TestFitEval:
         err = capsys.readouterr().err
         assert "config error" in err and str(model_path) in err and key in err
         assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize("algorithm", ["boost", "rf_laplace"])
+    @pytest.mark.parametrize("key, value, shown", [
+        ("attribute", 0.7, "split attribute 0.7 is not a JSON integer"),
+        ("attribute", 1.0, "split attribute 1.0 is not a JSON integer"),
+        ("threshold_bin", True, "split threshold_bin True is not a JSON integer"),
+    ], ids=["fractional-attribute", "float-attribute", "boolean-threshold"])
+    def test_split_that_is_not_an_integer_is_config_error(self, tmp_path, blocks_files, capsys,
+                                                          algorithm, key, value, shown):
+        # int() would truncate these to a split of the domains
+        data, domains = blocks_files
+        model_path = tmp_path / "m.json"
+        config = _fit_config(tmp_path, algorithm=algorithm, epsilon="1.0", depth="1")
+        assert main(["fit", "--config", config, "--data", data,
+                     "--domains", domains, "--out", str(model_path)]) == EXIT_OK
+        payload = json.loads(model_path.read_text())
+        tree = payload["model"]["trees"][0]
+        (tree["root"] if algorithm == "boost" else tree)["split"][key] = value
+        model_path.write_text(json.dumps(payload))
+        assert main(["eval", "--model", str(model_path), "--data", data,
+                     "--out", str(tmp_path / "scores.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(model_path) in err and shown in err
+        assert not (tmp_path / "scores.csv").exists()
+
+    LEAF = '{"leaf": {"prediction": -2.0}}'
+    BAD_SPLIT = (f'{{"split": {{"attribute": 0, "threshold_bin": 0.5}}, '
+                 f'"left": {LEAF}, "right": {LEAF}}}')
+
+    @pytest.mark.parametrize("depth, bottom, code, shown", [
+        # a depth-800 fit on rows that no candidate separates grows such a chain
+        (800, LEAF, EXIT_OK, "eval: wrote"),
+        (800, BAD_SPLIT, EXIT_CONFIG, "split threshold_bin 0.5 is not a JSON integer"),
+        (5000, LEAF, EXIT_CONFIG, "cannot read model"),
+    ], ids=["fit-800-deep", "bad-split-800-deep", "5000-deep"])
+    def test_deeply_nested_model(self, tmp_path, blocks_files, capsys, depth, bottom, code,
+                                 shown):
+        data, domains = blocks_files
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--config", _fit_config(tmp_path), "--data", data,
+                     "--domains", domains, "--out", str(model_path)]) == EXIT_OK
+        payload = json.loads(model_path.read_text())
+        payload["model"]["trees"][0]["root"] = "ROOT"
+        # each split sends the rows of bin 0 of x0 on down the chain, the rest to a leaf
+        split = '{"split": {"attribute": 0, "threshold_bin": 0}, "right": '
+        split += '{"leaf": {"prediction": 1.0}}, "left": '
+        chain = split * depth + bottom + "}" * depth
+        model_path.write_text(json.dumps(payload).replace('"ROOT"', chain))
+        scores = tmp_path / "scores.csv"
+        assert main(["eval", "--model", str(model_path), "--data", data,
+                     "--out", str(scores)]) == code
+        captured = capsys.readouterr()
+        assert shown in (captured.out if code == EXIT_OK else captured.err)
+        assert scores.exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            model, spec = load_model(str(model_path))
+            assert model.trees[0].depth == depth
+            x = load_csv(data, spec.label_column, spec).X
+            with open(scores, newline="") as fh:
+                margins = [float(row["margin"]) for row in csv.DictReader(fh)]
+            assert margins == predict(model, x)[0].tolist()
 
     def test_bad_config_is_config_error(self, tmp_path, blocks_files):
         data, domains = blocks_files

@@ -23,7 +23,14 @@ from dpboost.ensemble import (
 )
 from dpboost.losses import LossSpec, inverse_link
 from dpboost.privacy import BudgetAccountant, RandomSource
-from dpboost.tree import DecisionTree, Node, TreeConfig, TreePrivacy, heap_leaves, induce_tree
+from dpboost.tree import DecisionTree, TreeConfig, TreePrivacy, induce_tree, leaf_mask, walk
+
+
+def _leaf_tree(prediction: float) -> DecisionTree:
+    # a tree that is one leaf
+    return DecisionTree.from_dict(
+        {"prediction_alpha": 1.0, "noised": False, "root": {"leaf": {"prediction": prediction}}}
+    )
 
 
 class TestEdge:
@@ -173,7 +180,7 @@ class TestBoostFit:
             acc = BudgetAccountant(1.0)
             model = boost_fit(Dataset(ds.X, y, ds.domains), 2, cfg, accountant=acc,
                               rng=RandomSource(0))
-            released.append((sum(len(t.leaves()) for t in model.trees), acc.spends))
+            released.append((sum(int(leaf_mask(t.child).sum()) for t in model.trees), acc.spends))
         assert released[0] == released[1]
         assert released[0][0] == 2 * 2**3
 
@@ -211,23 +218,19 @@ class TestPredict:
         assert np.all(labels == -1)
 
     def test_single_leaf_tree_scaled(self):
-        leaf = Node(depth=0, prediction=3.0)
-        tree = DecisionTree(root=leaf)
-        ens = BoostedEnsemble(trees=[tree], betas=[2.0], output_bound=10.0)
+        ens = BoostedEnsemble(trees=[_leaf_tree(3.0)], betas=[2.0], output_bound=10.0)
         margins, labels = predict(ens, np.zeros((2, 1), dtype=int))
         assert np.all(margins == 6.0)
         assert np.all(labels == 1)
 
     def test_opposite_trees_cancel_to_negative_label(self):
-        up = DecisionTree(root=Node(depth=0, prediction=4.0))
-        down = DecisionTree(root=Node(depth=0, prediction=-4.0))
-        ens = BoostedEnsemble(trees=[up, down], betas=[1.0, 1.0], output_bound=10.0)
+        ens = BoostedEnsemble(trees=[_leaf_tree(4.0), _leaf_tree(-4.0)], betas=[1.0, 1.0],
+                              output_bound=10.0)
         margins, labels = predict(ens, np.zeros((1, 1), dtype=int))
         assert margins[0] == 0.0 and labels[0] == -1
 
     def test_outputs_clamped_at_prediction_time(self):
-        spike = DecisionTree(root=Node(depth=0, prediction=1e6))
-        ens = BoostedEnsemble(trees=[spike], betas=[1.0], output_bound=10.0)
+        ens = BoostedEnsemble(trees=[_leaf_tree(1e6)], betas=[1.0], output_bound=10.0)
         margins, _ = predict(ens, np.zeros((1, 1), dtype=int))
         assert margins[0] == 10.0
 
@@ -237,7 +240,7 @@ class TestEmpiricalRisk:
         doms = [AttributeDomain("x", 0.0, 1.0, 2)]
         ds = Dataset(np.zeros((10, 1), dtype=int), np.array([1] * 10), doms)
         always_down = BoostedEnsemble(
-            trees=[DecisionTree(root=Node(depth=0, prediction=-1.0))],
+            trees=[_leaf_tree(-1.0)],
             betas=[1.0],
             output_bound=10.0,
         )
@@ -268,9 +271,11 @@ class TestRandomForest:
         rf = rf_fit(ds, 21, 2, 1e6, "laplace", acc, RandomSource(2))
         agreements = 0
         leaves = 0
-        reached = heap_leaves(rf.attribute, rf.threshold_bin, ds.X)
-        for (t, j), vote in np.ndenumerate(rf.votes):
-            idx = np.flatnonzero(reached[t] == j)
+        reached = walk(rf, ds.X, rf.depth)
+        for (t, k), vote in np.ndenumerate(rf.value):
+            if rf.child[t, k] != k:
+                continue  # a split releases nothing
+            idx = np.flatnonzero(reached[t] == k)
             n_pos = int(np.count_nonzero(ds.y[idx] == 1))
             if 2 * n_pos == idx.size:
                 continue  # tied: majority undefined, as for an unreached leaf
@@ -286,6 +291,7 @@ class TestRandomForest:
         flipped = Dataset(ds1.X, -ds1.y, ds1.domains)
         rf1 = rf_fit(ds1, 5, 2, 1.0, "exponential", BudgetAccountant(1.0), RandomSource(9))
         rf2 = rf_fit(flipped, 5, 2, 1.0, "exponential", BudgetAccountant(1.0), RandomSource(9))
+        assert np.array_equal(rf1.child, rf2.child)
         assert np.array_equal(rf1.attribute, rf2.attribute)
         assert np.array_equal(rf1.threshold_bin, rf2.threshold_bin)
 

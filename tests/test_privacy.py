@@ -47,7 +47,7 @@ class TestRandomSource:
 
     def test_uniform_open_interval(self):
         rng = RandomSource(0)
-        draws = rng.uniforms(10000)
+        draws = np.array([rng.uniform() for _ in range(10000)])
         assert np.all((draws > 0.0) & (draws < 1.0))
         assert abs(draws.mean() - 0.5) < 0.02
 

@@ -29,14 +29,16 @@ from dpboost.tree import (
     Q_CLAMP,
     TreeConfig,
     TreePrivacy,
-    heap_leaves,
     induce_tree,
+    leaf_mask,
+    node_depths,
     noisify_leaves,
     objective_calibration_alpha,
     root_split_probabilities,
     split_budget,
     tree_efficiency,
     unnormalized_risk,
+    walk,
 )
 
 
@@ -135,19 +137,19 @@ class TestUnnormalizedRisk:
         ds = Dataset(np.zeros((3, 1), dtype=int), np.array([1, 1, 1]), doms)
         tree = induce_tree(ds, np.ones(3), TreeConfig(depth=2, alpha=1.0))
         assert unnormalized_risk(tree, ds, np.ones(3), 1.0) == 0.0
-        assert tree.root.is_leaf  # pure root is never split
+        assert tree.child.tolist() == [0]  # pure root is never split
 
 
 def _assert_leaves_use_clamped_link(tree, ds):
     # every leaf predicts the link of its unit-weight class proportion, clamped
     spec = LossSpec.malpha(tree.prediction_alpha)
-    reached = {id(leaf): idx for leaf, idx in tree.leaf_rows(ds.X)}
-    for leaf in tree.leaves():
-        if id(leaf) not in reached:  # no training row: no weight
-            assert leaf.prediction == 0.0
+    reached = walk(tree, ds.X, tree.depth)
+    for k in np.flatnonzero(leaf_mask(tree.child)):
+        if not np.any(reached == k):  # no training row: no weight
+            assert tree.value[k] == 0.0
         else:
-            q = min(max(np.mean(ds.y[reached[id(leaf)]] == 1), Q_CLAMP), 1 - Q_CLAMP)
-            assert leaf.prediction == pytest.approx(float(canonical_link(spec, q)))
+            q = min(max(np.mean(ds.y[reached == k] == 1), Q_CLAMP), 1 - Q_CLAMP)
+            assert tree.value[k] == pytest.approx(float(canonical_link(spec, q)))
 
 
 class TestGreedyInduction:
@@ -171,8 +173,8 @@ class TestGreedyInduction:
         y = np.where(X[:, 0] <= 3, -1, 1)
         ds = Dataset(X, y, doms)
         tree = induce_tree(ds, np.ones(60), TreeConfig(depth=1, alpha=1.0))
-        assert tree.root.split.attribute == 0
-        assert tree.root.split.threshold_bin == 3
+        assert tree.attribute[0] == 0
+        assert tree.threshold_bin[0] == 3
         # exhaustive check: no candidate does better
         best = min(
             _risk_of_partition(
@@ -204,12 +206,11 @@ class TestGreedyInduction:
     def test_no_pure_leaf_has_children(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         tree = induce_tree(ds, np.ones(200), TreeConfig(depth=6, alpha=1.0))
-        rows = tree.leaf_rows(ds.X)
-        for node in tree.nodes():
-            if not node.is_leaf:  # the training rows of the leaves below it hold both classes
-                below = {id(leaf) for leaf in DecisionTree(node).leaves()}
-                idx = np.concatenate([r for leaf, r in rows if id(leaf) in below])
-                assert set(ds.y[idx]) == {-1, 1}
+        depths = node_depths(tree.child)
+        for k in np.flatnonzero(~leaf_mask(tree.child)):
+            # the training rows that reach a split hold both classes
+            idx = np.flatnonzero(walk(tree, ds.X, depths[k]) == k)
+            assert set(ds.y[idx]) == {-1, 1}
 
     def test_leaf_predictions_use_clamped_link(self):
         ds = make_blocks_dataset(200, 4, seed=3)
@@ -252,8 +253,9 @@ class TestPrivateInduction:
         ds = make_blocks_dataset(100, 3, seed=2)
         cfg = self._private_config(3, 1, 1.0)
         tree = induce_tree(ds, np.ones(100), cfg, BudgetAccountant(1.0), RandomSource(0))
-        assert {leaf.depth for leaf in tree.leaves()} == {3}
-        assert len(tree.leaves()) == 8
+        leaves = leaf_mask(tree.child)
+        assert set(node_depths(tree.child)[leaves].tolist()) == {3}
+        assert np.count_nonzero(leaves) == 8
 
     def test_budget_trace_sums_to_tree_share(self):
         ds = make_blocks_dataset(100, 3, seed=2)
@@ -318,7 +320,7 @@ class TestPrivateInduction:
         # and private induction still carries empty leaves to full depth
         cfg = self._private_config(2, 1, 1.0)
         tree = induce_tree(ds, np.ones(3), cfg, BudgetAccountant(1.0), RandomSource(5))
-        assert {leaf.depth for leaf in tree.leaves()} == {2}
+        assert set(node_depths(tree.child)[leaf_mask(tree.child)].tolist()) == {2}
 
 
 def _per_leaf_histogram(X, weights, pos, idx, domains):
@@ -334,11 +336,12 @@ def _per_leaf_histogram(X, weights, pos, idx, domains):
 
 
 def _leaf_of(tree, row):
-    # reference: walk one row from the root
-    node = tree.root
-    while not node.is_leaf:
-        node = node.left if row[node.split.attribute] <= node.split.threshold_bin else node.right
-    return node
+    # reference: walk one row from the root until it stands on a leaf; (leaf, its depth)
+    k = depth = 0
+    while tree.child[k] != k:
+        goes_left = row[tree.attribute[k]] <= tree.threshold_bin[k]
+        k, depth = (tree.child[k] if goes_left else tree.child[k] + 1), depth + 1
+    return k, depth
 
 
 @functools.cache
@@ -350,22 +353,18 @@ def _deep_private_tree():
     return induce_tree(ds, np.full(400, 0.5), config, BudgetAccountant(1.0), RandomSource(11)), ds
 
 
-class TestLeafRows:
+class TestWalk:
     @staticmethod
     def _check_against_walk(tree, X):
-        pairs = tree.leaf_rows(X)
-        order = {id(leaf): k for k, leaf in enumerate(tree.leaves())}
-        positions = [order[id(leaf)] for leaf, _ in pairs]
-        assert positions == sorted(set(positions))  # distinct leaves, in leaves() order
-        for leaf, rows in pairs:
-            assert rows.size > 0 and np.all(np.diff(rows) > 0)
-            assert all(_leaf_of(tree, X[r]) is leaf for r in rows)
-        # disjoint and covering: every row reaches exactly one reported leaf
-        reported = np.concatenate([rows for _, rows in pairs]) if pairs else np.array([], int)
-        assert np.array_equal(np.sort(reported), np.arange(X.shape[0]))
-        reached = {id(_leaf_of(tree, row)) for row in X}
-        assert reached == {id(leaf) for leaf, _ in pairs}
-        return pairs
+        reached = walk(tree, X, tree.depth)
+        assert reached.shape == (X.shape[0],)
+        # every row reaches exactly the leaf a walk of that row alone reaches
+        leaves, depths = zip(*[_leaf_of(tree, row) for row in X]) if len(X) else ((), ())
+        assert reached.tolist() == list(leaves)
+        assert node_depths(tree.child)[reached].tolist() == list(depths)
+        assert tree.depth == node_depths(tree.child).max()
+        assert np.array_equal(tree.predict_bins(X), tree.value[reached])
+        return reached
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -382,23 +381,33 @@ class TestLeafRows:
         forest = rf_fit(ds, 3, depth, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(seed))
         query = X[data.draw(st.lists(st.integers(0, len(X) - 1), max_size=30))]
         for Q in (ds.X, query):
-            leaves = heap_leaves(forest.attribute, forest.threshold_bin, Q)
+            leaves = walk(forest, Q, forest.depth)
             assert leaves.shape == (3, Q.shape[0])
             for t in range(3):
                 for r, row in enumerate(Q):
-                    k = 0  # one row at a time down the heap
+                    k = 0  # one row at a time down the complete tree
                     while k < 2**depth - 1:
                         goes_right = row[forest.attribute[t, k]] > forest.threshold_bin[t, k]
                         k = 2 * k + 2 if goes_right else 2 * k + 1
-                    assert leaves[t, r] == k - (2**depth - 1)
-            votes = [[forest.votes[t, leaves[t, r]] for t in range(3)] for r in range(Q.shape[0])]
+                    assert leaves[t, r] == k
+            votes = [[forest.value[t, leaves[t, r]] for t in range(3)] for r in range(Q.shape[0])]
             assert forest.margins(Q).tolist() == [float(sum(v)) for v in votes]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 399), max_size=200))
-    def test_deep_private_tree_skips_unreached_leaves(self, picks):
+    def test_deep_private_tree_matches_a_per_row_walk(self, picks):
         tree, ds = _deep_private_tree()
-        assert len(self._check_against_walk(tree, ds.X)) < len(tree.leaves())
+        reached = self._check_against_walk(tree, ds.X)
+        assert np.unique(reached).size < np.count_nonzero(leaf_mask(tree.child))
+        self._check_against_walk(tree, ds.X[picks])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 79), max_size=80))
+    def test_mixed_depth_tree_matches_a_per_row_walk(self, picks):
+        ds, weights = _noisy_threshold_dataset()
+        tree = induce_tree(ds, weights, TreeConfig(depth=5, alpha=0.3))
+        assert len(set(node_depths(tree.child)[leaf_mask(tree.child)].tolist())) > 1
+        self._check_against_walk(tree, ds.X)
         self._check_against_walk(tree, ds.X[picks])
 
 
@@ -480,13 +489,13 @@ def _reference_split_scores(tree, ds, weights, config):
         w, w1 = float(weights[idx].sum()), float(weights[idx[pos[idx]]].sum())
         return w, w1, int(np.count_nonzero(ds.y[idx] != (1 if w1 > w - w1 else -1)))
 
-    live = {id(tree.root): stats(np.arange(m))}
-    err_root = live[id(tree.root)][2] / m
-    frontier, out = [(tree.root, np.arange(m))], []
+    live = {0: stats(np.arange(m))}
+    err_root = live[0][2] / m
+    frontier, out = [(0, np.arange(m))], []
     for _ in range(config.depth):
         next_frontier = []
         for node, idx in frontier:
-            if node.is_leaf:  # a leaf that stopped early stays live
+            if tree.child[node] == node:  # a leaf that stopped early stays live
                 continue
             if not config.objective_calibration:
                 alpha = config.alpha
@@ -500,12 +509,13 @@ def _reference_split_scores(tree, ds, weights, config):
             risk_before = math.fsum(risks.values())
             w_left, w1_left = _per_leaf_histogram(ds.X, weights, pos, idx, ds.domains)
             left = _reference_risk(w_left, w1_left, spec)
-            w, w1, _ = live.pop(id(node))
+            w, w1, _ = live.pop(node)
             right = _reference_risk(w - w_left, w1 - w1_left, spec)
-            out.append((alpha, risk_before, -((risk_before - risks[id(node)]) + (left + right))))
-            mask = ds.X[idx, node.split.attribute] <= node.split.threshold_bin
-            live[id(node.left)], live[id(node.right)] = stats(idx[mask]), stats(idx[~mask])
-            next_frontier += [(node.left, idx[mask]), (node.right, idx[~mask])]
+            out.append((alpha, risk_before, -((risk_before - risks[node]) + (left + right))))
+            mask = ds.X[idx, tree.attribute[node]] <= tree.threshold_bin[node]
+            first = int(tree.child[node])
+            live[first], live[first + 1] = stats(idx[mask]), stats(idx[~mask])
+            next_frontier += [(first, idx[mask]), (first + 1, idx[~mask])]
         frontier = next_frontier
     return out
 
@@ -557,8 +567,9 @@ class TestRiskBookkeeping:
         # leaves, and leaves that stopped early
         assert any(len({r.alpha for r in private_tree.records if r.depth == d}) > 1
                    for d in range(5))
-        assert len(private_tree.leaf_rows(ds.X)) < len(private_tree.leaves())
-        assert any(leaf.depth < 5 for leaf in greedy_tree.leaves())
+        reached = walk(private_tree, ds.X, private_tree.depth)
+        assert np.unique(reached).size < np.count_nonzero(leaf_mask(private_tree.child))
+        assert np.any(node_depths(greedy_tree.child)[leaf_mask(greedy_tree.child)] < 5)
 
         scores = []
         fits = [(ds, weights, private, private_tree), (noisy, noisy_weights, greedy, greedy_tree)]
@@ -608,9 +619,10 @@ class TestNoisifyLeaves:
 
     def test_clamp_before_noise(self):
         tree, acc = self._fitted_private_tree(M=10.0)
-        raw = [leaf.prediction for leaf in tree.leaves()]
+        leaves = np.flatnonzero(leaf_mask(tree.child))
+        raw = tree.value[leaves].tolist()
         # fabricate an extreme raw prediction to exercise the clamp
-        tree.leaves()[0].prediction = 37.2
+        tree.value[leaves[0]] = 37.2
         rng = RandomSource(1)
         mirror = RandomSource(1)
         noisify_leaves(tree, 0.5, 1.0, 1, 10.0, acc, rng)
@@ -618,7 +630,7 @@ class TestNoisifyLeaves:
         from dpboost.privacy import laplace_sample
 
         expected_first = 10.0 + laplace_sample(mirror, 20.0 / eps_leaf)
-        assert tree.leaves()[0].prediction == pytest.approx(expected_first, abs=1e-12)
+        assert tree.value[leaves[0]] == pytest.approx(expected_first, abs=1e-12)
         assert tree.noised
         assert raw  # silence unused warning
 
@@ -653,13 +665,13 @@ class TestTreeEfficiency:
         margins = tree.predict_bins(ds.X)
         err = float(np.mean(np.where(margins > 0, 1, -1) != ds.y))
         expected = 8.0 * 1.0 * err**2
-        assert tree_efficiency(tree.root, tree, ds, np.ones(200)) == pytest.approx(expected)
+        assert tree_efficiency(0, tree, ds, np.ones(200)) == pytest.approx(expected)
 
     def test_zero_error_tree_gives_zero(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         tree = induce_tree(ds, np.ones(200), TreeConfig(depth=2, alpha=1.0))
         assert np.all(np.sign(tree.predict_bins(ds.X)) == ds.y)
-        for node in tree.nodes():
+        for node in range(len(tree.child)):
             assert tree_efficiency(node, tree, ds, np.ones(200)) == 0.0
 
     def test_strictly_decreasing_root_to_node(self):
@@ -677,18 +689,20 @@ class TestTreeEfficiency:
             j = tree_efficiency(node, tree, ds, np.ones(300))
             if parent_j is not None and parent_j > 0:
                 assert j < parent_j
-            if not node.is_leaf:
-                descend(node.left, j)
-                descend(node.right, j)
+            if tree.child[node] != node:
+                descend(tree.child[node], j)
+                descend(tree.child[node] + 1, j)
 
-        descend(tree.root, None)
+        descend(0, None)
 
     def test_foreign_node_rejected(self):
         ds = make_blocks_dataset(50, 2, seed=1)
         tree = induce_tree(ds, np.ones(50), TreeConfig(depth=1, alpha=1.0))
         other = induce_tree(ds, np.ones(50), TreeConfig(depth=2, alpha=1.0))
-        with pytest.raises(ValueError):
-            tree_efficiency(other.root.left, tree, ds, np.ones(50))
+        assert len(other.child) > len(tree.child)
+        for node in (-1, len(other.child) - 1):  # no node of the tree has these ids
+            with pytest.raises(ValueError):
+                tree_efficiency(node, tree, ds, np.ones(50))
 
 
 class TestSerialization:
