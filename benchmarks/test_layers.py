@@ -1,5 +1,5 @@
 """Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32)
-and its memory peak, the weight update, deep private induction, deep-tree
+and its memory peak, the weight update, deep and grid-sized private induction, deep-tree
 prediction, exponential-mechanism sampling (scored and uniform), leaf noising,
 the forest baseline, k-fold construction and one experiment grid.
 
@@ -161,6 +161,16 @@ def test_induce_tree_deep_private(benchmark, blocks):
     privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=1)
     config = TreeConfig(depth=8, alpha="oc", privacy=privacy)
     weights = np.full(400, 0.5)
+    benchmark(lambda: induce_tree(train, weights, config, BudgetAccountant(1.0), RandomSource(0)))
+
+
+def test_induce_tree_cv_private(benchmark):
+    """One private OC ``induce_tree`` of depth 4 on 360 blocks rows, the first tree of
+    a boosting record of the experiment grid (T=10, epsilon 1): 15 splits, some of them tied."""
+    train = make_blocks_dataset(360, 4, seed=3)
+    privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=10)
+    config = TreeConfig(depth=4, alpha="oc", privacy=privacy)
+    weights = np.full(360, 0.5)
     benchmark(lambda: induce_tree(train, weights, config, BudgetAccountant(1.0), RandomSource(0)))
 
 

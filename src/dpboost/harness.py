@@ -633,7 +633,11 @@ MODEL_CLASSES = {"boost": BoostedEnsemble, "forest": RandomForest}
 
 
 def save_model(path: str, model, spec: DomainSpec) -> None:
-    """Serialize a fitted model plus the public domains it expects."""
+    """Serialize a fitted model plus the public domains it expects.
+
+    The file appears whole or not at all: it is written next to ``path`` and moved
+    into place.  A model nested too deeply for the JSON writer is a ``ConfigError``.
+    """
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -645,9 +649,19 @@ def save_model(path: str, model, spec: DomainSpec) -> None:
         "label_map": spec.label_map,
         "label_column": spec.label_column,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    except RecursionError as exc:
+        raise ConfigError(f"cannot write model {path}: nested too deeply to serialize") from exc
+    part = f"{path}.{os.getpid()}.part"
+    fh = open(part, "x", encoding="utf-8")  # a new file, never another one's
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def load_model(path: str):

@@ -100,6 +100,19 @@ class RandomSource:
         """Uniform draw on the open interval (0, 1)."""
         return (self.next_uint64() >> 11 | 1) * 2.0**-53
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """``n`` calls of :meth:`uniform` at once, bit for bit, leaving the same state:
+        splitmix64's ``k``-th state is the seed plus ``k`` golden increments, so the
+        steps run side by side in wrapping ``uint64`` arithmetic."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return ((z >> np.uint64(11)) | np.uint64(1)) * 2.0**-53
+
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:
@@ -215,7 +228,7 @@ def exponential_mechanism_probabilities(
     u = np.asarray(utilities, dtype=float)
     if u.ndim == 0 or u.size == 0:
         raise ValueError("utilities must be non-empty")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("utilities must be finite")
     if not (sensitivity > 0.0) or math.isinf(sensitivity):
         raise ValueError("sensitivity must be finite and positive")

@@ -24,9 +24,12 @@ released numbers carry the same bits.
 A tied leaf (no training rows, or one class) is not scored: its candidates'
 children all have risk 0, so a private split of it draws through
 ``exponential_mechanism_uniform``, the mechanism over equal utilities, bit for bit.
-Its children are tied: one weight sum each gives ``w1`` (``w`` or 0), parts
-``(w, 0, 0)``, risk +0.0 and no errors, so the exact ``math.fsum`` of the live
-risks stands until an untied split or a new alpha.
+Its subtree is tied throughout and grows from the draws alone: its leaves carry
+no rows, no statistics and no live slot of their own, only the slot of the tied
+leaf it grew from, whose risk is +0.0 at every alpha, so the exact ``math.fsum``
+of the live risks stands until an untied split or a new alpha.  The rows of
+every tied subtree are routed to their leaves by one ``walk`` at the end, and a
+reached tied leaf predicts the clamped link of its rows' one class.
 
 A tree is a node table numbered breadth-first (``DecisionTree``); ``walk`` routes
 rows through it, ``tables_to_dict`` and ``tables_from_dict`` write and read it, and a
@@ -51,7 +54,7 @@ from .privacy import (
     exponential_mechanism,
     exponential_mechanism_probabilities,
     exponential_mechanism_uniform,
-    laplace_mechanism,
+    laplace_from_uniform,
 )
 
 __all__ = [
@@ -232,7 +235,7 @@ def tables_from_dict(root: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return tuple(np.array(table) for table in zip(*rows))  # intp, intp, intp, float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitRecord:
     """Diagnostics for one split, recorded at selection time."""
 
@@ -452,7 +455,8 @@ def induce_tree(
 
     ``_leaf_rows`` is private to boosting: when given (one entry per training
     row), it receives each row's leaf id, so the training outputs need no
-    second pass over ``X``.  The ids are never stored on the tree.
+    second pass over ``X``; only the rows of tied subtrees are walked, once.
+    The ids are never stored on the tree.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dataset.n_examples,):
@@ -471,24 +475,22 @@ def induce_tree(
     pos_mask = y == 1
     pos_weights = weights * pos_mask
 
-    def leaf_stats(idx: np.ndarray, parent: tuple | None = None) -> tuple[float, float, int, bool]:
+    def leaf_stats(idx: np.ndarray) -> tuple[float, float, int, bool]:
         # (w, w1, errors of the weighted majority label, tied); a weight tie goes negative
         # like a 0 margin.  Tied (no rows or one class) is by count: w1 == w can be rounding.
         if idx.size == 0:
             return 0.0, 0.0, 0, True
-        wi = weights[idx]
-        w = float(wi.sum())
-        if parent and parent[3]:  # tied parent: tied child, w1 = w if all rows are positive
-            return w, (w if parent[1] > 0.0 else 0.0), 0, True
-        pm = pos_mask[idx]
-        w1, n_pos = float(wi[pm].sum()), int(np.count_nonzero(pm))
+        wi, pm = weights[idx], pos_mask[idx]
+        w, w1, n_pos = float(wi.sum()), float(wi[pm].sum()), int(np.count_nonzero(pm))
         return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos), n_pos in (0, idx.size)
 
+    # the leaf_stats of a leaf in a tied subtree: no rows, no errors, no weight of its own
+    in_tied = (0.0, 0.0, 0, True)
     # (child, attribute, threshold_bin) of each node, numbered breadth-first as
     # induction grows them; a new node is a leaf
     nodes, records = [(0, 0, LEAF_BIN)], []
     root_stats = leaf_stats(np.arange(m))
-    # _node_parts of the live leaves by slot; a split puts its left child
+    # _node_parts of the live leaves by slot; an untied split puts its left child
     # in the leaf's slot and its right child in a new one
     live = [_node_parts(*root_stats[:2])]
     live_risk, risk_alpha, risk_before = [], None, None  # risks at risk_alpha; their fsum or None
@@ -497,9 +499,11 @@ def induce_tree(
 
     oc = config.objective_calibration
 
-    # (leaf id, its rows in ascending order, its live slot, its leaf_stats)
-    frontier: list[tuple[int, np.ndarray, int, tuple]] = [(0, np.arange(m), 0, root_stats)]
+    # (leaf id, its rows in ascending order or None in a tied subtree, its live slot,
+    # its leaf_stats)
+    frontier: list[tuple[int, np.ndarray | None, int, tuple]] = [(0, np.arange(m), 0, root_stats)]
     final: list[tuple[int, np.ndarray, int, tuple]] = []  # leaves that stopped early
+    tied_rows = []  # the rows of each tied subtree, routed to its leaves after the last level
     for level in range(config.depth):
         if not private:  # pure leaves stay leaves
             pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, _, (w, w1, *_) in frontier]
@@ -518,7 +522,7 @@ def induce_tree(
             cand_parts = iter(_candidate_parts(w_left, w1_left, *leaf_w).swapaxes(0, 1))
         pv, label = config.privacy, f"split@{level}"  # eps is None without privacy
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
-        next_frontier: list[tuple[int, np.ndarray, int, tuple]] = []
+        next_frontier: list[tuple[int, np.ndarray | None, int, tuple]] = []
         for k, idx, slot, stats in frontier:
             if not oc:
                 alpha_l = float(config.alpha)
@@ -550,14 +554,21 @@ def induce_tree(
                 utility = float(utilities[choice])
 
             cand = candidates[choice]
-            left_idx = right_idx = idx  # an empty leaf's children are empty
-            if idx.size:
-                mask = X[:, cand.attribute][idx] <= cand.threshold_bin
-                left_idx, right_idx = idx[mask], idx[~mask]
             left = len(nodes)
             nodes[k] = (left, cand.attribute, cand.threshold_bin)
             nodes += [(left, 0, LEAF_BIN), (left + 1, 0, LEAF_BIN)]
-            left_stats, right_stats = leaf_stats(left_idx, stats), leaf_stats(right_idx, stats)
+            records.append(SplitRecord(
+                level, alpha_l, eps, risk_before, -utility, utility, cand.attribute,
+                cand.threshold_bin,
+            ))
+            if stats[3]:  # the children share the slot, risk +0.0, and no errors
+                if idx is not None and idx.size:
+                    tied_rows.append(idx)
+                next_frontier += [(left, None, slot, in_tied), (left + 1, None, slot, in_tied)]
+                continue
+            mask = X[:, cand.attribute][idx] <= cand.threshold_bin
+            left_idx, right_idx = idx[mask], idx[~mask]
+            left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
             next_frontier.append((left, left_idx, slot, left_stats))
             next_frontier.append((left + 1, right_idx, len(live), right_stats))
             live[slot] = _node_parts(*left_stats[:2])
@@ -565,36 +576,31 @@ def induce_tree(
             live_risk[slot] = _risks(live[slot], alpha_l)
             live_risk.append(_risks(live[-1], alpha_l))
             error_count += left_stats[2] + right_stats[2] - stats[2]
-            records.append(
-                SplitRecord(
-                    depth=level,
-                    alpha=alpha_l,
-                    epsilon=eps,
-                    risk_before=risk_before,
-                    risk_after=-utility,
-                    utility=utility,
-                    attribute=cand.attribute,
-                    threshold_bin=cand.threshold_bin,
-                )
-            )
-            if not stats[3]:  # tied children have risk +0.0, as their leaf had
-                risk_before = None
+            risk_before = None
         frontier = next_frontier
-    leaves = final + frontier
-    if _leaf_rows is not None:
-        for k, idx, _, _ in leaves:
-            _leaf_rows[idx] = k
 
     if oc:
         prediction_alpha = records[-1].alpha if records else 1.0
     else:
         prediction_alpha = float(config.alpha)
+    tree = DecisionTree(*np.array(nodes).T.copy(), np.zeros(len(nodes)), records, prediction_alpha)
+    leaves = final + frontier
+    held = [(k, w1 / w) for k, _, _, (w, w1, *_) in leaves if w > 0.0]  # (leaf, u = w1 / w)
+    if tied_rows:  # one walk takes the rows of every tied subtree to its leaves
+        rows = np.concatenate(tied_rows)
+        reached = walk(tree, X[rows], config.depth)
+        ids, first = np.unique(reached, return_index=True)
+        held += zip(ids.tolist(), (y[rows[first]] == 1).astype(float).tolist())  # one class each
+        if _leaf_rows is not None:
+            _leaf_rows[rows] = reached
+    if _leaf_rows is not None:
+        for k, idx, _, _ in leaves:
+            if idx is not None:
+                _leaf_rows[idx] = k
     # one link call; its ufuncs round each leaf as a scalar call does; empty leaves keep 0
-    fed = [(k, w1 / w) for k, _, _, (w, w1, *_) in leaves if w > 0.0]
-    q = np.clip([u for _, u in fed], Q_CLAMP, 1.0 - Q_CLAMP)
-    value = np.zeros(len(nodes))
-    value[[k for k, _ in fed]] = canonical_link(LossSpec.malpha(prediction_alpha), q)
-    return DecisionTree(*np.array(nodes).T.copy(), value, records, prediction_alpha)
+    q = np.clip([u for _, u in held], Q_CLAMP, 1.0 - Q_CLAMP)
+    tree.value[[k for k, _ in held]] = canonical_link(LossSpec.malpha(prediction_alpha), q)
+    return tree
 
 
 def noisify_leaves(
@@ -612,15 +618,20 @@ def noisify_leaves(
     value diameter, hence sensitivity 2 * output_bound), then noised with
     budget beta_pred * epsilon / (T * L) where L is the leaf count.  The
     noisy value is the released value and is not re-clamped here; consumers
-    clamp at prediction time.
+    clamp at prediction time.  Each leaf has its own ledger entry, and the
+    leaves' uniforms come from one ``rng.uniforms`` call, leaf after leaf.
     """
     leaves = np.flatnonzero(leaf_mask(tree.child))
     eps_leaf = beta_pred * epsilon / (T * len(leaves))
-    for k in leaves.tolist():  # a complete tree's leaf ids run left to right
-        clamped = min(max(float(tree.value[k]), -output_bound), output_bound)
-        tree.value[k] = laplace_mechanism(
-            clamped, 2.0 * output_bound, eps_leaf, accountant, rng, label="leaf"
-        )
+    scale = 2.0 * output_bound / eps_leaf  # laplace_mechanism's sensitivity / epsilon
+    if not (scale > 0.0) or math.isinf(scale):
+        raise ValueError("scale must be finite and positive")
+    clamped = np.clip(tree.value[leaves], -output_bound, output_bound).tolist()
+    noisy = []  # a complete tree's leaf ids run left to right
+    for value, u in zip(clamped, rng.uniforms(len(leaves)).tolist()):
+        accountant.spend("leaf", eps_leaf)
+        noisy.append(value + laplace_from_uniform(u - 0.5, scale))
+    tree.value[leaves] = noisy
     tree.noised = True
     return tree
 

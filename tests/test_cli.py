@@ -285,6 +285,27 @@ class TestFitEval:
                 margins = [float(row["margin"]) for row in csv.DictReader(fh)]
             assert margins == predict(model, x)[0].tolist()
 
+    def test_model_too_deep_to_write_is_config_error(self, tmp_path, capsys):
+        # identical rows with mixed labels: every split leaves one child empty and the
+        # other impure, so a non-private fit grows a chain as deep as its cap
+        data, domains = tmp_path / "same.csv", tmp_path / "same.domains"
+        data.write_text("x0,y\n" + "0.0,-1\n0.0,1\n" * 20)
+        domains.write_text("label_column = y\nlabel_map = -1:-1, 1:+1\n"
+                           "attribute = x0 0.0 1.0 4\n")
+        model_path = tmp_path / "m.json"
+        fit = ["fit", "--config", _fit_config(tmp_path, T="1", depth="1200"),
+               "--data", str(data), "--domains", str(domains), "--out", str(model_path)]
+        assert main(fit) == EXIT_CONFIG
+        assert f"cannot write model {model_path}" in capsys.readouterr().err
+        # no model file, torn or temporary
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fit.config", "same.csv", "same.domains"
+        ]
+        model_path.write_text("an earlier model")  # a failed write leaves it as it was
+        assert main(fit) == EXIT_CONFIG
+        assert model_path.read_text() == "an earlier model"
+        assert len(list(tmp_path.iterdir())) == 4
+
     def test_bad_config_is_config_error(self, tmp_path, blocks_files):
         data, domains = blocks_files
         cfg = _fit_config(tmp_path, alpha="5")

@@ -58,6 +58,23 @@ class TestRandomSource:
         assert a.spawn("x").next_uint64() == b.spawn("x").next_uint64()
         assert a.spawn("x").next_uint64() != a.spawn("y").next_uint64()
 
+    @pytest.mark.parametrize("seed", [0, 123, 2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("n", [0, 1, 2, 257])
+    def test_uniforms_equal_uniform_calls(self, seed, n):
+        # near 2**64 - 1 the state wraps on the first step
+        batch, single = RandomSource(seed), RandomSource(seed)
+        draws = batch.uniforms(n)
+        expected = np.array([single.uniform() for _ in range(n)], dtype=float)
+        assert draws.dtype == np.float64 and draws.tobytes() == expected.tobytes()
+        assert batch.next_uint64() == single.next_uint64()  # the same state after
+
+    def test_uniforms_continue_a_stream(self):
+        batch, single = RandomSource(5), RandomSource(5)
+        batch.uniform(), single.uniform()
+        assert batch.uniforms(3).tolist() == [single.uniform() for _ in range(3)]
+        with pytest.raises(ValueError):
+            batch.uniforms(-1)
+
     def test_randint_bounds(self):
         rng = RandomSource(3)
         draws = [rng.randint(7) for _ in range(2000)]

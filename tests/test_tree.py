@@ -323,6 +323,67 @@ class TestPrivateInduction:
         assert set(node_depths(tree.child)[leaf_mask(tree.child)].tolist()) == {2}
 
 
+class TestTiedSubtrees:
+    """A tied subtree (below a leaf with no rows or one class) grows from its draws
+    alone; one walk at the end takes its rows to their leaves."""
+
+    @staticmethod
+    def _fit(ds, depth, seed):
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+        config = TreeConfig(depth=depth, alpha="oc", privacy=privacy)
+        accountant, leaf = BudgetAccountant(1.0), np.full(ds.n_examples, -1)
+        tree = induce_tree(ds, np.full(ds.n_examples, 0.5), config, accountant,
+                           RandomSource(seed), _leaf_rows=leaf)
+        # one ledger entry and one record per split of the complete tree, level by level
+        assert len(accountant.spends) == len(tree.records) == 2**depth - 1
+        assert [label for label, _ in accountant.spends] == [
+            f"split@{r.depth}" for r in tree.records
+        ]
+        assert [r.depth for r in tree.records] == [
+            d for d in range(depth) for _ in range(2**d)
+        ]
+        # induction's leaf of each row is the walk's
+        reached = walk(tree, ds.X, tree.depth)
+        assert tree.depth == depth and np.array_equal(leaf, reached)
+        # a one-class leaf holds the link of the clamped class, bit for bit; an
+        # unreached one 0
+        spec = LossSpec.malpha(tree.prediction_alpha)
+        one_class = canonical_link(spec, np.array([Q_CLAMP, 1.0 - Q_CLAMP]))
+        for k in np.flatnonzero(leaf_mask(tree.child)):
+            labels = ds.y[reached == k]
+            if labels.size == 0:
+                assert tree.value[k] == 0.0
+            elif np.all(labels == labels[0]):
+                assert tree.value[k] == one_class[int(labels[0] == 1)]
+        return tree, reached
+
+    @pytest.mark.parametrize("label", [-1, 1])
+    def test_one_class_root(self, label):
+        ds = make_blocks_dataset(60, 3, seed=1)
+        ds = Dataset(ds.X, np.full(60, label), ds.domains)
+        tree, reached = self._fit(ds, 4, seed=2)
+        # the root is tied: every split scores the empty risk sum
+        assert all(r.risk_before == 0.0 and r.utility == 0.0 for r in tree.records)
+        assert tree.prediction_alpha == 1.0
+        assert np.unique(reached).size > 1
+        assert np.all(tree.value[reached] == tree.value[reached[0]])
+
+    def test_blocks_with_empty_and_row_holding_tied_subtrees(self):
+        ds = make_blocks_dataset(400, 4, seed=3)
+        tree, reached = self._fit(ds, 8, seed=11)
+        leaves = np.flatnonzero(leaf_mask(tree.child))
+        assert np.unique(reached).size < leaves.size  # empty leaves
+        # some split above the last level holds rows of one class: a tied subtree
+        # whose rows only the final walk routes
+        tied_with_rows = False
+        for level in range(tree.depth - 1):
+            at = walk(tree, ds.X, level)
+            for k in np.unique(at):
+                labels = ds.y[at == k]
+                tied_with_rows |= bool(np.all(labels == labels[0]))
+        assert tied_with_rows
+
+
 def _per_leaf_histogram(X, weights, pos, idx, domains):
     # reference: one bincount + cumsum per leaf and attribute over the
     # leaf's own rows
