@@ -190,7 +190,8 @@ def test_exponential_mechanism(benchmark):
 
     def draws():
         accountant, rng = BudgetAccountant(1.0), RandomSource(0)
-        return [exponential_mechanism(u, 3.0, 1e-3, accountant, rng) for u in utilities]
+        return [exponential_mechanism(u, 3.0, 1e-3, accountant, rng.uniform())
+                for u in utilities]
 
     benchmark(draws)
 
@@ -200,7 +201,8 @@ def test_exponential_mechanism_uniform(benchmark):
 
     def draws():
         accountant, rng = BudgetAccountant(1.0), RandomSource(0)
-        return [exponential_mechanism_uniform(36, 1e-4, accountant, rng) for _ in range(2000)]
+        return [exponential_mechanism_uniform(36, 1e-4, accountant, rng.uniform())
+                for _ in range(2000)]
 
     benchmark(draws)
 

@@ -42,7 +42,6 @@ from .privacy import (
     exponential_mechanism,
     exponential_mechanism_probabilities,
     laplace_mechanism,
-    laplace_sample,
     replacement_neighbors,
 )
 from .tree import (

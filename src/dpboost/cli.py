@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: fit, eval, experiment, summarize, compare, sensitivity-audit.
-Exit codes: 0 success, 2 configuration error, 3 data error (also when every
+Exit codes: 0 success, 2 configuration error (also when a ``sensitivity-audit``
+row's empirical sensitivity exceeds its bound), 3 data error (also when every
 record an ``experiment`` run wrote failed), 4 budget error.
 """
 

@@ -22,13 +22,7 @@ import numpy as np
 
 from .dataset import Dataset, candidate_splits
 from .losses import LossSpec, canonical_link, inverse_link, surrogate
-from .privacy import (
-    BudgetAccountant,
-    RandomSource,
-    _sample_index,
-    exponential_mechanism_probabilities,
-    laplace_sample,
-)
+from .privacy import BudgetAccountant, RandomSource, exponential_mechanism, laplace_mechanism
 from .tree import (
     LEAF_BIN,
     DecisionTree,
@@ -347,22 +341,17 @@ def rf_fit(
     )
     n_neg = n_rows - n_pos
 
-    # every leaf is released, right to left: the release order fixes the draws
-    draws = []
-    for tree_rng in tree_rngs:
-        for _ in range(n_leaves):
-            accountant.spend("rf-leaf", eps_leaf)
-            if leaf_mechanism == "laplace":  # n_pos's noise, then n_neg's
-                draws.append((laplace_sample(tree_rng, 2.0 / eps_leaf),
-                              laplace_sample(tree_rng, 2.0 / eps_leaf)))
-            else:
-                draws.append((tree_rng.uniform(),))
-    draws = np.array(draws).reshape(T, n_leaves, -1)[:, ::-1]
+    # each tree draws its leaves' uniforms right to left (Laplace: n_pos's, then n_neg's)
+    per_leaf = 2 if leaf_mechanism == "laplace" else 1
+    u = np.array([[r.uniform() for _ in range(n_leaves * per_leaf)] for r in tree_rngs])
+    u = u.reshape(T, n_leaves, per_leaf)[:, ::-1]
     if leaf_mechanism == "laplace":
-        positive = n_pos + draws[..., 0] > n_neg + draws[..., 1]
+        noisy = laplace_mechanism(np.stack([n_pos, n_neg], axis=-1), 2.0, eps_leaf, accountant,
+                                  u, "rf-leaf")
+        positive = noisy[..., 0] > noisy[..., 1]
     else:
         utilities = np.stack([n_neg, n_pos], axis=-1)
-        probs = exponential_mechanism_probabilities(utilities, 1.0, eps_leaf)
-        positive = _sample_index(probs, draws[..., 0]) == 1
+        positive = exponential_mechanism(utilities, 1.0, eps_leaf, accountant, u[..., 0],
+                                         "rf-leaf") == 1
     forest.value[:, n_inner:] = np.where(positive, 1.0, -1.0)
     return forest

@@ -1,9 +1,10 @@
 """Differential privacy primitives.
 
-Laplace and exponential mechanisms over a deterministic, platform-stable
-random source, an additive privacy-budget accountant, and a brute-force
+Laplace and exponential mechanisms, a deterministic, platform-stable random
+source, an additive privacy-budget accountant, and a brute-force
 global-sensitivity oracle that enumerates all replacement neighbors of a
-small dataset.
+small dataset.  Every budgeted release goes through a mechanism, which spends
+for it and turns the uniforms its caller drew into the output.
 
 The random source is a splitmix64 stream: identical seeds produce bit
 identical draws on every platform, and child streams can be forked from a
@@ -26,7 +27,6 @@ __all__ = [
     "RandomSource",
     "derive_seed",
     "laplace_from_uniform",
-    "laplace_sample",
     "laplace_mechanism",
     "exponential_mechanism_probabilities",
     "exponential_mechanism",
@@ -189,28 +189,32 @@ def laplace_from_uniform(u: float, scale: float) -> float:
     return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 
-def laplace_sample(rng: RandomSource, scale: float) -> float:
-    """One draw from the Laplace distribution with the given scale."""
-    if not (scale > 0.0) or math.isinf(scale):
-        raise ValueError("scale must be finite and positive")
-    return laplace_from_uniform(rng.uniform() - 0.5, scale)
-
-
 def laplace_mechanism(
-    value: float,
+    values,
     sensitivity: float,
     epsilon: float,
     accountant: BudgetAccountant,
-    rng: RandomSource,
+    u,
     label: str = "laplace",
-) -> float:
-    """Release ``value`` with Laplace noise of scale sensitivity/epsilon."""
-    if not (sensitivity > 0.0) or math.isinf(sensitivity):
-        raise ValueError("sensitivity must be finite and positive")
+):
+    """Release ``values`` with Laplace noise of scale sensitivity / epsilon.
+
+    ``u`` holds one uniform draw on (0, 1) per value.  The last axis is one release of
+    L1 sensitivity ``sensitivity``, and each release along the leading axes gets its own
+    ledger entry; a scalar is one release.
+    """
+    values, u = np.asarray(values, dtype=float), np.asarray(u, dtype=float)
+    if u.shape != values.shape:
+        raise ValueError("u must hold one uniform per value")
     if not (epsilon > 0.0) or math.isinf(epsilon):
         raise ValueError("epsilon must be finite and positive")
-    accountant.spend(label, epsilon)
-    return value + laplace_sample(rng, sensitivity / epsilon)
+    scale = sensitivity / epsilon
+    if not (sensitivity > 0.0 and scale > 0.0) or math.isinf(scale):
+        raise ValueError("sensitivity and sensitivity / epsilon must be finite and positive")
+    for _ in range(math.prod(values.shape[:-1])):
+        accountant.spend(label, epsilon)
+    noise = [laplace_from_uniform(x - 0.5, scale) for x in u.ravel().tolist()]
+    return values + np.reshape(noise, u.shape)
 
 
 def exponential_mechanism_probabilities(
@@ -220,42 +224,49 @@ def exponential_mechanism_probabilities(
 
     The last axis holds the candidates; leading axes are a batch, and each
     row is normalized on its own with the operations of a 1-D call, so every
-    row equals that call bit for bit.  Every row must be non-empty and finite.
-    Computed in log space with max subtraction so extreme scores stay
-    finite.  Exposed separately from the sampler so privacy-ratio tests can
-    inspect the exact vector.
+    row equals that call bit for bit.  Every row must be non-empty, with finite
+    scores ``eps u / (2 sens)``.  Computed in log space with max subtraction so
+    extreme scores stay finite.  Exposed separately from the sampler so
+    privacy-ratio tests can inspect the exact vector.
     """
     u = np.asarray(utilities, dtype=float)
     if u.ndim == 0 or u.size == 0:
         raise ValueError("utilities must be non-empty")
-    if not np.isfinite(u).all():
-        raise ValueError("utilities must be finite")
     if not (sensitivity > 0.0) or math.isinf(sensitivity):
         raise ValueError("sensitivity must be finite and positive")
     if not (epsilon > 0.0) or math.isinf(epsilon):
         raise ValueError("epsilon must be finite and positive")
     scores = epsilon * u / (2.0 * sensitivity)
+    if not np.isfinite(scores).all():
+        raise ValueError("utilities and their scores must be finite")
     scores -= scores.max(axis=-1, keepdims=True)
     w = np.exp(scores)
     return w / w.sum(axis=-1, keepdims=True)
 
 
 def exponential_mechanism(
-    utilities: Sequence[float],
+    utilities: Sequence[float] | np.ndarray,
     sensitivity: float,
     epsilon: float,
     accountant: BudgetAccountant,
-    rng: RandomSource,
+    u,
     label: str = "exponential",
-) -> int:
-    """Sample an index with probability exp(eps u_i / (2 sens)) / Z."""
+):
+    """Select an index with probability exp(eps u_i / (2 sens)) / Z, by the uniform ``u``.
+
+    The last axis of ``utilities`` holds a release's candidates, and ``u`` one uniform on
+    (0, 1) per release; each release gets a ledger entry, and 1-D utilities give an ``int``.
+    """
     probs = exponential_mechanism_probabilities(utilities, sensitivity, epsilon)
-    accountant.spend(label, epsilon)
-    return _sample_index(probs, rng.uniform())
+    if np.shape(u) != probs.shape[:-1]:
+        raise ValueError("u must hold one uniform per release")
+    for _ in range(math.prod(probs.shape[:-1])):
+        accountant.spend(label, epsilon)
+    return _sample_index(probs, u)
 
 
 def exponential_mechanism_uniform(
-    n: int, epsilon: float, accountant: BudgetAccountant, rng: RandomSource,
+    n: int, epsilon: float, accountant: BudgetAccountant, u: float,
     label: str = "exponential",
 ) -> int:
     """``exponential_mechanism`` over ``n`` equal utilities with finite scores, bit for
@@ -265,7 +276,7 @@ def exponential_mechanism_uniform(
     if n < 1:
         raise ValueError("n must be positive")
     accountant.spend(label, epsilon)
-    return min(int(_uniform_cdf(n).searchsorted(rng.uniform(), side="right")), n - 1)
+    return min(int(_uniform_cdf(n).searchsorted(u, side="right")), n - 1)
 
 
 @functools.lru_cache(maxsize=16)

@@ -54,7 +54,7 @@ from .privacy import (
     exponential_mechanism,
     exponential_mechanism_probabilities,
     exponential_mechanism_uniform,
-    laplace_from_uniform,
+    laplace_mechanism,
 )
 
 __all__ = [
@@ -522,8 +522,10 @@ def induce_tree(
             cand_parts = iter(_candidate_parts(w_left, w1_left, *leaf_w).swapaxes(0, 1))
         pv, label = config.privacy, f"split@{level}"  # eps is None without privacy
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
+        # every leaf of a private level is split, each by its own draw, in frontier order
+        draws = rng.uniforms(len(frontier)).tolist() if private else [None] * len(frontier)
         next_frontier: list[tuple[int, np.ndarray | None, int, tuple]] = []
-        for k, idx, slot, stats in frontier:
+        for (k, idx, slot, stats), draw in zip(frontier, draws):
             if not oc:
                 alpha_l = float(config.alpha)
             elif err_root > 0.0:
@@ -543,12 +545,13 @@ def induce_tree(
                 # pos_weights is weights or 0, so each child's w1 is its w or 0 bit for
                 # bit (w_leaf - w_left too), u is 0 or 1, and s, mn and the risks are 0.
                 utility = -(risk_rest + 0.0)
-                choice = exponential_mechanism_uniform(len(candidates), eps, accountant, rng, label)
+                n = len(candidates)
+                choice = exponential_mechanism_uniform(n, eps, accountant, draw, label)
             else:
                 utilities = _candidate_utilities(next(cand_parts), alpha_l, risk_rest)
                 if private:
                     delta = sensitivity_bound(LossSpec.malpha(alpha_l), m)
-                    choice = exponential_mechanism(utilities, delta, eps, accountant, rng, label)
+                    choice = exponential_mechanism(utilities, delta, eps, accountant, draw, label)
                 else:
                     choice = int(np.argmax(utilities))
                 utility = float(utilities[choice])
@@ -618,20 +621,16 @@ def noisify_leaves(
     value diameter, hence sensitivity 2 * output_bound), then noised with
     budget beta_pred * epsilon / (T * L) where L is the leaf count.  The
     noisy value is the released value and is not re-clamped here; consumers
-    clamp at prediction time.  Each leaf has its own ledger entry, and the
-    leaves' uniforms come from one ``rng.uniforms`` call, leaf after leaf.
+    clamp at prediction time.  Each leaf is its own release with its own
+    ledger entry, and the leaves' uniforms come from one ``rng.uniforms``
+    call, leaf after leaf.
     """
-    leaves = np.flatnonzero(leaf_mask(tree.child))
+    leaves = np.flatnonzero(leaf_mask(tree.child))  # a complete tree's leaf ids run left to right
+    clamped = np.clip(tree.value[leaves], -output_bound, output_bound)[:, None]
     eps_leaf = beta_pred * epsilon / (T * len(leaves))
-    scale = 2.0 * output_bound / eps_leaf  # laplace_mechanism's sensitivity / epsilon
-    if not (scale > 0.0) or math.isinf(scale):
-        raise ValueError("scale must be finite and positive")
-    clamped = np.clip(tree.value[leaves], -output_bound, output_bound).tolist()
-    noisy = []  # a complete tree's leaf ids run left to right
-    for value, u in zip(clamped, rng.uniforms(len(leaves)).tolist()):
-        accountant.spend("leaf", eps_leaf)
-        noisy.append(value + laplace_from_uniform(u - 0.5, scale))
-    tree.value[leaves] = noisy
+    noisy = laplace_mechanism(clamped, 2.0 * output_bound, eps_leaf, accountant,
+                              rng.uniforms(len(leaves))[:, None], "leaf")
+    tree.value[leaves] = noisy[:, 0]
     tree.noised = True
     return tree
 

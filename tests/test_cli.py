@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import dpboost.cli as cli
 import dpboost.harness as harness
 from dpboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from dpboost.dataset import load_csv, make_blocks_dataset
@@ -449,6 +450,21 @@ class TestSensitivityAuditCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 7 * 3  # m in 2..8, three alphas, one trial
         assert all(float(r["empirical_delta"]) <= float(r["bound"]) + 1e-9 for r in rows)
+
+    def test_a_bound_violation_exits_2_after_writing_every_row(self, tmp_path, capsys,
+                                                                monkeypatch):
+        rows = [
+            {"m": 4, "alpha": 0.3, "trial": 0, "empirical_delta": 0.5, "bound": 0.5,
+             "tight_case_delta": 0.25},
+            {"m": 4, "alpha": 0.3, "trial": 1, "empirical_delta": 0.6, "bound": 0.5,
+             "tight_case_delta": 0.25},
+        ]
+        monkeypatch.setattr(cli, "sensitivity_audit", lambda trials, seed: rows)
+        out = tmp_path / "audit.csv"
+        assert main(["sensitivity-audit", "--out", str(out), "--trials", "2"]) == EXIT_CONFIG
+        assert "1 bound violations" in capsys.readouterr().out
+        with open(out) as fh:
+            assert [float(r["empirical_delta"]) for r in csv.DictReader(fh)] == [0.5, 0.6]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_is_config_error(self, tmp_path, capsys, trials):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpboost.dataset import AttributeDomain, Dataset, make_blocks_dataset
+from dpboost.dataset import AttributeDomain, Dataset, candidate_splits, make_blocks_dataset
 from dpboost.ensemble import (
     BoostedEnsemble,
     RandomForest,
@@ -294,6 +294,32 @@ class TestRandomForest:
         assert np.array_equal(rf1.child, rf2.child)
         assert np.array_equal(rf1.attribute, rf2.attribute)
         assert np.array_equal(rf1.threshold_bin, rf2.threshold_bin)
+
+    @pytest.mark.parametrize("mechanism, per_leaf", [("laplace", 2), ("exponential", 1)])
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_each_tree_stream_takes_its_structure_then_its_leaf_draws(
+        self, mechanism, per_leaf, depth
+    ):
+        # a forest tree's stream takes one randint per inner node, then per_leaf
+        # uniforms per leaf; the mechanisms draw nothing
+        ds = make_blocks_dataset(60, 3, seed=2)
+        children = []
+
+        class Recording(RandomSource):
+            def spawn(self, *labels):
+                children.append(super().spawn(*labels))
+                return children[-1]
+
+        rng = Recording(7)
+        rf_fit(ds, 3, depth, 1.0, mechanism, BudgetAccountant(1.0), rng)
+        n_candidates = len(candidate_splits(ds))
+        assert len(children) == 3
+        for t, child in enumerate(children):
+            mirror = RandomSource(7).spawn("rf-tree", t)
+            for _ in range(2**depth - 1):
+                mirror.randint(n_candidates)
+            mirror.uniforms(per_leaf * 2**depth)
+            assert child.next_uint64() == mirror.next_uint64()
 
     def test_invalid_mechanism(self):
         ds = make_blocks_dataset(20, 2, seed=1)

@@ -20,10 +20,9 @@ from dpboost.privacy import (
     exponential_mechanism_uniform,
     laplace_from_uniform,
     laplace_mechanism,
-    laplace_sample,
     replacement_neighbors,
 )
-from dpboost.privacy import _sample_index, _splitmix64, _uniform_cdf
+from dpboost.privacy import _splitmix64, _uniform_cdf
 
 _MASK64 = (1 << 64) - 1
 
@@ -116,33 +115,38 @@ class TestLaplace:
         assert laplace_from_uniform(-0.25, 1.0) == pytest.approx(-math.log(2.0), abs=1e-15)
 
     def test_moments(self):
-        rng = RandomSource(2024)
-        draws = np.array([laplace_sample(rng, 1.0) for _ in range(100000)])
+        # one release of a zero vector: its entries are Laplace draws of scale sens / eps
+        n = 100000
+        draws = laplace_mechanism(np.zeros(n), 1.0, 1.0, BudgetAccountant(1.0),
+                                  RandomSource(2024).uniforms(n))
         assert abs(draws.mean()) < 0.02
         assert abs(np.abs(draws).mean() - 1.0) < 0.02
-        rng = RandomSource(2025)
-        draws = np.array([laplace_sample(rng, 0.5) for _ in range(100000)])
+        draws = laplace_mechanism(np.zeros(n), 0.5, 1.0, BudgetAccountant(1.0),
+                                  RandomSource(2025).uniforms(n))
         assert abs(draws.var() - 0.5) < 0.015
 
     def test_scale_validation(self):
-        rng = RandomSource(0)
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        # a bad sensitivity, or a scale sens / eps that overflows or underflows
+        acc = BudgetAccountant(1e300)
+        for sensitivity, epsilon in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                                     (1e300, 1e-300), (1e-300, 1e300)):
             with pytest.raises(ValueError):
-                laplace_sample(rng, bad)
+                laplace_mechanism(0.0, sensitivity, epsilon, acc, 0.5)
+        assert acc.spends == []
 
     def test_mechanism_epsilon_validation(self):
         acc = BudgetAccountant(10.0)
-        rng = RandomSource(0)
         with pytest.raises(ValueError):
-            laplace_mechanism(3.0, 2.0, math.inf, acc, rng)
+            laplace_mechanism(3.0, 2.0, math.inf, acc, 0.5)
         with pytest.raises(ValueError):
-            laplace_mechanism(3.0, 2.0, 0.0, acc, rng)
+            laplace_mechanism(3.0, 2.0, 0.0, acc, 0.5)
         assert acc.total_spent == 0.0
 
     def test_mechanism_centers_on_value(self):
         acc = BudgetAccountant(1e9)
-        rng = RandomSource(99)
-        outs = np.array([laplace_mechanism(0.0, 1.0, 1.0, acc, rng) for _ in range(50000)])
+        u = RandomSource(99).uniforms(50000)
+        outs = laplace_mechanism(np.zeros((50000, 1)), 1.0, 1.0, acc, u[:, None])
+        assert len(acc.spends) == 50000
         assert abs(outs.mean()) < 0.03  # Lap(1) around 0
         assert abs(np.abs(outs).mean() - 1.0) < 0.03
 
@@ -150,9 +154,38 @@ class TestLaplace:
         def run():
             acc = BudgetAccountant(10.0)
             rng = RandomSource(4)
-            return [laplace_mechanism(1.0, 1.0, 1.0, acc, rng) for _ in range(10)]
+            return [laplace_mechanism(1.0, 1.0, 1.0, acc, rng.uniform()) for _ in range(10)]
 
         assert run() == run()
+
+    def test_one_uniform_per_value(self):
+        acc = BudgetAccountant(10.0)
+        for values, u in ((0.0, [0.5]), ([0.0, 1.0], 0.5), (np.zeros((2, 3)), np.full(3, 0.5))):
+            with pytest.raises(ValueError):
+                laplace_mechanism(values, 1.0, 1.0, acc, u)
+        assert acc.spends == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        k=st.integers(1, 3),
+        epsilon=st.floats(1e-4, 10.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_each_row_of_a_batch_is_the_1d_call_bit_for_bit(self, n, k, epsilon, seed):
+        rng = RandomSource(seed)
+        values = np.array([[rng.randint(400) for _ in range(k)] for _ in range(n)], dtype=float)
+        u = rng.uniforms(n * k).reshape(n, k)
+        acc = BudgetAccountant(n * epsilon * 1.01)
+        batch = laplace_mechanism(values, 2.0, epsilon, acc, u, "rf-leaf")
+        assert batch.shape == (n, k)
+        assert acc.spends == [("rf-leaf", epsilon)] * n
+        for row, draws, noisy in zip(values, u, batch):
+            alone = laplace_mechanism(list(row), 2.0, epsilon, BudgetAccountant(epsilon), draws)
+            assert noisy.tobytes() == alone.tobytes()
+            assert noisy.tolist() == [
+                v + laplace_from_uniform(x - 0.5, 2.0 / epsilon) for v, x in zip(row, draws)
+            ]
 
 
 class TestExponentialMechanism:
@@ -178,6 +211,15 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError):
             exponential_mechanism_probabilities([1.0, math.nan], 1.0, 1.0)
 
+    def test_overflowing_scores_are_rejected(self):
+        # finite utilities whose scores eps u / (2 sens) overflow would normalize to NaN
+        with pytest.raises(ValueError, match="scores must be finite"):
+            exponential_mechanism_probabilities([-100.0, -50.0, -10.0], 3.0, 1e308)
+        acc = BudgetAccountant(1e308)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            exponential_mechanism([-100.0, -50.0, -10.0], 3.0, 1e308, acc, 0.5)
+        assert acc.spends == []
+
     def test_every_row_of_a_batch_is_checked(self):
         for bad in ([[1.0, 2.0], [1.0, math.nan]], [[1.0], [math.inf]], np.zeros((3, 0)), 4.0):
             with pytest.raises(ValueError):
@@ -196,19 +238,33 @@ class TestExponentialMechanism:
         assert batch.shape == utilities.shape
         rng = RandomSource(seed)
         draws = np.array([rng.uniform() for _ in counts]).reshape(len(counts), 1)
-        picks = _sample_index(batch, draws)
+        acc = BudgetAccountant(len(counts) * epsilon * 1.01)
+        picks = exponential_mechanism(utilities, 1.0, epsilon, acc, draws, "rf-leaf")
+        assert picks.shape == draws.shape
+        assert acc.spends == [("rf-leaf", epsilon)] * len(counts)
         for row, u, pick, probs in zip(counts, draws[:, 0], picks[:, 0], batch[:, 0]):
             alone = exponential_mechanism_probabilities(list(row), 1.0, epsilon)
             assert probs.tobytes() == alone.tobytes()
+            assert pick == exponential_mechanism(list(row), 1.0, epsilon,
+                                                 BudgetAccountant(epsilon), u)
             scalar = int(np.searchsorted(np.cumsum(alone), u, side="right"))
             assert pick == (scalar if scalar < 2 else int(np.flatnonzero(alone)[-1]))
+
+    def test_one_uniform_per_release(self):
+        acc = BudgetAccountant(10.0)
+        for utilities, u in (([0.0, 1.0], [0.5]), ([[0.0, 1.0]] * 2, 0.5),
+                             ([[0.0, 1.0]] * 2, [0.5] * 3)):
+            with pytest.raises(ValueError):
+                exponential_mechanism(utilities, 1.0, 1.0, acc, u)
+        assert acc.spends == []
 
     def test_sampler_records_spend_and_is_deterministic(self):
         def run():
             acc = BudgetAccountant(5.0)
             rng = RandomSource(8)
             picks = [
-                exponential_mechanism([0.0, 1.0, 2.0], 1.0, 0.5, acc, rng) for _ in range(10)
+                exponential_mechanism([0.0, 1.0, 2.0], 1.0, 0.5, acc, rng.uniform())
+                for _ in range(10)
             ]
             return picks, acc.total_spent
 
@@ -225,30 +281,27 @@ class TestExponentialMechanism:
         counts = np.zeros(3)
         n = 20000
         for _ in range(n):
-            counts[exponential_mechanism(utilities, 1.0, 2.0, acc, rng)] += 1
+            counts[exponential_mechanism(utilities, 1.0, 2.0, acc, rng.uniform())] += 1
         assert np.max(np.abs(counts / n - p)) < 0.02
 
     def test_largest_uniform_stays_in_range(self):
         # the largest draw RandomSource.uniform can return lies above the
         # rounded cdf[-1] here; it must select the last index that has
         # positive probability, never len(utilities)
-        class LargestUniform:
-            def uniform(self):
-                return 1.0 - 2.0**-53
-
+        largest = 1.0 - 2.0**-53
         utilities = [0.0, 0.75, 0.25]
         probs = exponential_mechanism_probabilities(utilities, 1.0, 1.0)
-        assert np.cumsum(probs)[-1] < LargestUniform().uniform()
-        acc = BudgetAccountant(11.0)
-        assert exponential_mechanism(utilities, 1.0, 1.0, acc, LargestUniform()) == 2
+        assert np.cumsum(probs)[-1] < largest
+        acc = BudgetAccountant(31.0)
+        assert exponential_mechanism(utilities, 1.0, 1.0, acc, largest) == 2
         # an underflowed tail is skipped over to the last positive entry
         tail = [0.0, 0.75, 0.0, -1e6]
         probs = exponential_mechanism_probabilities(tail, 1.0, 10.0)
-        assert probs[-1] == 0.0 and np.cumsum(probs)[-1] < LargestUniform().uniform()
-        assert exponential_mechanism(tail, 1.0, 10.0, acc, LargestUniform()) == 2
+        assert probs[-1] == 0.0 and np.cumsum(probs)[-1] < largest
+        assert exponential_mechanism(tail, 1.0, 10.0, acc, largest) == 2
         # a batch takes the same rule row by row
-        batch = exponential_mechanism_probabilities([tail, [0.0] * 4], 1.0, 10.0)
-        assert _sample_index(batch, np.array([LargestUniform().uniform(), 0.3])).tolist() == [2, 1]
+        picks = exponential_mechanism([tail, [0.0] * 4], 1.0, 10.0, acc, np.array([largest, 0.3]))
+        assert picks.tolist() == [2, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -264,33 +317,19 @@ class TestExponentialMechanism:
         # the general mechanism's scores, as it forms them, must be finite
         assume(math.isfinite(epsilon * c / (2.0 * sensitivity)))
 
-        class CountingSource(RandomSource):
-            draws = 0
-
-            def next_uint64(self):
-                self.draws += 1
-                return super().next_uint64()
-
         runs = []
         for sample in (
-            lambda acc, rng: exponential_mechanism_uniform(n, epsilon, acc, rng, "split@3"),
-            lambda acc, rng: exponential_mechanism(
-                np.full(n, c), sensitivity, epsilon, acc, rng, "split@3"
+            lambda acc, u: exponential_mechanism_uniform(n, epsilon, acc, u, "split@3"),
+            lambda acc, u: exponential_mechanism(
+                np.full(n, c), sensitivity, epsilon, acc, u, "split@3"
             ),
         ):
-            acc, rng = BudgetAccountant(epsilon), CountingSource(seed)
-            runs.append((sample(acc, rng), acc.spends, rng.draws))
+            acc = BudgetAccountant(epsilon)
+            runs.append((sample(acc, RandomSource(seed).uniform()), acc.spends))
         assert runs[0] == runs[1]
-        assert runs[0][1:] == ([("split@3", epsilon)], 1)
+        assert runs[0][1] == [("split@3", epsilon)]
 
     def test_uniform_draw_at_every_cdf_step_and_past_the_last(self):
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def uniform(self):
-                return self.u
-
         # A draw equal to cdf[i] opens interval i + 1; one at or past cdf[-1]
         # falls back to the last index.  cdf[-1] rounds below 1 at n = 6, 7
         # and 300 (at n = 6 it is the largest draw), above it at n = 9 and 11.
@@ -302,8 +341,8 @@ class TestExponentialMechanism:
             cases += [(u, n - 1) for u in sorted(past) if cdf[-1] < u < 1.0]
             for u, expected in cases:
                 acc = BudgetAccountant(2.0)
-                assert exponential_mechanism_uniform(n, 1.0, acc, Fixed(u)) == expected
-                assert exponential_mechanism(np.full(n, 0.5), 1.0, 1.0, acc, Fixed(u)) == expected
+                assert exponential_mechanism_uniform(n, 1.0, acc, u) == expected
+                assert exponential_mechanism(np.full(n, 0.5), 1.0, 1.0, acc, u) == expected
             past_last += len(cases) - n
         assert past_last == 3
 
@@ -311,9 +350,9 @@ class TestExponentialMechanism:
         acc = BudgetAccountant(1.0)
         for n, eps in ((0, 1.0), (3, 0.0), (3, -1.0), (3, math.inf), (3, math.nan)):
             with pytest.raises(ValueError):
-                exponential_mechanism_uniform(n, eps, acc, RandomSource(0))
+                exponential_mechanism_uniform(n, eps, acc, 0.5)
         with pytest.raises(BudgetExceededError):
-            exponential_mechanism_uniform(3, 2.0, acc, RandomSource(0))
+            exponential_mechanism_uniform(3, 2.0, acc, 0.5)
         assert acc.spends == []
 
     @pytest.mark.parametrize("n", [1, 6, 36, 300])
@@ -352,9 +391,8 @@ class TestBudgetAccountant:
 
     def test_mechanism_budget_gate(self):
         acc = BudgetAccountant(0.5)
-        rng = RandomSource(0)
         with pytest.raises(BudgetExceededError):
-            laplace_mechanism(0.0, 1.0, 0.6, acc, rng)
+            laplace_mechanism(0.0, 1.0, 0.6, acc, 0.5)
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,7 @@ from dpboost.privacy import (
     BudgetAccountant,
     RandomSource,
     exponential_mechanism_probabilities,
+    laplace_mechanism,
 )
 from dpboost.tree import (
     DecisionTree,
@@ -688,9 +689,8 @@ class TestNoisifyLeaves:
         mirror = RandomSource(1)
         noisify_leaves(tree, 0.5, 1.0, 1, 10.0, acc, rng)
         eps_leaf = 0.5 * 1.0 / (1 * 4)
-        from dpboost.privacy import laplace_sample
-
-        expected_first = 10.0 + laplace_sample(mirror, 20.0 / eps_leaf)
+        expected_first = laplace_mechanism(10.0, 20.0, eps_leaf, BudgetAccountant(1.0),
+                                           mirror.uniform())
         assert tree.value[leaves[0]] == pytest.approx(expected_first, abs=1e-12)
         assert tree.noised
         assert raw  # silence unused warning
@@ -710,12 +710,25 @@ class TestNoisifyLeaves:
         rng = RandomSource(123)
         eps_leaf = 0.125
         M = 10.0
-        from dpboost.privacy import laplace_sample
-
-        draws = np.array([laplace_sample(rng, 2 * M / eps_leaf) for _ in range(100000)])
+        draws = laplace_mechanism(np.zeros(100000), 2 * M, eps_leaf, BudgetAccountant(eps_leaf),
+                                  rng.uniforms(100000))
         scale = 2 * M / eps_leaf
         assert abs(np.abs(draws).mean() - scale) / scale < 0.03
         assert abs(draws.var() - 2 * scale**2) / (2 * scale**2) < 0.03
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_a_private_tree_takes_one_draw_per_split_and_per_leaf(self, depth):
+        # the mechanisms draw nothing: induction takes one uniform per split, level by
+        # level, and noisify_leaves one per leaf
+        ds = make_blocks_dataset(80, 3, seed=6)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+        config = TreeConfig(depth=depth, alpha="oc", privacy=privacy)
+        rng, mirror, acc = RandomSource(9), RandomSource(9), BudgetAccountant(1.0)
+        tree = induce_tree(ds, np.full(80, 0.5), config, acc, rng)
+        noisify_leaves(tree, privacy.beta_pred, 1.0, 1, 10.0, acc, rng)
+        mirror.uniforms(2**depth - 1 + 2**depth)
+        assert rng.next_uint64() == mirror.next_uint64()
+        assert len(acc.spends) == 2**depth - 1 + 2**depth
 
 
 class TestTreeEfficiency:
