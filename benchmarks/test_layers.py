@@ -68,8 +68,19 @@ def wide_csv(tmp_path_factory):
 
 
 def test_load_csv(benchmark, wide_csv):
-    """``load_csv`` of the 100k x 20 file: parsing, label mapping and quantizing."""
+    """``load_csv`` of the 100k x 20 file: parsing, label mapping and quantizing.
+    ``extra_info`` holds the tracemalloc peak of one more, untimed load and what the
+    loaded dataset holds after it returns (bins, labels and weights), in MB."""
     data, spec = wide_csv
+    tracemalloc.start()
+    try:
+        loaded = load_csv(data, None, spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del loaded
+    benchmark.extra_info["tracemalloc_peak_mb"] = peak / 2**20
+    benchmark.extra_info["held_mb"] = held / 2**20
     benchmark.pedantic(load_csv, args=(data, None, spec), rounds=5, iterations=1)
 
 

@@ -87,33 +87,60 @@ class SplitCandidate:
     threshold_bin: int
 
 
+def bin_dtype(domains) -> np.dtype:
+    """The narrowest unsigned integer type that holds every bin of ``domains``:
+    ``uint8`` up to 256 bins per attribute, ``uint16`` up to 65,536.  The one place a
+    bin type is chosen; internal (not in ``__all__``)."""
+    return np.min_scalar_type(max((dom.nvpriv for dom in domains), default=1) - 1)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array of integers (integral floats pass); DataError if one is
+    not a finite integer."""
+    a = np.asarray(values)
+    if a.dtype.kind in "biu":
+        return a
+    try:
+        a = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must be integers") from exc
+    if not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise DataError(f"{what} must be finite integers")
+    return a
+
+
 @dataclass
 class Dataset:
     """Quantized feature matrix with +-1 labels and per-example weights.
 
-    ``X`` is stored column-major (Fortran order, int64): tree induction
-    reads it one attribute at a time, and each column is then contiguous.
+    ``X`` is stored column-major (Fortran order) in ``bin_dtype(domains)``, one byte
+    per bin for up to 256 bins: tree induction reads it one attribute at a time, and
+    each column is then contiguous.  Code that reads it only compares bins or adds
+    them to ``int64`` keys, so no arithmetic runs in the narrow type.
     """
 
-    X: np.ndarray  # (m, n) int bin indices, column-major
+    X: np.ndarray  # (m, n) bin indices, column-major
     y: np.ndarray  # (m,) labels in {-1, +1}
     domains: list[AttributeDomain]
     weights: np.ndarray | None = None
     clamp_warnings: int = 0
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.int64, order="F")
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.X.ndim != 2 or self.X.shape[0] == 0:
+        X = _integers(self.X, "bin indices")
+        y = _integers(self.y, "labels")
+        if X.ndim != 2 or X.shape[0] == 0:
             raise DataError("dataset needs at least one example")
-        if self.X.shape[1] != len(self.domains):
+        if X.shape[1] != len(self.domains):
             raise DataError("feature count does not match declared domains")
-        if not np.all(np.isin(self.y, (-1, 1))):
+        if not np.all(np.isin(y, (-1, 1))):
             raise DataError("labels must be -1 or +1")
         for j, dom in enumerate(self.domains):
-            col = self.X[:, j]
+            col = X[:, j]
             if col.min() < 0 or col.max() >= dom.nvpriv:
                 raise DataError(f"attribute {dom.name!r}: bin index out of range")
+        # only after the range check: a cast wraps bins the type cannot hold
+        self.X = np.asarray(X, dtype=bin_dtype(self.domains), order="F")
+        self.y = np.asarray(y, dtype=np.int64)
         if self.weights is None:
             self.weights = np.ones(self.X.shape[0])
         else:
@@ -244,7 +271,7 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
         except (ValueError, csv.Error):  # csv.Error: the peek at the first data row
             fh.seek(0)
             values, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
-    bins = np.empty(values.shape, dtype=np.int64, order="F")
+    bins = np.empty(values.shape, dtype=bin_dtype(spec.attributes), order="F")
     clamped = 0
     for j, dom in enumerate(spec.attributes):
         bins[:, j], count = dom.quantize(values[:, j])

@@ -563,7 +563,7 @@ def tight_case_delta(m: int, alpha: float) -> float:
     formula.
     """
     domains = [AttributeDomain("x0", 0.0, 3.0, 4)]
-    X = np.zeros((m, 1), dtype=np.int64)
+    X = np.zeros((m, 1), dtype=int)
     y = np.full(m, -1)
     y[0] = 1
     base = Dataset(X, y, domains)
@@ -596,7 +596,7 @@ def sensitivity_audit(
             for trial in range(trials):
                 rng = RandomSource(derive_seed(seed, "audit", m, repr(alpha), trial))
                 domains = [AttributeDomain("x0", 0.0, float(nvpriv - 1), nvpriv)]
-                X = np.array([[rng.randint(nvpriv)] for _ in range(m)], dtype=np.int64)
+                X = [[rng.randint(nvpriv)] for _ in range(m)]
                 y = np.array([1 if rng.uniform() < 0.5 else -1 for _ in range(m)])
                 w = np.array([weight_grid[rng.randint(len(weight_grid))] for _ in range(m)])
                 base = Dataset(X, y, domains, w)

@@ -258,7 +258,8 @@ class TestLoadCsvMatchesRowLoop:
         X, y, clamped = _row_loop(path, "y", SPEC)
         with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError):
             ds = load_csv(str(path), None, SPEC)  # the per-row loop would raise
-        assert np.array_equal(ds.X, X) and ds.X.dtype == np.int64 and ds.X.flags.f_contiguous
+        assert np.array_equal(ds.X, X) and ds.X.flags.f_contiguous
+        assert ds.X.dtype == dataset_module.bin_dtype(SPEC.attributes)
         assert np.array_equal(ds.y, y) and ds.y.dtype == np.int64
         assert ds.clamp_warnings == clamped
 
@@ -301,6 +302,31 @@ class TestDatasetInvariants:
         doms = [AttributeDomain("x", 0.0, 1.0, 2)]
         with pytest.raises(DataError):
             Dataset(np.array([[2]]), np.array([1]), doms)
+
+    @pytest.mark.parametrize("bin_index", [-1, 256, 2**64])
+    def test_bins_the_narrow_type_would_wrap_raise(self, bin_index):
+        doms = [AttributeDomain("x", 0.0, 1.0, 256)]  # uint8 bins: -1 and 256 would wrap
+        with pytest.raises(DataError):
+            Dataset([[bin_index]], [1], doms)
+
+    @pytest.mark.parametrize("bins", [[[1.7], [2.2]], [[1.0], [np.nan]], [[np.inf], [1.0]],
+                                      [["1.5"], ["2"]], [[None], [1]]])
+    def test_bins_that_are_not_finite_integers_raise(self, bins):
+        doms = [AttributeDomain("x", 0.0, 1.0, 4)]
+        with pytest.raises(DataError, match="bin indices"):
+            Dataset(bins, [1, 1], doms)
+
+    @pytest.mark.parametrize("labels", [[1.5, 1], [1, np.nan], [-np.inf, 1], [None, 1]])
+    def test_labels_that_are_not_finite_integers_raise(self, labels):
+        doms = [AttributeDomain("x", 0.0, 1.0, 4)]
+        with pytest.raises(DataError, match="labels"):
+            Dataset([[1], [2]], labels, doms)
+
+    def test_integral_floats_load(self):
+        doms = [AttributeDomain("x", 0.0, 1.0, 4)]
+        ds = Dataset([[1.0], [2.0], [3.0]], [1.0, -1.0, 1.0], doms)
+        assert ds.X.tolist() == [[1], [2], [3]] and ds.y.tolist() == [1, -1, 1]
+        assert ds.y.dtype == np.int64
 
 
 class TestCandidateSplits:
@@ -384,8 +410,8 @@ class TestBlocksDataset:
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
-def _column_major(X) -> bool:
-    return X.flags.f_contiguous and X.dtype == np.int64
+def _column_major(ds) -> bool:
+    return ds.X.flags.f_contiguous and ds.X.dtype == dataset_module.bin_dtype(ds.domains)
 
 
 class TestColumnMajorX:
@@ -401,11 +427,11 @@ class TestColumnMajorX:
     )
     def test_constructor(self, X):
         ds = Dataset(X, np.array(self.Y), self.DOMS)
-        assert _column_major(ds.X)
+        assert _column_major(ds)
         assert np.array_equal(ds.X, np.array(self.ROWS))
 
-    def test_constructor_keeps_a_column_major_int64_array(self):
-        X = np.asfortranarray(self.ROWS, dtype=np.int64)
+    def test_constructor_keeps_a_column_major_array_of_the_bin_type(self):
+        X = np.asfortranarray(self.ROWS, dtype=dataset_module.bin_dtype(self.DOMS))
         assert Dataset(X, np.array(self.Y), self.DOMS).X is X
 
     @pytest.mark.parametrize(
@@ -414,14 +440,16 @@ class TestColumnMajorX:
     def test_subset(self, indices):
         ds = Dataset(self.ROWS, np.array(self.Y), self.DOMS, np.array([0.1, 0.2, 0.3, 0.4]))
         sub = ds.subset(indices)
-        assert _column_major(sub.X)
+        assert _column_major(sub)
         assert np.array_equal(sub.X, np.array(self.ROWS)[indices])
         assert np.array_equal(sub.y, np.array(self.Y)[indices])
         assert np.array_equal(sub.weights, ds.weights[indices])
 
     def test_subset_copies_X_once(self):
-        m, n = 20_000, 20
-        ds = Dataset(np.zeros((m, n), dtype=int), np.ones(m, dtype=int),
+        # enough attributes that X, one byte a bin, outweighs the per-row index,
+        # label and weight arrays
+        m, n = 20_000, 200
+        ds = Dataset(np.zeros((m, n), dtype=np.uint8), np.ones(m, dtype=int),
                      [AttributeDomain(f"x{j}", 0.0, 1.0, 2) for j in range(n)])
         tracemalloc.start()
         try:
@@ -433,12 +461,54 @@ class TestColumnMajorX:
         assert peak < 1.5 * ds.X.nbytes
 
     def test_load_csv(self, csv_file, spec_file):
-        assert _column_major(load_csv(csv_file, None, parse_domain_spec(spec_file)).X)
+        assert _column_major(load_csv(csv_file, None, parse_domain_spec(spec_file)))
 
     def test_blocks_dataset(self):
-        assert _column_major(make_blocks_dataset(50, 3, seed=1).X)
+        assert _column_major(make_blocks_dataset(50, 3, seed=1))
 
     def test_replacement_neighbors(self):
         base = Dataset(self.ROWS[:2], np.array(self.Y[:2]), self.DOMS)
         neighbors = list(replacement_neighbors(base, weight_grid=(1.0,)))
-        assert neighbors and all(_column_major(n.X) for n in neighbors)
+        assert neighbors and all(_column_major(n) for n in neighbors)
+
+
+class TestBinType:
+    @pytest.mark.parametrize("nvpriv, dtype", [
+        (2, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_narrowest_unsigned_type_of_the_widest_domain(self, nvpriv, dtype):
+        doms = [AttributeDomain("a", 0.0, 1.0, 2), AttributeDomain("b", 0.0, 1.0, nvpriv)]
+        assert dataset_module.bin_dtype(doms) == dtype
+
+    @staticmethod
+    def _top_rows(nvpriv):
+        """Bins at both ends of one attribute's grid, and labels: what the CSV of
+        ``test_load_csv_keeps_the_top_bin`` loads to."""
+        return [[0], [1], [nvpriv - 2], [nvpriv - 1], [nvpriv - 1]], [1, -1, 1, -1, 1]
+
+    @pytest.mark.parametrize("nvpriv", [256, 257])
+    def test_load_csv_keeps_the_top_bin(self, tmp_path, nvpriv):
+        path = tmp_path / "top.csv"
+        # the grid is 0, 1, ..., nvpriv - 1; 1e9 is clamped onto the top bin
+        path.write_text(f"x,y\n0,1\n1,-1\n{nvpriv - 2},1\n{nvpriv - 1},-1\n1e9,1\n")
+        spec = DomainSpec((AttributeDomain("x", 0.0, float(nvpriv - 1), nvpriv),), {}, "y")
+        ds = load_csv(str(path), None, spec)
+        rows, labels = self._top_rows(nvpriv)
+        assert ds.X.dtype == (np.uint8 if nvpriv <= 256 else np.uint16)
+        assert ds.X.tolist() == rows and ds.y.tolist() == labels and ds.clamp_warnings == 1
+
+    @pytest.mark.parametrize("nvpriv", [256, 257])
+    def test_subset_keeps_the_top_bin(self, nvpriv):
+        rows, labels = self._top_rows(nvpriv)
+        ds = Dataset(rows, labels, [AttributeDomain("x", 0.0, 1.0, nvpriv)])
+        assert ds.subset([4, 3, 0]).X.tolist() == [[nvpriv - 1], [nvpriv - 1], [0]]
+
+    @pytest.mark.parametrize("nvpriv", [256, 257])
+    def test_replacement_neighbors_keep_the_top_bin(self, nvpriv):
+        base = Dataset([[nvpriv - 1], [0]], [1, -1], [AttributeDomain("x", 0.0, 1.0, nvpriv)])
+        neighbors = list(replacement_neighbors(base, weight_grid=(1.0,)))
+        first, second = neighbors[: 2 * nvpriv], neighbors[2 * nvpriv:]  # two labels a bin
+        assert [int(n.X[0, 0]) for n in first[::2]] == list(range(nvpriv))
+        assert all(n.X[1, 0] == 0 for n in first)
+        assert [int(n.X[1, 0]) for n in second[::2]] == list(range(nvpriv))
+        assert all(n.X[0, 0] == nvpriv - 1 for n in second)

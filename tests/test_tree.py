@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import dpboost.tree as tree_module
 from dpboost.dataset import AttributeDomain, Dataset, candidate_splits, make_blocks_dataset
-from dpboost.ensemble import rf_fit
+from dpboost.ensemble import boost_fit, predict, rf_fit
 from dpboost.losses import LossSpec, bayes_risk, canonical_link, sensitivity_bound
 from dpboost.privacy import (
     BudgetAccountant,
@@ -810,3 +810,67 @@ class TestSerialization:
         clone = DecisionTree.from_dict(json.loads(version1))
         assert np.array_equal(clone.predict_bins(ds.X), tree.predict_bins(ds.X))
         assert json.dumps(clone.to_dict(), sort_keys=True) == golden
+
+
+class TestCompactBins:
+    """Bins stored in ``Dataset``'s narrow type give exactly what the same bins give as
+    int64, at the top of ``uint8`` (256 bins, top bin 255) and just above it (257 bins,
+    ``uint16``): every key, node id and sum is formed in a wide type."""
+
+    @staticmethod
+    def _pair(nvpriv):
+        rng = np.random.default_rng(nvpriv)
+        X = rng.integers(0, nvpriv, size=(300, 2))
+        X[:40] = nvpriv - 1  # many rows on the top bin
+        y = np.where((X[:, 0] > nvpriv // 3) ^ (rng.random(300) < 0.2), 1, -1)
+        doms = [AttributeDomain(f"x{j}", 0.0, 1.0, nvpriv) for j in range(2)]
+        compact = Dataset(X, y, doms)
+        wide = Dataset(X, y, doms)
+        wide.X = np.asfortranarray(X, dtype=np.int64)
+        assert compact.X.dtype == (np.uint8 if nvpriv <= 256 else np.uint16)
+        return compact, wide
+
+    @staticmethod
+    def _tree_bytes(tree):
+        return [a.tobytes() for a in (tree.child, tree.attribute, tree.threshold_bin, tree.value)]
+
+    @pytest.mark.parametrize("nvpriv", [256, 257])
+    def test_frontier_histograms(self, nvpriv):
+        compact, wide = self._pair(nvpriv)
+        weights = np.random.default_rng(1).uniform(0.1, 1.0, 300)
+        pos = weights * (compact.y == 1)
+        leaf_rows = [np.arange(0, 300, 3), np.arange(1, 300, 3)]
+        a = tree_module._frontier_histograms(compact.X, weights, pos, leaf_rows, compact.domains)
+        b = tree_module._frontier_histograms(wide.X, weights, pos, leaf_rows, wide.domains)
+        assert [h.tobytes() for h in a] == [h.tobytes() for h in b]
+
+    @pytest.mark.parametrize("nvpriv", [256, 257])
+    @pytest.mark.parametrize("private", [False, True])
+    def test_induce_tree_and_walk(self, nvpriv, private):
+        compact, wide = self._pair(nvpriv)
+        weights = np.full(300, 0.5)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0) if private else None
+        config = TreeConfig(depth=4, alpha="oc", privacy=privacy)
+        trees, spends = [], []
+        for ds in (compact, wide):
+            accountant = BudgetAccountant(1.0)
+            trees.append(induce_tree(ds, weights, config, accountant, RandomSource(3)))
+            spends.append(accountant.spends)
+        assert self._tree_bytes(trees[0]) == self._tree_bytes(trees[1])
+        assert trees[0].records == trees[1].records and spends[0] == spends[1]
+        reached = [walk(trees[0], ds.X, 4) for ds in (compact, wide)]
+        assert reached[0].tobytes() == reached[1].tobytes()
+
+    @pytest.mark.parametrize("nvpriv", [256, 257])
+    def test_predict(self, nvpriv):
+        compact, wide = self._pair(nvpriv)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0, ensemble_size=3)
+        models = [
+            boost_fit(compact, 3, TreeConfig(depth=3, alpha="oc"), output_bound=10.0),
+            boost_fit(compact, 3, TreeConfig(depth=3, alpha="oc", privacy=privacy),
+                      output_bound=10.0, accountant=BudgetAccountant(1.0), rng=RandomSource(4)),
+            rf_fit(compact, 5, 3, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(5)),
+        ]
+        for model in models:
+            a, b = predict(model, compact.X), predict(model, wide.X)
+            assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
