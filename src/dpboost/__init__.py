@@ -27,7 +27,6 @@ from .losses import (
     LossSpec,
     bayes_risk,
     canonical_link,
-    curvature,
     inverse_link,
     perspective_at,
     sensitivity_bound,

@@ -26,7 +26,6 @@ __all__ = [
     "surrogate",
     "perspective_at",
     "sensitivity_bound",
-    "curvature",
 ]
 
 _KINDS = ("malpha", "log", "square")
@@ -222,22 +221,3 @@ def sensitivity_bound(spec: LossSpec, m: int) -> float:
     else:  # log
         star = (1.0 + math.log(m + 1.0)) / math.log(2.0)
     return max(3.0, 1.0 + star)
-
-
-def curvature(spec: LossSpec, u) -> float | np.ndarray:
-    """Weight function of the loss: ``-bayes_risk''(u)`` where it exists.
-
-    The 0/1 risk is piecewise linear, so its curvature is 0 away from the
-    kink; for malpha only the Matsushita part contributes.  Endpoints are
-    out of domain.
-    """
-    v = np.asarray(u, dtype=float)
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
-    if spec.kind == "malpha":
-        val = spec.alpha * 0.5 * (v * (1.0 - v)) ** (-1.5)
-    elif spec.kind == "square":
-        val = np.full_like(v, 8.0)
-    else:  # log
-        val = 1.0 / (v * (1.0 - v)) / math.log(2.0)
-    return _as_float(val, u)

@@ -11,8 +11,10 @@ Objective calibration ties the loss parameter to training progress: each
 split uses ``alpha = err(current tree) / err(root)``, so induction starts
 at the Matsushita risk and drifts toward the 0/1 risk as the tree fits.
 
-A split is scored from level-wise histograms (one ``bincount`` per
-attribute over (frontier leaf, bin) keys covers the whole level) and from
+A split is scored from level-wise histograms (one complex scatter-add per
+attribute over (frontier leaf, bin) keys covers the whole level, summing a
+row's weight and positive weight at once: a complex add is two independent
+float adds, so the sums are those of one ``bincount`` per statistic) and from
 alpha-free parts of each leaf's risk (``w``, ``sqrt(u (1 - u))`` and
 ``min(u, 1 - u)`` at ``u = w1 / w``): those of every candidate's children
 are computed once per level, a live leaf's once when it is made.  The live
@@ -373,24 +375,29 @@ def _frontier_histograms(
     Row ``s`` of each result belongs to the leaf whose rows are
     ``leaf_rows[s]`` (ascending, disjoint); columns are the candidates in
     (attribute, threshold) order, and a left child collects the bins up to
-    and including the threshold.  Each attribute takes one ``bincount`` over
-    (leaf, bin) keys, so a bucket adds its rows in ascending order, exactly
-    as a per-leaf ``bincount`` would.  Rows of no leaf fall into a spare
-    slot that is dropped.
+    and including the threshold.  Each row's (weight, positive weight) is one
+    complex value, and each attribute takes one ``np.add.at`` of them into a
+    (leaf, bin) table padded to the widest domain.  A complex add is two
+    independent float adds and ``np.add.at`` visits the rows in ascending
+    order, so every bucket, and every prefix sum over a leaf's bins, is the
+    float a per-leaf ``bincount`` of each statistic would give.  Rows of no
+    leaf fall into a spare slot that is dropped.
     """
-    n_slots = len(leaf_rows)
-    slot = np.full(X.shape[0], n_slots, dtype=np.int64)
+    n_slots, nvs = len(leaf_rows), [dom.nvpriv for dom in domains]
+    width = max(nvs)
+    base = np.full(X.shape[0], n_slots * width, dtype=np.intp)  # the slot's first bucket
     for s, idx in enumerate(leaf_rows):
-        slot[idx] = s
-    w_parts, w1_parts = [], []
-    for j, dom in enumerate(domains):
-        nv = dom.nvpriv
-        key = slot * nv + X[:, j]
-        for parts, wts in ((w_parts, weights), (w1_parts, pos_weights)):
-            hist = np.bincount(key, weights=wts, minlength=(n_slots + 1) * nv)
-            cum = np.cumsum(hist.reshape(n_slots + 1, nv)[:n_slots], axis=1)
-            parts.append(cum[:, : nv - 1])
-    return np.concatenate(w_parts, axis=1), np.concatenate(w1_parts, axis=1)
+        base[idx] = s * width
+    both = np.empty(X.shape[0], dtype=np.complex128)
+    both.real, both.imag = weights, pos_weights
+    hist = np.zeros((len(nvs), (n_slots + 1) * width), dtype=np.complex128)
+    for j, table in enumerate(hist):
+        np.add.at(table, base + X[:, j], both)
+    hist = hist.reshape(len(nvs), n_slots + 1, width)[:, :n_slots]
+    return tuple(
+        np.concatenate([cum[j, :, : nv - 1] for j, nv in enumerate(nvs)], axis=1)
+        for cum in (np.cumsum(hist.real, axis=2), np.cumsum(hist.imag, axis=2))
+    )
 
 
 def _candidate_parts(w_left, w1_left, w_leaf, w1_leaf) -> np.ndarray:
@@ -490,9 +497,9 @@ def induce_tree(
     # induction grows them; a new node is a leaf
     nodes, records = [(0, 0, LEAF_BIN)], []
     root_stats = leaf_stats(np.arange(m))
-    # _node_parts of the live leaves by slot; an untied split puts its left child
-    # in the leaf's slot and its right child in a new one
-    live = [_node_parts(*root_stats[:2])]
+    # _node_parts of the live leaves as three lists (w, s, mn) by slot; an untied split
+    # puts its left child in the leaf's slot and its right child in a new one
+    live = [[part] for part in _node_parts(*root_stats[:2])]
     live_risk, risk_alpha, risk_before = [], None, None  # risks at risk_alpha; their fsum or None
     error_count = root_stats[2]
     err_root = error_count / m
@@ -534,7 +541,7 @@ def induce_tree(
                 alpha_l = 1.0
 
             if alpha_l != risk_alpha:
-                live_risk = _risks(np.array(live).T, alpha_l).tolist()
+                live_risk = _risks(np.array(live), alpha_l).tolist()
                 risk_alpha, risk_before = alpha_l, None
             if risk_before is None:
                 risk_before = math.fsum(live_risk)
@@ -573,11 +580,13 @@ def induce_tree(
             left_idx, right_idx = idx[mask], idx[~mask]
             left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
             next_frontier.append((left, left_idx, slot, left_stats))
-            next_frontier.append((left + 1, right_idx, len(live), right_stats))
-            live[slot] = _node_parts(*left_stats[:2])
-            live.append(_node_parts(*right_stats[:2]))
-            live_risk[slot] = _risks(live[slot], alpha_l)
-            live_risk.append(_risks(live[-1], alpha_l))
+            next_frontier.append((left + 1, right_idx, len(live[0]), right_stats))
+            left_parts, right_parts = _node_parts(*left_stats[:2]), _node_parts(*right_stats[:2])
+            for parts, left_part, right_part in zip(live, left_parts, right_parts):
+                parts[slot] = left_part
+                parts.append(right_part)
+            live_risk[slot] = _risks(left_parts, alpha_l)
+            live_risk.append(_risks(right_parts, alpha_l))
             error_count += left_stats[2] + right_stats[2] - stats[2]
             risk_before = None
         frontier = next_frontier

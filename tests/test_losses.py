@@ -16,7 +16,6 @@ from dpboost.losses import (
     LossSpec,
     bayes_risk,
     canonical_link,
-    curvature,
     inverse_link,
     perspective_at,
     sensitivity_bound,
@@ -32,6 +31,22 @@ ALL_KINDS = [
     LossSpec.square(),
     LossSpec.zero_one(),
 ]
+
+
+def curvature(spec: LossSpec, u):
+    """Weight function of the loss: ``-bayes_risk''(u)`` where it exists, for ``u``
+    strictly inside (0, 1).  The 0/1 risk is piecewise linear, so for malpha only
+    the Matsushita part contributes.  A scalar ``u`` gives a float."""
+    v = np.asarray(u, dtype=float)
+    if np.any(v <= 0.0) or np.any(v >= 1.0):
+        raise ValueError("u must lie strictly inside (0, 1)")
+    if spec.kind == "malpha":
+        val = spec.alpha * 0.5 * (v * (1.0 - v)) ** (-1.5)
+    elif spec.kind == "square":
+        val = np.full_like(v, 8.0)
+    else:  # log
+        val = 1.0 / (v * (1.0 - v)) / math.log(2.0)
+    return float(val) if v.ndim == 0 else val
 
 
 # Independent oracle implementations of the two extreme risks.

@@ -503,6 +503,28 @@ class TestFrontierHistograms:
             assert np.array_equal(w_left[s], ref_w)
             assert np.array_equal(w1_left[s], ref_w1)
 
+    def test_unequal_domains_match_per_leaf_bincounts_bit_for_bit(self):
+        # domains padded to the widest (12 bins), a leaf with no rows, rows of no
+        # leaf, and enough rows per bucket that the order of summation shows
+        sizes, m = (3, 7, 12, 5), 3000
+        rng = np.random.default_rng(11)
+        X = np.column_stack([rng.integers(0, n, size=m) for n in sizes])
+        weights = rng.uniform(1e-3, 1.0, size=m)
+        pos = rng.random(m) < 0.4
+        slot = rng.choice([0, 1, 3, 4], size=m)  # leaf 2 gets no rows; slot 4 is no leaf's
+        leaf_rows = [np.flatnonzero(slot == s) for s in range(4)]
+        domains = [AttributeDomain(f"a{j}", 0.0, 1.0, n) for j, n in enumerate(sizes)]
+
+        w_left, w1_left = tree_module._frontier_histograms(
+            X, weights, weights * pos, leaf_rows, domains
+        )
+        assert w_left.shape == w1_left.shape == (4, sum(sizes) - len(sizes))
+        for s, idx in enumerate(leaf_rows):
+            ref_w, ref_w1 = _per_leaf_histogram(X, weights, pos, idx, domains)
+            assert w_left[s].tobytes() == ref_w.tobytes()
+            assert w1_left[s].tobytes() == ref_w1.tobytes()
+        assert not w_left[2].any() and not w1_left[2].any()
+
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_root_probabilities_are_what_induction_samples(self, monkeypatch, alpha):
         ds = make_blocks_dataset(90, 3, seed=8)
