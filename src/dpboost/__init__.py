@@ -52,8 +52,6 @@ from .tree import (
     objective_calibration_alpha,
     root_split_probabilities,
     split_budget,
-    tree_efficiency,
-    unnormalized_risk,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ points.  Labels are mapped to {-1, +1} at load time.
 from __future__ import annotations
 
 import csv
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,11 +239,13 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
     when no map is declared).  Out-of-domain values are clamped to the grid
     and counted in ``clamp_warnings``.
 
-    numpy's C parser reads the columns.  If it fails (a bad row or label, a
-    value only ``float`` reads such as ``1_0``) or there are no data rows,
-    the file is read again row by row, which names the bad row; where the C
-    parser succeeds, it returns exactly what the row loop would, except that
-    it has no limit on field length; ``csv``'s limit raises a ``DataError``.
+    numpy's C parser reads the data rows a chunk of lines at a time, and each
+    chunk is quantized into its bins as it is read.  If a chunk fails (a bad row
+    or label, a value only ``float`` reads such as ``1_0``, a quote outside a
+    quoted field) or there are no data rows, the file is read again row by row,
+    which names the bad row; where the C parser succeeds, it returns exactly what
+    the row loop would, except that it has no limit on field length; ``csv``'s
+    limit raises a ``DataError``.
     """
     label_column = label_column or spec.label_column
     if label_column is None:
@@ -267,44 +271,77 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
         usecols = [column[d.name] for d in spec.attributes] + [column[label_column]]
         labels_of = {"-1": -1, "+1": 1, "1": 1, **spec.label_map}
         try:
-            values, labels = _read_columns(fh, reader, usecols, labels_of)
+            bins, clamped, labels = _read_columns(fh, reader, usecols, labels_of, spec.attributes)
         except (ValueError, csv.Error):  # csv.Error: the peek at the first data row
             fh.seek(0)
-            values, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
-    bins = np.empty(values.shape, dtype=bin_dtype(spec.attributes), order="F")
-    clamped = 0
-    for j, dom in enumerate(spec.attributes):
-        bins[:, j], count = dom.quantize(values[:, j])
-        clamped += count
+            bins, clamped, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
     return Dataset(bins, labels, list(spec.attributes), clamp_warnings=clamped)
 
 
-def _read_columns(fh, reader, usecols, labels_of):
-    """Values and labels of the rows after ``reader``'s header by numpy's C parser
-    (``usecols``: attributes, then the label); ValueError where ``_read_rows`` may differ."""
+def _quantize(values, domains):
+    """``values`` (rows x attributes) as column-major bins of ``bin_dtype(domains)``,
+    and the count of values clamped into their domains."""
+    bins = np.empty(values.shape, dtype=bin_dtype(domains), order="F")
+    clamped = 0
+    for j, dom in enumerate(domains):
+        bins[:, j], count = dom.quantize(values[:, j])
+        clamped += count
+    return bins, clamped
+
+
+_CHUNK_LINES = 8192  # data lines per C-parser call: a load holds one chunk's values at a time
+
+# a quoted field that starts and ends a field, as both parsers read one
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"(?![^,\r\n])')
+
+
+def _read_columns(fh, reader, usecols, labels_of, domains):
+    """Bins, clamped count and labels of the rows after ``reader``'s header, by numpy's C
+    parser a chunk of lines at a time (``usecols``: attributes, then the label);
+    ValueError where ``_read_rows`` may differ."""
     skiprows = reader.line_num
-    if not any(reader):  # no data rows, on which numpy warns
+    if not any(reader):  # no data rows; a csv error in the first goes to the row loop too
         raise ValueError("no data rows")
     fh.seek(0)
-    for chunk in iter(lambda: fh.read(1 << 20), ""):
+    lines = itertools.islice(fh, skiprows, None)
+    # labels as objects, because loadtxt reads a str column in chunks that warn on blank lines
+    dtype = [("x", float, (len(usecols) - 1,)), ("y", object)]
+    parts = []  # (bins, clamped count, labels) of each chunk
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        text = "".join(chunk)
+        if '"' in text and text.count('"') % 2:  # it ends in a quoted field: take lines to its end
+            for line in lines:
+                chunk.append(line)
+                if line.count('"') % 2:
+                    break
+            text = "".join(chunk)
         # NUL, which a str array drops from the end of a label, and \x1c-\x1f, which
         # numpy's float parser strips as space where float() fails
-        if any(c in chunk for c in "\x00\x1c\x1d\x1e\x1f"):
+        if any(c in text for c in "\x00\x1c\x1d\x1e\x1f"):
             raise ValueError("characters the two parsers read differently")
-    fh.seek(0)
-    # labels as objects, because loadtxt reads a str column in chunks that warn on blank lines
-    rows = np.loadtxt(fh, [("x", float, (len(usecols) - 1,)), ("y", object)], delimiter=",",
-                      quotechar='"', comments=None, skiprows=skiprows, usecols=usecols, ndmin=1)
-    raw, codes = np.unique(rows["y"].astype(str), return_inverse=True)
-    mapped = [labels_of.get(r.strip()) for r in raw.tolist()]
-    if None in mapped:
-        raise ValueError("unknown label")
-    return rows["x"], np.asarray(mapped)[codes]
+        # a quote inside an unquoted field, which throws the count of quotes off
+        if '"' in text and '"' in _QUOTED_FIELD.sub("", text):
+            raise ValueError("a quote outside a quoted field")
+        del text
+        if not any(line.strip("\r\n") for line in chunk):
+            continue  # blank lines only, on which numpy warns
+        rows = np.loadtxt(chunk, dtype, delimiter=",", quotechar='"', comments=None,
+                          usecols=usecols, ndmin=1)
+        del chunk  # as rows below: gone before the next chunk is read
+        raw, codes = np.unique(rows["y"].astype(str), return_inverse=True)
+        mapped = [labels_of.get(r.strip()) for r in raw.tolist()]
+        if None in mapped:
+            raise ValueError("unknown label")
+        parts.append((*_quantize(rows["x"], domains), np.asarray(mapped)[codes]))
+        del rows
+    bins, clamped, labels = zip(*parts)
+    # the transposes are row-major, so joining them gives column-major bins in one copy
+    return np.concatenate([b.T for b in bins], axis=1).T, sum(clamped), np.concatenate(labels)
 
 
 def _read_rows(path, fh, label_column, attributes, labels_of):
-    """Values and labels row by row: the only source of row-numbered errors, which
-    name the file line a row ends on."""
+    """Bins, clamped count and labels row by row: the only source of row-numbered
+    errors, which name the file line a row ends on."""
     raw_features: list[list[float]] = []
     labels: list[int] = []
     rows = csv.DictReader(fh)
@@ -322,7 +359,7 @@ def _read_rows(path, fh, label_column, attributes, labels_of):
         raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
     if not labels:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(raw_features, dtype=float), np.asarray(labels)
+    return (*_quantize(np.asarray(raw_features, dtype=float), attributes), np.asarray(labels))
 
 
 def candidate_splits(dataset: Dataset) -> list[SplitCandidate]:

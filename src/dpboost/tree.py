@@ -71,13 +71,11 @@ __all__ = [
     "walk",
     "tables_to_dict",
     "tables_from_dict",
-    "unnormalized_risk",
     "split_budget",
     "objective_calibration_alpha",
     "root_split_probabilities",
     "induce_tree",
     "noisify_leaves",
-    "tree_efficiency",
 ]
 
 # Leaf class proportions are clamped away from {0, 1} before they go
@@ -326,23 +324,6 @@ def _risks(parts, alpha: float):
     parts, with the bits of a scalar ``bayes_risk`` call (element-wise operations)."""
     w, s, mn = parts
     return w * malpha_combine(alpha, s, mn)
-
-
-def unnormalized_risk(tree: DecisionTree, dataset: Dataset, weights: np.ndarray, alpha: float) -> float:
-    """Sum over leaves of ``w(leaf) * bayes_risk(w1(leaf) / w(leaf))``.
-
-    Empty leaves contribute nothing; each leaf's sums are taken over the
-    training rows that reach it.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0.0):
-        raise ValueError("weights must be strictly positive")
-    pos = dataset.y == 1
-    leaf = walk(tree, dataset.X, tree.depth)
-    reaches = [leaf == k for k in np.unique(leaf)]
-    w = np.array([weights[rows].sum() for rows in reaches])
-    w1 = np.array([weights[rows & pos].sum() for rows in reaches])
-    return math.fsum(_risks(_leaf_parts(w, w1), alpha).tolist())
 
 
 def split_budget(depth_of_leaf: int, d: int, T: int, beta_tree: float, epsilon: float) -> float:
@@ -643,20 +624,3 @@ def noisify_leaves(
     tree.noised = True
     return tree
 
-
-def tree_efficiency(node: int, tree: DecisionTree, dataset: Dataset, weights: np.ndarray) -> float:
-    """Diagnostic ``8 w(node) err(tree)^2 / 2^depth(node)`` of node id ``node``.
-
-    ``w(node)`` is the normalized weight of examples reaching the node and
-    ``err`` the unweighted 0/1 training error of the tree's sign
-    predictions.  Strictly decreasing along any root-to-node path whenever
-    positive.
-    """
-    weights = np.asarray(weights, dtype=float)
-    total_w = float(weights.sum())
-    if not 0 <= node < len(tree.child):
-        raise ValueError("node does not belong to the tree")
-    depth = int(node_depths(tree.child)[node])
-    node_w = float(weights[walk(tree, dataset.X, depth) == node].sum())
-    err = float(np.mean(margin_labels(tree.predict_bins(dataset.X)) != dataset.y))
-    return 8.0 * (node_w / total_w) * err**2 / 2.0**depth

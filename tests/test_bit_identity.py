@@ -34,10 +34,9 @@ from dpboost.tree import (
     TreePrivacy,
     leaf_mask,
     node_depths,
-    tree_efficiency,
-    unnormalized_risk,
     walk,
 )
+from test_tree import tree_efficiency, unnormalized_risk
 
 
 def _sha(values) -> str:

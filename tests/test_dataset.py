@@ -240,7 +240,7 @@ def csv_texts(draw):
     value = st.floats(-3.0, 3.0).map(repr)  # outside both domains at times: clamped
     pad = st.sampled_from(["", " ", "\t"])
     label = st.tuples(pad, st.sampled_from([*SPEC.label_map, "-1", "+1", "1"]), pad).map("".join)
-    note = st.text(alphabet='ab #,"', max_size=6)
+    note = st.text(alphabet='ab #,"\n', max_size=6)
     for _ in range(draw(st.integers(1, 12))):
         cells = {"a0": value, "a1": st.tuples(pad, value, pad).map("".join), "y": label, note_name: note}
         lines.append(",".join(_field(draw(cells[c]), draw(st.booleans())) for c in columns))
@@ -251,12 +251,15 @@ def csv_texts(draw):
 
 class TestLoadCsvMatchesRowLoop:
     @settings(max_examples=200, deadline=None)
-    @given(csv_texts())
-    def test_numpy_parser_gives_the_row_loop_result(self, tmp_path_factory, text):
+    @given(csv_texts(), st.integers(1, 3))
+    def test_numpy_parser_gives_the_row_loop_result(self, tmp_path_factory, text, chunk_lines):
+        # chunks of 1-3 lines end on blank lines, in the two-line header's wake and
+        # where a quoted field goes on to the next line
         path = tmp_path_factory.getbasetemp() / "equivalence.csv"
         path.write_bytes(text.encode("utf-8"))
         X, y, clamped = _row_loop(path, "y", SPEC)
-        with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError):
+        with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError), \
+                mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
             ds = load_csv(str(path), None, SPEC)  # the per-row loop would raise
         assert np.array_equal(ds.X, X) and ds.X.flags.f_contiguous
         assert ds.X.dtype == dataset_module.bin_dtype(SPEC.attributes)
@@ -273,6 +276,54 @@ class TestLoadCsvMatchesRowLoop:
         X, y, clamped = _row_loop(path, "y", SPEC)
         assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
         assert ds.clamp_warnings == clamped == 1
+
+    def test_a_bad_value_in_a_later_chunk_takes_the_row_loop(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text("a0,a1,y\n" + "0.5,0.5,1\n" * 5 + '0.5,"1\n0",neg\n0.5,0.5,1\n')
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", 2), \
+                mock.patch.object(dataset_module, "_read_rows",
+                                  wraps=dataset_module._read_rows) as row_loop:
+            with pytest.raises(DataError) as info:
+                load_csv(str(path), None, SPEC)
+        assert row_loop.called
+        # the row over lines 7 and 8 is named by the line it ends on
+        assert str(info.value) == f"{path}: row 8: could not convert string to float: '1\\n0'"
+
+    @pytest.mark.parametrize("text", ['a0,a1,y,note\n0.5,0.5,1,a"b\n0.5,0.5,1,"c\n0.5,0.5,1,d"\n',
+                                      'a0,a1,y,note\n0.5,0.5,1,"a"b\n0.5,0.5,1,x\n'],
+                             ids=["stray-quote-then-quoted-lines", "text-after-closing-quote"])
+    def test_a_quote_outside_a_quoted_field_takes_the_row_loop(self, tmp_path, text):
+        # in the first file, the stray quote evens the count of quotes in the first two
+        # lines, so a chunk of two would end inside the quoted field the second opens
+        path = tmp_path / "stray.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", 2), \
+                mock.patch.object(dataset_module, "_read_rows",
+                                  wraps=dataset_module._read_rows) as row_loop:
+            ds = load_csv(str(path), None, SPEC)
+        assert row_loop.called
+        X, y, clamped = _row_loop(path, "y", SPEC)
+        assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+
+    def test_a_load_holds_one_chunk_at_a_time(self, tmp_path):
+        # beyond what the dataset keeps, a load's peak is one chunk's parse, whatever
+        # the row count; parsing this whole file at once would peak about 10 MiB higher
+        rows, n = 50_000, 20
+        path = tmp_path / "wide.csv"
+        rng = np.random.default_rng(0)
+        np.savetxt(path, np.column_stack([rng.random((rows, n)), rng.random(rows) < 0.5]),
+                   fmt=["%.6f"] * n + ["%d"], delimiter=",", comments="",
+                   header=",".join([f"x{j}" for j in range(n)] + ["y"]))
+        spec = DomainSpec(tuple(AttributeDomain(f"x{j}", 0.0, 1.0, 32) for j in range(n)),
+                          {"0": -1, "1": 1}, "y")
+        tracemalloc.start()
+        try:
+            ds = load_csv(str(path), None, spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_examples == rows
+        assert peak - held < 4 * 2**20
 
     @pytest.mark.parametrize("cell", ["\x1c0.5", "0.5\x1f"], ids=["leading-x1c", "trailing-x1f"])
     def test_separators_numpy_alone_strips_are_row_errors(self, tmp_path, cell):

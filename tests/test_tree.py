@@ -36,11 +36,40 @@ from dpboost.tree import (
     noisify_leaves,
     objective_calibration_alpha,
     root_split_probabilities,
+    margin_labels,
     split_budget,
-    tree_efficiency,
-    unnormalized_risk,
     walk,
 )
+
+
+def unnormalized_risk(tree, dataset, weights, alpha) -> float:
+    """Sum over leaves of ``w(leaf) * bayes_risk(w1(leaf) / w(leaf))``, with each leaf's
+    sums taken over the training rows that reach it and induction's risk arithmetic.
+    Empty leaves contribute nothing."""
+    weights = np.asarray(weights, dtype=float)
+    pos = dataset.y == 1
+    leaf = walk(tree, dataset.X, tree.depth)
+    reaches = [leaf == k for k in np.unique(leaf)]
+    w = np.array([weights[rows].sum() for rows in reaches])
+    w1 = np.array([weights[rows & pos].sum() for rows in reaches])
+    return math.fsum(tree_module._risks(tree_module._leaf_parts(w, w1), alpha).tolist())
+
+
+def tree_efficiency(node, tree, dataset, weights) -> float:
+    """Diagnostic ``8 w(node) err(tree)^2 / 2^depth(node)`` of node id ``node``.
+
+    ``w(node)`` is the normalized weight of examples reaching the node and
+    ``err`` the unweighted 0/1 training error of the tree's sign
+    predictions.  Strictly decreasing along any root-to-node path whenever
+    positive.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if not 0 <= node < len(tree.child):
+        raise ValueError("node does not belong to the tree")
+    depth = int(node_depths(tree.child)[node])
+    node_w = float(weights[walk(tree, dataset.X, depth) == node].sum())
+    err = float(np.mean(margin_labels(tree.predict_bins(dataset.X)) != dataset.y))
+    return 8.0 * (node_w / float(weights.sum())) * err**2 / 2.0**depth
 
 
 def _xor_dataset():
