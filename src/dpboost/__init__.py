@@ -50,7 +50,6 @@ from .tree import (
     induce_tree,
     noisify_leaves,
     objective_calibration_alpha,
-    root_split_probabilities,
     split_budget,
 )
 

@@ -48,6 +48,8 @@ class AttributeDomain:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DataError(f"attribute {self.name!r}: lo must be < hi")
+        if not np.isfinite(self.lo) or not np.isfinite(self.hi):
+            raise DataError(f"attribute {self.name!r}: lo and hi must be finite")
         if self.nvpriv < 2:
             raise DataError(f"attribute {self.name!r}: nvpriv must be >= 2")
 
@@ -149,7 +151,7 @@ class Dataset:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (self.X.shape[0],):
                 raise DataError("weights must have one entry per example")
-            if np.any(self.weights <= 0.0) or np.any(self.weights > 1.0):
+            if not np.all((self.weights > 0.0) & (self.weights <= 1.0)):
                 raise DataError("weights must lie in (0, 1]")
 
     @property

@@ -152,7 +152,7 @@ def update_weights(
     """
     spec = LossSpec.malpha(lc_alpha)
     w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
+    if not np.all((w > 0.0) & (w < 1.0)):
         raise ValueError("weights must lie strictly inside (0, 1)")
     z = -beta * labels * predictions + np.asarray(canonical_link(spec, w))
     new = np.asarray(inverse_link(spec, z))

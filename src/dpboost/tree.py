@@ -15,23 +15,21 @@ A split is scored from level-wise histograms (one complex scatter-add per
 attribute over (frontier leaf, bin) keys covers the whole level, summing a
 row's weight and positive weight at once: a complex add is two independent
 float adds, so the sums are those of one ``bincount`` per statistic) and from
-alpha-free parts of each leaf's risk (``w``, ``sqrt(u (1 - u))`` and
-``min(u, 1 - u)`` at ``u = w1 / w``): those of every candidate's children
-are computed once per level, a live leaf's once when it is made.  The live
-leaves' risks are kept for the alpha they were mixed at and mixed again
-only when a split's alpha differs.  Every value is formed by the operations
-a per-leaf ``bayes_risk`` evaluation would use, in its order, so the
-released numbers carry the same bits.
+alpha-free parts of each child's risk (``w``, ``sqrt(u (1 - u))`` and
+``min(u, 1 - u)`` at ``u = w1 / w``), computed once per level.  A candidate's
+utility is the negative risk of its two children: the rest of the tree adds
+the same risk to every candidate of a leaf, and neither the argmax nor the
+exponential mechanism changes when every utility moves by one constant.
+Every value is formed by the operations a per-leaf ``bayes_risk`` evaluation
+would use, in its order.
 
 A tied leaf (no training rows, or one class) is not scored: its candidates'
 children all have risk 0, so a private split of it draws through
 ``exponential_mechanism_uniform``, the mechanism over equal utilities, bit for bit.
 Its subtree is tied throughout and grows from the draws alone: its leaves carry
-no rows, no statistics and no live slot of their own, only the slot of the tied
-leaf it grew from, whose risk is +0.0 at every alpha, so the exact ``math.fsum``
-of the live risks stands until an untied split or a new alpha.  The rows of
-every tied subtree are routed to their leaves by one ``walk`` at the end, and a
-reached tied leaf predicts the clamped link of its rows' one class.
+no rows and no statistics of their own.  The rows of every tied subtree are
+routed to their leaves by one ``walk`` at the end, and a reached tied leaf
+predicts the clamped link of its rows' one class.
 
 A tree is a node table numbered breadth-first (``DecisionTree``); ``walk`` routes
 rows through it, ``tables_to_dict`` and ``tables_from_dict`` write and read it, and a
@@ -54,7 +52,6 @@ from .privacy import (
     BudgetAccountant,
     RandomSource,
     exponential_mechanism,
-    exponential_mechanism_probabilities,
     exponential_mechanism_uniform,
     laplace_mechanism,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "tables_from_dict",
     "split_budget",
     "objective_calibration_alpha",
-    "root_split_probabilities",
     "induce_tree",
     "noisify_leaves",
 ]
@@ -242,8 +238,6 @@ class SplitRecord:
     depth: int
     alpha: float
     epsilon: float | None
-    risk_before: float
-    risk_after: float
     utility: float
     attribute: int
     threshold_bin: int
@@ -306,17 +300,6 @@ def _leaf_parts(w: np.ndarray, w1: np.ndarray) -> np.ndarray:
     nonempty = w > 0.0
     s, mn = malpha_parts(np.clip(w1 / np.where(nonempty, w, 1.0), 0.0, 1.0))
     return np.where(nonempty, np.stack([w, s, mn]), 0.0)
-
-
-def _node_parts(w: float, w1: float) -> tuple[float, float, float]:
-    """``_leaf_parts`` of one leaf's (w, w1), on python floats: the same
-    correctly rounded operations without the per-call cost of small arrays."""
-    if not w > 0.0:
-        return 0.0, 0.0, 0.0
-    if w1 == 0.0 or w1 == w:  # u is 0 or 1: zero parts, signed like w1 as malpha_parts signs them
-        return w, 0.0 * w1, 0.0 * w1
-    s, mn = malpha_parts(min(max(w1 / w, 0.0), 1.0))
-    return w, float(s), float(mn)
 
 
 def _risks(parts, alpha: float):
@@ -391,34 +374,12 @@ def _candidate_parts(w_left, w1_left, w_leaf, w1_leaf) -> np.ndarray:
     )
 
 
-def _candidate_utilities(parts: np.ndarray, alpha: float, risk_rest: float) -> np.ndarray:
+def _candidate_utilities(parts: np.ndarray, alpha: float) -> np.ndarray:
     """Utility of every candidate of one leaf, from its ``_candidate_parts`` entry:
-    the negative total risk of the grown tree."""
+    the negative risk of its two children."""
     child_risk = _risks(parts, alpha)
     k = child_risk.size // 2
-    return -(risk_rest + (child_risk[:k] + child_risk[k:]))
-
-
-def root_split_probabilities(
-    dataset: Dataset, weights: np.ndarray, alpha: float, epsilon_node: float
-) -> np.ndarray:
-    """Exact candidate-selection probabilities for splitting a root leaf.
-
-    This is the distribution the private induction samples from at the
-    root; exposed so privacy-ratio tests can compare neighbor datasets
-    without sampling.
-    """
-    weights = np.asarray(weights, dtype=float)
-    pos = dataset.y == 1
-    w_left, w1_left = _frontier_histograms(
-        dataset.X, weights, weights * pos, [np.arange(dataset.n_examples)], dataset.domains
-    )
-    parts = _candidate_parts(
-        w_left, w1_left, np.array([weights.sum()]), np.array([weights[pos].sum()])
-    )
-    utilities = _candidate_utilities(parts[:, 0], alpha, 0.0)
-    delta = sensitivity_bound(LossSpec.malpha(alpha), dataset.n_examples)
-    return exponential_mechanism_probabilities(utilities, delta, epsilon_node)
+    return -(child_risk[:k] + child_risk[k:])
 
 
 def induce_tree(
@@ -433,10 +394,11 @@ def induce_tree(
     """Grow one tree, breadth-first.
 
     Without privacy, each impure leaf above the depth cap is split at the
-    candidate minimizing the unnormalized Bayes risk of the grown tree
-    (ties go to the lowest (attribute, threshold)).  With privacy, every
-    leaf is carried to the exact target depth and candidates are sampled
-    by the exponential mechanism with the per-depth budget schedule.
+    candidate minimizing the unnormalized Bayes risk of its two children,
+    which ranks candidates as the risk of the grown tree does (ties go to the
+    lowest (attribute, threshold)).  With privacy, every leaf is carried to
+    the exact target depth and candidates are sampled by the exponential
+    mechanism with the per-depth budget schedule.
 
     Leaf predictions apply the canonical link to the clamped class
     proportion; empty leaves predict 0.
@@ -449,8 +411,8 @@ def induce_tree(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (dataset.n_examples,):
         raise ValueError("weights must have one entry per example")
-    if np.any(weights <= 0.0):
-        raise ValueError("weights must be strictly positive")
+    if not np.all((weights > 0.0) & np.isfinite(weights)):
+        raise ValueError("weights must be finite and strictly positive")
     candidates = candidate_splits(dataset)
     if not candidates:
         raise DataError("no non-trivial split candidates")
@@ -478,30 +440,25 @@ def induce_tree(
     # induction grows them; a new node is a leaf
     nodes, records = [(0, 0, LEAF_BIN)], []
     root_stats = leaf_stats(np.arange(m))
-    # _node_parts of the live leaves as three lists (w, s, mn) by slot; an untied split
-    # puts its left child in the leaf's slot and its right child in a new one
-    live = [[part] for part in _node_parts(*root_stats[:2])]
-    live_risk, risk_alpha, risk_before = [], None, None  # risks at risk_alpha; their fsum or None
     error_count = root_stats[2]
     err_root = error_count / m
 
     oc = config.objective_calibration
 
-    # (leaf id, its rows in ascending order or None in a tied subtree, its live slot,
-    # its leaf_stats)
-    frontier: list[tuple[int, np.ndarray | None, int, tuple]] = [(0, np.arange(m), 0, root_stats)]
-    final: list[tuple[int, np.ndarray, int, tuple]] = []  # leaves that stopped early
+    # (leaf id, its rows in ascending order or None in a tied subtree, its leaf_stats)
+    frontier: list[tuple[int, np.ndarray | None, tuple]] = [(0, np.arange(m), root_stats)]
+    final: list[tuple[int, np.ndarray, tuple]] = []  # leaves that stopped early
     tied_rows = []  # the rows of each tied subtree, routed to its leaves after the last level
     for level in range(config.depth):
         if not private:  # pure leaves stay leaves
-            pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, _, (w, w1, *_) in frontier]
+            pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, (w, w1, *_) in frontier]
             final += [f for f, p in zip(frontier, pure) if p]
             frontier = [f for f, p in zip(frontier, pure) if not p]
         if not frontier:
             break
         # only untied leaves are scored, each taking the next candidate parts in
         # frontier order (without privacy the tied ones stopped above)
-        scored = [(idx, stats) for _, idx, _, stats in frontier if not stats[3]]
+        scored = [(idx, stats) for _, idx, stats in frontier if not stats[3]]
         if scored:
             w_left, w1_left = _frontier_histograms(
                 X, weights, pos_weights, [idx for idx, _ in scored], dataset.domains
@@ -512,8 +469,8 @@ def induce_tree(
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
         # every leaf of a private level is split, each by its own draw, in frontier order
         draws = rng.uniforms(len(frontier)).tolist() if private else [None] * len(frontier)
-        next_frontier: list[tuple[int, np.ndarray | None, int, tuple]] = []
-        for (k, idx, slot, stats), draw in zip(frontier, draws):
+        next_frontier: list[tuple[int, np.ndarray | None, tuple]] = []
+        for (k, idx, stats), draw in zip(frontier, draws):
             if not oc:
                 alpha_l = float(config.alpha)
             elif err_root > 0.0:
@@ -521,22 +478,15 @@ def induce_tree(
             else:  # a pure root leaves the ratio undefined: the public start value
                 alpha_l = 1.0
 
-            if alpha_l != risk_alpha:
-                live_risk = _risks(np.array(live), alpha_l).tolist()
-                risk_alpha, risk_before = alpha_l, None
-            if risk_before is None:
-                risk_before = math.fsum(live_risk)
-            risk_rest = risk_before - live_risk[slot]
-
             if stats[3]:  # tied
-                # Every candidate of a tied leaf scores -(risk_rest + 0.0): on its rows
+                # Every candidate of a tied leaf scores -(0.0 + 0.0): on its rows
                 # pos_weights is weights or 0, so each child's w1 is its w or 0 bit for
                 # bit (w_leaf - w_left too), u is 0 or 1, and s, mn and the risks are 0.
-                utility = -(risk_rest + 0.0)
+                utility = -0.0
                 n = len(candidates)
                 choice = exponential_mechanism_uniform(n, eps, accountant, draw, label)
             else:
-                utilities = _candidate_utilities(next(cand_parts), alpha_l, risk_rest)
+                utilities = _candidate_utilities(next(cand_parts), alpha_l)
                 if private:
                     delta = sensitivity_bound(LossSpec.malpha(alpha_l), m)
                     choice = exponential_mechanism(utilities, delta, eps, accountant, draw, label)
@@ -548,28 +498,19 @@ def induce_tree(
             left = len(nodes)
             nodes[k] = (left, cand.attribute, cand.threshold_bin)
             nodes += [(left, 0, LEAF_BIN), (left + 1, 0, LEAF_BIN)]
-            records.append(SplitRecord(
-                level, alpha_l, eps, risk_before, -utility, utility, cand.attribute,
-                cand.threshold_bin,
-            ))
-            if stats[3]:  # the children share the slot, risk +0.0, and no errors
+            records.append(
+                SplitRecord(level, alpha_l, eps, utility, cand.attribute, cand.threshold_bin)
+            )
+            if stats[3]:  # the children are tied and carry no errors
                 if idx is not None and idx.size:
                     tied_rows.append(idx)
-                next_frontier += [(left, None, slot, in_tied), (left + 1, None, slot, in_tied)]
+                next_frontier += [(left, None, in_tied), (left + 1, None, in_tied)]
                 continue
             mask = X[:, cand.attribute][idx] <= cand.threshold_bin
             left_idx, right_idx = idx[mask], idx[~mask]
             left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
-            next_frontier.append((left, left_idx, slot, left_stats))
-            next_frontier.append((left + 1, right_idx, len(live[0]), right_stats))
-            left_parts, right_parts = _node_parts(*left_stats[:2]), _node_parts(*right_stats[:2])
-            for parts, left_part, right_part in zip(live, left_parts, right_parts):
-                parts[slot] = left_part
-                parts.append(right_part)
-            live_risk[slot] = _risks(left_parts, alpha_l)
-            live_risk.append(_risks(right_parts, alpha_l))
+            next_frontier += [(left, left_idx, left_stats), (left + 1, right_idx, right_stats)]
             error_count += left_stats[2] + right_stats[2] - stats[2]
-            risk_before = None
         frontier = next_frontier
 
     if oc:
@@ -578,7 +519,7 @@ def induce_tree(
         prediction_alpha = float(config.alpha)
     tree = DecisionTree(*np.array(nodes).T.copy(), np.zeros(len(nodes)), records, prediction_alpha)
     leaves = final + frontier
-    held = [(k, w1 / w) for k, _, _, (w, w1, *_) in leaves if w > 0.0]  # (leaf, u = w1 / w)
+    held = [(k, w1 / w) for k, _, (w, w1, *_) in leaves if w > 0.0]  # (leaf, u = w1 / w)
     if tied_rows:  # one walk takes the rows of every tied subtree to its leaves
         rows = np.concatenate(tied_rows)
         reached = walk(tree, X[rows], config.depth)
@@ -587,7 +528,7 @@ def induce_tree(
         if _leaf_rows is not None:
             _leaf_rows[rows] = reached
     if _leaf_rows is not None:
-        for k, idx, _, _ in leaves:
+        for k, idx, _ in leaves:
             if idx is not None:
                 _leaf_rows[idx] = k
     # one link call; its ufuncs round each leaf as a scalar call does; empty leaves keep 0

@@ -36,7 +36,8 @@ from dpboost.losses import (
     surrogate,
 )
 from dpboost.privacy import BudgetAccountant, RandomSource, replacement_neighbors
-from dpboost.tree import TreeConfig, TreePrivacy, root_split_probabilities
+from dpboost.tree import TreeConfig, TreePrivacy
+from test_tree import root_split_probabilities
 
 
 def _report(criterion: str, detail: str):

@@ -12,7 +12,11 @@ a tree in five separate loops.  An experiment grid's result columns and
 for every record.  The serialized models are pinned from the version-2
 writer, which keeps no training statistics.  Leaves and nodes are listed
 depth-first, left to right, the order the node graphs that preceded the node
-tables listed them in.
+tables listed them in.  The split utilities of every fit, and the splits, leaf
+predictions, models and ``tree_efficiency`` of the two non-private fits, are
+pinned from the induction that first scored a split by its two children
+alone: node 22 of some trees there cut the same rows with its children
+swapped, a tie the risk of the rest of the tree had rounded away.
 """
 
 import dataclasses
@@ -107,10 +111,8 @@ GOLDEN = {
         "record.attribute": "480daddebfc9e427",
         "record.depth": "6ec8cba3eba5977e",
         "record.epsilon": "eb6cce2ffa7d07c7",
-        "record.risk_after": "eec573708d77e2d9",
-        "record.risk_before": "183a03c889b32b88",
         "record.threshold_bin": "75b00dc2f9265d98",
-        "record.utility": "511f2ce1b9aa2792",
+        "record.utility": "ec8818ae258bdf2e",
         "model.to_dict": "752f44aaa0a3cb49",
         "traces.betas": "3a5beaddfb05da6a",
         "traces.edges": "b140baf43cd993a8",
@@ -120,17 +122,15 @@ GOLDEN = {
     },
     "fixed_alpha_depth5": {
         "betas": "9c041ac1e1aeefc9",
-        "leaf.prediction": "e067d1b401bd365d",
+        "leaf.prediction": "f802d5695e99ca8b",
         "margins": "cad416e3b3355bc6",
         "record.alpha": "00f65c44d1872843",
-        "record.attribute": "77f4ee621a12963c",
+        "record.attribute": "ee426266e9d66407",
         "record.depth": "f88e1383864b270e",
         "record.epsilon": "20b99096e9887f3f",
-        "record.risk_after": "bce67390139b9d69",
-        "record.risk_before": "a668ff28a9ce0721",
-        "record.threshold_bin": "565e843b97ec90f9",
-        "record.utility": "14b9dff3399afd03",
-        "model.to_dict": "e781fb7f9ac4d2f3",
+        "record.threshold_bin": "aeefbebf006cb3d9",
+        "record.utility": "c7ba844a0cbfa5cb",
+        "model.to_dict": "b5d6e758715464ba",
         "traces.betas": "9c041ac1e1aeefc9",
         "traces.edges": "50e652a72fe71d28",
         "traces.mean_weight": "3db347ea08eb5c6d",
@@ -139,17 +139,15 @@ GOLDEN = {
     },
     "oc_depth5": {
         "betas": "f0b0970f084e188f",
-        "leaf.prediction": "6fc58e0e4ec4cc02",
+        "leaf.prediction": "8bde55eb53697629",
         "margins": "20274018b636a784",
         "record.alpha": "ffdc161fc9287ae8",
-        "record.attribute": "d3aa484231161023",
+        "record.attribute": "293df66d59ec00ed",
         "record.depth": "f88e1383864b270e",
         "record.epsilon": "20b99096e9887f3f",
-        "record.risk_after": "d5a50fbbfe5c27b8",
-        "record.risk_before": "2e974b3983dc22fb",
-        "record.threshold_bin": "7ea598958e8af283",
-        "record.utility": "1fd3ca603b242e21",
-        "model.to_dict": "8630615fd4486af1",
+        "record.threshold_bin": "a14e54885e3dd7bf",
+        "record.utility": "5ea1455625570cf8",
+        "model.to_dict": "255e364b3233d192",
         "traces.betas": "f0b0970f084e188f",
         "traces.edges": "c68c46c8409812cf",
         "traces.mean_weight": "8ad487a0d3ac5f7a",
@@ -259,11 +257,11 @@ def test_forest_matches_golden_digests(name):
 DIAGNOSTICS_GOLDEN = {
     "fixed_alpha_depth5": {
         "unnormalized_risk": "bd684c02528e8eeb",
-        "tree_efficiency": "1e5f1c440851567f",
+        "tree_efficiency": "d4a9da3774b6cf94",
     },
     "oc_depth5": {
         "unnormalized_risk": "475433e68c961334",
-        "tree_efficiency": "f8ee134463295448",
+        "tree_efficiency": "616b30fc311bbc6f",
     },
     "private_oc_depth8": {
         "unnormalized_risk": "12ee57c5ccfeb04d",

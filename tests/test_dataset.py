@@ -69,12 +69,18 @@ class TestDomainSpec:
         bad.write_text("label_map = a:b\n")
         with pytest.raises(DataError):
             parse_domain_spec(str(bad))
+        bad.write_text("attribute = a 0 inf 4\n")  # float() reads inf
+        with pytest.raises(DataError):
+            parse_domain_spec(str(bad))
 
     def test_domain_validation(self):
         with pytest.raises(DataError):
             AttributeDomain("x", 1.0, 0.0, 10)
         with pytest.raises(DataError):
             AttributeDomain("x", 0.0, 1.0, 1)
+        for lo, hi in [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)]:
+            with pytest.raises(DataError, match="lo and hi must be finite"):
+                AttributeDomain("x", lo, hi, 4)
 
 
 class TestQuantization:
@@ -343,6 +349,9 @@ class TestDatasetInvariants:
             Dataset(X, y, doms, np.array([0.0, 1.0]))
         with pytest.raises(DataError):
             Dataset(X, y, doms, np.array([1.5, 1.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="weights must lie in"):
+                Dataset(X, y, doms, np.array([bad, 1.0]))
 
     def test_label_validation(self):
         doms = [AttributeDomain("x", 0.0, 1.0, 2)]

@@ -103,8 +103,10 @@ class TestUpdateWeights:
         assert out[0] == 1.0 - WEIGHT_CLAMP
 
     def test_rejects_boundary_weights(self):
-        with pytest.raises(ValueError):
-            update_weights(1.0, np.array([0.0]), 0.1, np.array([1]), np.array([1.0]))
+        for bad in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match="strictly inside"):
+                update_weights(1.0, np.array([0.5, bad]), 0.1, np.array([1, -1]),
+                               np.array([1.0, 1.0]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -35,7 +35,6 @@ from dpboost.tree import (
     node_depths,
     noisify_leaves,
     objective_calibration_alpha,
-    root_split_probabilities,
     margin_labels,
     split_budget,
     walk,
@@ -53,6 +52,39 @@ def unnormalized_risk(tree, dataset, weights, alpha) -> float:
     w = np.array([weights[rows].sum() for rows in reaches])
     w1 = np.array([weights[rows & pos].sum() for rows in reaches])
     return math.fsum(tree_module._risks(tree_module._leaf_parts(w, w1), alpha).tolist())
+
+
+def root_split_probabilities(dataset, weights, alpha, epsilon_node) -> np.ndarray:
+    """Exact probabilities of private induction's candidate draw at a root leaf, so
+    privacy-ratio tests can compare neighbor datasets without sampling."""
+    weights, pos = np.asarray(weights, dtype=float), dataset.y == 1
+    w_left, w1_left = tree_module._frontier_histograms(
+        dataset.X, weights, weights * pos, [np.arange(dataset.n_examples)], dataset.domains
+    )
+    leaf_w = np.array([weights.sum()]), np.array([weights[pos].sum()])
+    utilities = tree_module._candidate_utilities(
+        tree_module._candidate_parts(w_left, w1_left, *leaf_w)[:, 0], alpha
+    )
+    delta = sensitivity_bound(LossSpec.malpha(alpha), dataset.n_examples)
+    return exponential_mechanism_probabilities(utilities, delta, epsilon_node)
+
+
+def split_risks(tree, dataset, weights) -> list[tuple[float, float]]:
+    """(risk of the leaf, risk of its two children) of every split of ``tree`` at its
+    record's alpha, in record order, from the training rows that reach them."""
+    weights, pos = np.asarray(weights, dtype=float), dataset.y == 1
+    depths, out = node_depths(tree.child), []
+    for k, record in zip(np.flatnonzero(~leaf_mask(tree.child)), tree.records):
+        assert (tree.attribute[k], tree.threshold_bin[k]) == (record.attribute,
+                                                             record.threshold_bin)
+        below = walk(tree, dataset.X, depths[k] + 1)
+        groups = [walk(tree, dataset.X, depths[k]) == k, below == tree.child[k],
+                  below == tree.child[k] + 1]
+        w = np.array([weights[g].sum() for g in groups])
+        w1 = np.array([weights[g & pos].sum() for g in groups])
+        leaf, left, right = tree_module._risks(tree_module._leaf_parts(w, w1), record.alpha)
+        out.append((float(leaf), float(left + right)))
+    return out
 
 
 def tree_efficiency(node, tree, dataset, weights) -> float:
@@ -183,17 +215,29 @@ def _assert_leaves_use_clamped_link(tree, ds):
 
 
 class TestGreedyInduction:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("private", [False, True])
+    def test_rejects_weights_that_are_not_finite_and_positive(self, bad, private):
+        ds = make_blocks_dataset(50, 2, seed=1)
+        weights = np.ones(50)
+        weights[7] = bad
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0) if private else None
+        accountant = BudgetAccountant(1.0)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            induce_tree(ds, weights, TreeConfig(depth=2, privacy=privacy), accountant,
+                        RandomSource(0))
+        assert accountant.spends == []
+
     def test_xor_reaches_zero_error(self):
         ds = _xor_dataset()
         assert _enumerate_depth2_zero_error(ds)  # oracle: a perfect tree exists
         tree = induce_tree(ds, np.ones(4), TreeConfig(depth=2, alpha=1.0))
         preds = tree.predict_bins(ds.X)
         assert np.all(np.sign(preds) == ds.y)
-        risks = [r.risk_after for r in tree.records]
-        assert risks[-1] == pytest.approx(0.0, abs=1e-12)
-        # the risk trace never increases (root split of xor is a tie)
-        for rec in tree.records:
-            assert rec.risk_after <= rec.risk_before + 1e-12
+        assert unnormalized_risk(tree, ds, np.ones(4), tree.records[-1].alpha) == 0.0
+        # no split raises its leaf's risk (the root split of xor is a tie)
+        for leaf, children in split_risks(tree, ds, np.ones(4)):
+            assert children <= leaf + 1e-12
 
     def test_separable_root_split(self):
         # labels depend only on attribute 0 at a known threshold
@@ -218,20 +262,14 @@ class TestGreedyInduction:
             )
             for c in candidate_splits(ds)
         )
-        assert tree.records[0].risk_after == pytest.approx(best, abs=1e-9)
+        assert -tree.records[0].utility == pytest.approx(best, abs=1e-9)
 
     def test_risk_never_increases_along_records(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         for alpha in (0.3, 1.0, "oc"):
             tree = induce_tree(ds, np.full(200, 0.5), TreeConfig(depth=4, alpha=alpha))
-            for rec in tree.records:
-                assert rec.risk_after <= rec.risk_before + 1e-9
-
-    def test_consecutive_risks_chain_at_fixed_alpha(self):
-        ds = make_blocks_dataset(150, 3, seed=8)
-        tree = induce_tree(ds, np.ones(150), TreeConfig(depth=3, alpha=1.0))
-        for prev, nxt in zip(tree.records, tree.records[1:]):
-            assert nxt.risk_before == pytest.approx(prev.risk_after, abs=1e-9)
+            for leaf, children in split_risks(tree, ds, np.full(200, 0.5)):
+                assert children <= leaf + 1e-9
 
     def test_no_pure_leaf_has_children(self):
         ds = make_blocks_dataset(200, 4, seed=3)
@@ -312,18 +350,13 @@ class TestPrivateInduction:
 
     def test_recorded_utility_matches_materialized_split(self):
         # no stale statistics: the recorded utility must equal the negated
-        # risk of the tree right after that split, recomputed from scratch
+        # risk of the split's two children, recomputed from scratch
         ds = make_blocks_dataset(120, 3, seed=4)
         cfg = self._private_config(3, 2, 2.0, alpha=0.7)
         acc = BudgetAccountant(2.0)
         tree = induce_tree(ds, np.ones(120), cfg, acc, RandomSource(9))
-        for rec in tree.records:
-            assert rec.risk_after == pytest.approx(-rec.utility, abs=1e-12)
-        # replay the splits on a fresh tree and compare the final risk
-        final_alpha = tree.records[-1].alpha
-        assert unnormalized_risk(tree, ds, np.ones(120), final_alpha) == pytest.approx(
-            tree.records[-1].risk_after, abs=1e-9
-        )
+        for rec, (_, children) in zip(tree.records, split_risks(tree, ds, np.ones(120))):
+            assert -rec.utility == pytest.approx(children, abs=1e-12)
 
     def test_deterministic(self):
         ds = make_blocks_dataset(100, 3, seed=2)
@@ -392,8 +425,8 @@ class TestTiedSubtrees:
         ds = make_blocks_dataset(60, 3, seed=1)
         ds = Dataset(ds.X, np.full(60, label), ds.domains)
         tree, reached = self._fit(ds, 4, seed=2)
-        # the root is tied: every split scores the empty risk sum
-        assert all(r.risk_before == 0.0 and r.utility == 0.0 for r in tree.records)
+        # the root is tied: every split's children have risk 0
+        assert all(r.utility == 0.0 for r in tree.records)
         assert tree.prediction_alpha == 1.0
         assert np.unique(reached).size > 1
         assert np.all(tree.value[reached] == tree.value[reached[0]])
@@ -589,10 +622,10 @@ def _reference_risk(w, w1, spec):
 
 
 def _reference_split_scores(tree, ds, weights, config):
-    """(alpha, risk_before, utilities) of every split of ``tree``, in induction
-    order, recomputed from scratch: every live leaf's risk from the (w, w1) of
-    its training rows at the split's alpha, and every candidate from per-leaf
-    histograms."""
+    """(alpha, utilities) of every split of ``tree``, in induction order,
+    recomputed from scratch: every candidate's children from the per-leaf
+    histograms of the leaf's own rows alone, and alpha from the errors of the
+    live leaves."""
     pos = ds.y == 1
     m = ds.n_examples
 
@@ -618,13 +651,11 @@ def _reference_split_scores(tree, ds, weights, config):
             else:
                 alpha = 1.0
             spec = LossSpec.malpha(alpha)
-            risks = {key: float(_reference_risk(w, w1, spec)) for key, (w, w1, _) in live.items()}
-            risk_before = math.fsum(risks.values())
             w_left, w1_left = _per_leaf_histogram(ds.X, weights, pos, idx, ds.domains)
             left = _reference_risk(w_left, w1_left, spec)
             w, w1, _ = live.pop(node)
             right = _reference_risk(w - w_left, w1 - w1_left, spec)
-            out.append((alpha, risk_before, -((risk_before - risks[node]) + (left + right))))
+            out.append((alpha, -(left + right)))
             mask = ds.X[idx, tree.attribute[node]] <= tree.threshold_bin[node]
             first = int(tree.child[node])
             live[first], live[first + 1] = stats(idx[mask]), stats(idx[~mask])
@@ -694,12 +725,13 @@ class TestRiskBookkeeping:
         # the private fit takes both samplers
         n_private = len(private_tree.records)
         assert {isinstance(s, int) for s in seen[:n_private]} == {True, False}
-        for utilities, (record, (alpha, risk_before, expected)) in zip(seen, scores):
+        # each split's utilities come from its leaf's rows alone, whatever the
+        # rest of the tree holds
+        for utilities, (record, (alpha, expected)) in zip(seen, scores):
             assert record.alpha == alpha
-            assert record.risk_before == risk_before
             if isinstance(utilities, int):  # a tied leaf: every candidate scores alike
                 assert utilities == len(expected)
-                assert np.all(expected == record.utility)
+                assert expected.tobytes() == np.full(utilities, record.utility).tobytes()
             else:
                 assert np.array_equal(utilities, expected)
 
@@ -713,9 +745,7 @@ class TestRiskBookkeeping:
         w1 = u * abs(w)
         expected = np.float64(_reference_risk(w, w1, LossSpec.malpha(alpha))).tobytes()
         vector = tree_module._risks(tree_module._leaf_parts(np.array([w]), np.array([w1])), alpha)
-        node = tree_module._risks(tree_module._node_parts(w, w1), alpha)
         assert vector[0].tobytes() == expected
-        assert np.float64(node).tobytes() == expected
 
 
 class TestNoisifyLeaves:
