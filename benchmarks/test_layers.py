@@ -1,6 +1,7 @@
 """Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32)
 and its memory peak, the weight update, deep and grid-sized private induction, deep-tree
-prediction, exponential-mechanism sampling (scored and uniform), leaf noising,
+prediction, exponential-mechanism sampling (scored leaves one by one, tied leaves in
+one batch per level), leaf noising,
 the forest baseline, k-fold construction and one experiment grid.
 
 Run from the repository root with::
@@ -29,14 +30,8 @@ from dpboost.dataset import (
 )
 from dpboost.ensemble import boost_fit, predict, rf_fit, update_weights
 from dpboost.harness import ExperimentConfig, run_experiment
-from dpboost.privacy import (
-    BudgetAccountant,
-    RandomSource,
-    derive_seed,
-    exponential_mechanism,
-    exponential_mechanism_uniform,
-)
-from dpboost.tree import TreeConfig, TreePrivacy, induce_tree, noisify_leaves
+from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed, exponential_mechanism
+from dpboost.tree import TreeConfig, TreePrivacy, induce_tree, node_depths, noisify_leaves, walk
 
 M_ROWS, N_ATTRS, NVPRIV, DEPTH, OUTPUT_BOUND = 100_000, 20, 32, 6, 10.0
 
@@ -185,13 +180,19 @@ def test_induce_tree_cv_private(benchmark):
     benchmark(lambda: induce_tree(train, weights, config, BudgetAccountant(1.0), RandomSource(0)))
 
 
-def test_predict_deep_private(benchmark, blocks):
-    """``predict`` of a private depth-8 model (T=10): most subtrees are reached by no row."""
-    train, held_out = blocks
+@pytest.fixture(scope="module")
+def deep_model(blocks):
+    """A private OC depth-8 model (T=10) of the training rows."""
+    train, _ = blocks
     privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=10)
     config = TreeConfig(depth=8, alpha="oc", privacy=privacy)
-    model = boost_fit(train, 10, config, accountant=BudgetAccountant(1.0), rng=RandomSource(0))
-    benchmark(predict, model, held_out.X)
+    return boost_fit(train, 10, config, accountant=BudgetAccountant(1.0), rng=RandomSource(0))
+
+
+def test_predict_deep_private(benchmark, blocks, deep_model):
+    """``predict`` of a private depth-8 model (T=10): most subtrees are reached by no row."""
+    _, held_out = blocks
+    benchmark(predict, deep_model, held_out.X)
 
 
 def test_exponential_mechanism(benchmark):
@@ -207,13 +208,26 @@ def test_exponential_mechanism(benchmark):
     benchmark(draws)
 
 
-def test_exponential_mechanism_uniform(benchmark):
-    """2,000 split draws of tied leaves over 36 candidates, each with its ledger entry."""
+def test_exponential_mechanism_tied_levels(benchmark, blocks, deep_model):
+    """The split draws of the tied leaves (no rows or one class) of a private depth-8
+    model (T=10) over 36 candidates: one batched release over equal utilities per level
+    that holds tied leaves, with a ledger entry per leaf.  The batch sizes are the
+    model's own, 61 batches of 1 to 118 rows, 2,094 in all."""
+    train, _ = blocks
+    sizes = []
+    for tree in deep_model.trees:
+        depths = node_depths(tree.child)
+        for d in range(tree.depth):
+            at = walk(tree, train.X, d)
+            tied = sum(np.unique(train.y[at == k]).size <= 1 for k in np.flatnonzero(depths == d))
+            if tied:
+                sizes.append(tied)
+    assert (len(sizes), min(sizes), max(sizes), sum(sizes)) == (61, 1, 118, 2094)
 
     def draws():
         accountant, rng = BudgetAccountant(1.0), RandomSource(0)
-        return [exponential_mechanism_uniform(36, 1e-4, accountant, rng.uniform())
-                for _ in range(2000)]
+        return [exponential_mechanism(np.zeros((n, 36)), 3.0, 1e-4, accountant, rng.uniforms(n))
+                for n in sizes]
 
     benchmark(draws)
 

@@ -59,7 +59,6 @@ class BoostTraces:
 
     mean_weight: list[float] = field(default_factory=list)
     edges: list[float] = field(default_factory=list)
-    betas: list[float] = field(default_factory=list)
     surrogate: list[float] = field(default_factory=list)
     train_error: list[float] = field(default_factory=list)
 
@@ -216,7 +215,6 @@ def boost_fit(
         mean_w = float(np.mean(weights))
         ensemble.traces.mean_weight.append(mean_w)
         ensemble.traces.edges.append(edge(weights / weights.sum(), y, h))
-        ensemble.traces.betas.append(beta)
         weights = update_weights(lc_alpha, weights, beta, y, h)
         ensemble.trees.append(tree)
         ensemble.betas.append(beta)

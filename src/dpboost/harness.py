@@ -330,15 +330,14 @@ def run_experiment(config: ExperimentConfig, out_path: str) -> int:
                     depths = np.concatenate(
                         [node_depths(t.child)[leaf_mask(t.child)] for t in model.trees]
                     )
-                    # boosting traced the training error of its final model
-                    train_error, leaves = model.traces.train_error[-1], depths.size
-                    mean_depth = float(np.mean(depths))
+                    leaves, mean_depth = depths.size, float(np.mean(depths))
                 else:  # complete trees of one depth
-                    train_error = empirical_risk(model, train)
                     leaves = int(np.count_nonzero(leaf_mask(model.child)))
                     mean_depth = float(model.depth)
+                # an exact training error is no private release; boosting traced its own
+                if cell["epsilon"] == "off":
+                    record["train_error"] = model.traces.train_error[-1]
                 record.update(
-                    train_error=train_error,
                     test_error=empirical_risk(model, test),
                     default_error=min(pos_frac, 1.0 - pos_frac),
                     leaves=leaves,

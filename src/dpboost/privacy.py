@@ -30,7 +30,6 @@ __all__ = [
     "laplace_mechanism",
     "exponential_mechanism_probabilities",
     "exponential_mechanism",
-    "exponential_mechanism_uniform",
     "replacement_neighbors",
     "brute_force_sensitivity",
 ]
@@ -265,26 +264,6 @@ def exponential_mechanism(
     return _sample_index(probs, u)
 
 
-def exponential_mechanism_uniform(
-    n: int, epsilon: float, accountant: BudgetAccountant, u: float,
-    label: str = "exponential",
-) -> int:
-    """``exponential_mechanism`` over ``n`` equal utilities with finite scores, bit for
-    bit: the scores minus their maximum are all +0.0 and ``exp(0.0)`` is 1, so the weights
-    sum to exactly ``n`` and every probability is ``1.0 / n`` (the spend checks epsilon).
-    It searches their cdf, cached per ``n``; a draw past it takes ``n - 1``, the last entry."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    accountant.spend(label, epsilon)
-    return min(int(_uniform_cdf(n).searchsorted(u, side="right")), n - 1)
-
-
-@functools.lru_cache(maxsize=16)
-def _uniform_cdf(n: int) -> np.ndarray:
-    """``np.cumsum(np.full(n, 1.0 / n))`` over immutable bytes: every caller shares it."""
-    return np.frombuffer(np.cumsum(np.full(n, 1.0 / n)).tobytes())
-
-
 def _sample_index(probs: np.ndarray, u):
     """The index whose cdf interval holds the uniform draw ``u``, per row of ``probs``
     (its last axis; ``u`` has the shape of the other axes).  Rounding can leave
@@ -294,8 +273,10 @@ def _sample_index(probs: np.ndarray, u):
         choice = int(np.searchsorted(cdf, u, side="right"))
         return choice if choice < probs.size else int(np.flatnonzero(probs)[-1])
     choice = (cdf <= u[..., None]).sum(axis=-1)  # each row's searchsorted, side="right"
-    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
-    return np.where(choice == probs.shape[-1], last, choice)
+    past = choice == probs.shape[-1]
+    if past.any():
+        choice[past] = probs.shape[-1] - 1 - np.argmax(probs[past][:, ::-1] > 0.0, axis=-1)
+    return choice
 
 
 # --- brute-force sensitivity oracle -------------------------------------

@@ -24,10 +24,11 @@ Every value is formed by the operations a per-leaf ``bayes_risk`` evaluation
 would use, in its order.
 
 A tied leaf (no training rows, or one class) is not scored: its candidates'
-children all have risk 0, so a private split of it draws through
-``exponential_mechanism_uniform``, the mechanism over equal utilities, bit for bit.
-Its subtree is tied throughout and grows from the draws alone: its leaves carry
-no rows and no statistics of their own.  The rows of every tied subtree are
+children all have risk 0, so their utilities are equal, and each private level's
+tied leaves draw in one batched ``exponential_mechanism`` call over a zero-utility
+matrix, each with its own uniform and ledger entry.  A tied leaf's subtree is tied
+throughout and grows from the draws alone: its leaves carry no rows and no
+statistics of their own.  The rows of every tied subtree are
 routed to their leaves by one ``walk`` at the end, and a reached tied leaf
 predicts the clamped link of its rows' one class.
 
@@ -48,13 +49,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, candidate_splits
 from .losses import LossSpec, canonical_link, malpha_combine, malpha_parts, sensitivity_bound
-from .privacy import (
-    BudgetAccountant,
-    RandomSource,
-    exponential_mechanism,
-    exponential_mechanism_uniform,
-    laplace_mechanism,
-)
+from .privacy import BudgetAccountant, RandomSource, exponential_mechanism, laplace_mechanism
 
 __all__ = [
     "Q_CLAMP",
@@ -102,8 +97,8 @@ class TreePrivacy:
             raise ValueError("epsilon must be finite and positive")
         if not (0.0 < self.beta_tree < 1.0):
             raise ValueError("beta_tree must lie in (0, 1)")
-        if not (self.output_bound > 0.0):
-            raise ValueError("output_bound must be positive")
+        if not 0.0 < self.output_bound < math.inf:
+            raise ValueError("output_bound must be positive and finite")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
 
@@ -469,6 +464,14 @@ def induce_tree(
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
         # every leaf of a private level is split, each by its own draw, in frontier order
         draws = rng.uniforms(len(frontier)).tolist() if private else [None] * len(frontier)
+        # the level's tied leaves (only a private level keeps them) draw in one call:
+        # equal utilities give every candidate 1 / n, so the sensitivity may be any
+        # bound, and the one at alpha = 1 bounds it at every alpha
+        tied = [i for i, (_, _, stats) in enumerate(frontier) if stats[3]]
+        tied_choices = iter(exponential_mechanism(
+            np.zeros((len(tied), len(candidates))), sensitivity_bound(LossSpec.malpha(1.0), m),
+            eps, accountant, np.array([draws[i] for i in tied]), label,
+        ).tolist() if tied else ())
         next_frontier: list[tuple[int, np.ndarray | None, tuple]] = []
         for (k, idx, stats), draw in zip(frontier, draws):
             if not oc:
@@ -482,9 +485,7 @@ def induce_tree(
                 # Every candidate of a tied leaf scores -(0.0 + 0.0): on its rows
                 # pos_weights is weights or 0, so each child's w1 is its w or 0 bit for
                 # bit (w_leaf - w_left too), u is 0 or 1, and s, mn and the risks are 0.
-                utility = -0.0
-                n = len(candidates)
-                choice = exponential_mechanism_uniform(n, eps, accountant, draw, label)
+                utility, choice = -0.0, next(tied_choices)
             else:
                 utilities = _candidate_utilities(next(cand_parts), alpha_l)
                 if private:

@@ -199,6 +199,16 @@ class TestBoostFit:
         with pytest.raises(ValueError, match="output_bound"):
             boost_fit(ds, 1, TreeConfig(depth=1, alpha=1.0), output_bound=bound)
 
+    def test_infinite_private_output_bound_rejected_before_any_spend(self):
+        # it would fail only at the leaf release, after the splits spent
+        ds = make_blocks_dataset(50, 2, seed=1)
+        accountant = BudgetAccountant(1.0)
+        with pytest.raises(ValueError, match="output_bound must be positive and finite"):
+            privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=math.inf)
+            boost_fit(ds, 1, TreeConfig(depth=2, alpha=1.0, privacy=privacy),
+                      accountant=accountant, rng=RandomSource(0))
+        assert accountant.spends == []
+
     def test_deterministic_private_run(self):
         ds = make_blocks_dataset(100, 3, seed=4)
 

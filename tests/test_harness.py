@@ -191,6 +191,24 @@ class TestRunExperiment:
         for row in read_results(out):
             assert float(row["spent_epsilon"]) == pytest.approx(0.5, abs=1e-12)
 
+    def test_only_non_private_cells_carry_a_train_error(self, tmp_path, blocks_files):
+        # an exact training error is not a private release
+        data, domains = blocks_files
+        cfg = ExperimentConfig.from_file(
+            _config_file(tmp_path, data, domains, epsilon="off,0.5", algorithm="boost,rf_laplace")
+        )
+        out = str(tmp_path / "results.csv")
+        run_experiment(cfg, out)
+        rows = read_results(out)
+        assert {(r["algorithm"], r["epsilon"]) for r in rows} == {
+            ("boost", "off"), ("boost", "0.5"), ("rf_laplace", "0.5")
+        }
+        for row in rows:
+            assert row["error"] == "" and row["leaves"] != "" and row["mean_depth"] != ""
+            assert (row["train_error"] == "") == (row["epsilon"] != "off")
+            if row["epsilon"] == "off":
+                assert 0.0 <= float(row["train_error"]) <= 1.0
+
     def test_deterministic_and_resumable(self, tmp_path, blocks_files):
         data, domains = blocks_files
         cfg = ExperimentConfig.from_file(

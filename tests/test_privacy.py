@@ -17,12 +17,11 @@ from dpboost.privacy import (
     derive_seed,
     exponential_mechanism,
     exponential_mechanism_probabilities,
-    exponential_mechanism_uniform,
     laplace_from_uniform,
     laplace_mechanism,
     replacement_neighbors,
 )
-from dpboost.privacy import _splitmix64, _uniform_cdf
+from dpboost.privacy import _splitmix64
 
 _MASK64 = (1 << 64) - 1
 
@@ -306,64 +305,64 @@ class TestExponentialMechanism:
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(1, 300),
+        rows=st.integers(1, 8),
         c=st.floats(allow_nan=False, allow_infinity=False),
         sensitivity=st.floats(1e-300, 1e300),
         epsilon=st.floats(1e-300, 1e300),
         seed=st.integers(0, 2**64 - 1),
     )
     def test_uniform_draw_is_the_mechanism_over_equal_utilities(
-        self, n, c, sensitivity, epsilon, seed
+        self, n, rows, c, sensitivity, epsilon, seed
     ):
-        # the general mechanism's scores, as it forms them, must be finite
+        # the mechanism's scores, as it forms them, must be finite
         assume(math.isfinite(epsilon * c / (2.0 * sensitivity)))
-
-        runs = []
-        for sample in (
-            lambda acc, u: exponential_mechanism_uniform(n, epsilon, acc, u, "split@3"),
-            lambda acc, u: exponential_mechanism(
-                np.full(n, c), sensitivity, epsilon, acc, u, "split@3"
-            ),
-        ):
-            acc = BudgetAccountant(epsilon)
-            runs.append((sample(acc, RandomSource(seed).uniform()), acc.spends))
-        assert runs[0] == runs[1]
-        assert runs[0][1] == [("split@3", epsilon)]
+        # equal utilities give every candidate exactly 1.0 / n, at any sensitivity
+        equal = np.full((rows, n), c)
+        probs = exponential_mechanism_probabilities(equal, sensitivity, epsilon)
+        assert probs.tobytes() == np.full((rows, n), 1.0 / n).tobytes()
+        # and a batch of them draws, and spends, row by row as 1-D calls do
+        u = RandomSource(seed).uniforms(rows)
+        batch, one_by_one = BudgetAccountant(1e308), BudgetAccountant(1e308)
+        picks = exponential_mechanism(equal, sensitivity, epsilon, batch, u, "split@3")
+        assert picks.tolist() == [
+            exponential_mechanism(row, sensitivity, epsilon, one_by_one, x, "split@3")
+            for row, x in zip(equal, u.tolist())
+        ]
+        assert batch.spends == one_by_one.spends == [("split@3", epsilon)] * rows
 
     def test_uniform_draw_at_every_cdf_step_and_past_the_last(self):
         # A draw equal to cdf[i] opens interval i + 1; one at or past cdf[-1]
         # falls back to the last index.  cdf[-1] rounds below 1 at n = 6, 7
         # and 300 (at n = 6 it is the largest draw), above it at n = 9 and 11.
+        # 1-D calls and the rows of one batch agree on every case.
         past_last = 0
         for n in (1, 2, 6, 7, 9, 11, 300):
             cdf = np.cumsum(np.full(n, 1.0 / n))
             past = {np.nextafter(cdf[-1], 1.0), 1.0 - 2.0**-53}
             cases = [(u, min(i + 1, n - 1)) for i, u in enumerate(cdf)]
             cases += [(u, n - 1) for u in sorted(past) if cdf[-1] < u < 1.0]
-            for u, expected in cases:
-                acc = BudgetAccountant(2.0)
-                assert exponential_mechanism_uniform(n, 1.0, acc, u) == expected
-                assert exponential_mechanism(np.full(n, 0.5), 1.0, 1.0, acc, u) == expected
+            draws, expected = (np.array(column) for column in zip(*cases))
+            for u, pick in cases:
+                acc = BudgetAccountant(1.0)
+                assert exponential_mechanism(np.zeros(n), 1.0, 1.0, acc, u) == pick
+            acc = BudgetAccountant(float(len(cases)))
+            picks = exponential_mechanism(np.zeros((len(cases), n)), 1.0, 1.0, acc, draws)
+            assert np.array_equal(picks, expected)
             past_last += len(cases) - n
         assert past_last == 3
 
     def test_uniform_draw_rejects_what_the_mechanism_rejects(self):
+        # a batch of equal utilities rejects what a 1-D call rejects, before any spend
         acc = BudgetAccountant(1.0)
-        for n, eps in ((0, 1.0), (3, 0.0), (3, -1.0), (3, math.inf), (3, math.nan)):
+        cases = [((0,), 1.0), ((2, 0), 1.0), ((0, 3), 1.0)]
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            cases += [((3,), eps), ((2, 3), eps)]
+        for shape, eps in cases:
             with pytest.raises(ValueError):
-                exponential_mechanism_uniform(n, eps, acc, 0.5)
+                exponential_mechanism(np.zeros(shape), 1.0, eps, acc, np.full(shape[:-1], 0.5))
         with pytest.raises(BudgetExceededError):
-            exponential_mechanism_uniform(3, 2.0, acc, 0.5)
+            exponential_mechanism(np.zeros((2, 3)), 1.0, 2.0, acc, np.full(2, 0.5))
         assert acc.spends == []
-
-    @pytest.mark.parametrize("n", [1, 6, 36, 300])
-    def test_cached_uniform_cdf_is_the_cumsum_and_read_only(self, n):
-        cdf = _uniform_cdf(n)
-        assert cdf.tobytes() == np.cumsum(np.full(n, 1.0 / n)).tobytes()
-        assert _uniform_cdf(n) is cdf
-        with pytest.raises(ValueError):
-            cdf[0] = 1.0
-        with pytest.raises(ValueError):
-            cdf.flags.writeable = True
 
 
 class TestBudgetAccountant:

@@ -446,6 +446,38 @@ class TestTiedSubtrees:
                 tied_with_rows |= bool(np.all(labels == labels[0]))
         assert tied_with_rows
 
+    def test_each_level_draws_its_tied_leaves_in_one_batch(self, monkeypatch):
+        calls = []  # (label, epsilon, shape of the utilities, uniforms) of each call
+        sampler = tree_module.exponential_mechanism
+
+        def spy(utilities, sensitivity, epsilon, accountant, u, label):
+            calls.append((label, epsilon, np.shape(utilities), np.array(u, copy=True)))
+            return sampler(utilities, sensitivity, epsilon, accountant, u, label)
+
+        monkeypatch.setattr(tree_module, "exponential_mechanism", spy)
+        ds = make_blocks_dataset(400, 4, seed=3)
+        tree, _ = self._fit(ds, 8, seed=11)
+        # each level's uniforms are the next ones of the stream, one per leaf in frontier
+        # order, and its tied leaves (no rows or one class) take theirs into one 2-D
+        # call, one row each, before the scored leaves draw one by one
+        rng, depths = RandomSource(11), node_depths(tree.child)
+        n_candidates, expected = len(candidate_splits(ds)), []
+        for d in range(tree.depth):
+            draws, at = rng.uniforms(2**d), walk(tree, ds.X, d)
+            level = np.flatnonzero(depths == d)
+            tied = np.array([np.unique(ds.y[at == k]).size <= 1 for k in level])
+            eps = tree.records[2**d - 1].epsilon
+            if tied.any():
+                expected.append((f"split@{d}", eps, (int(tied.sum()), n_candidates), draws[tied]))
+            expected += [(f"split@{d}", eps, (n_candidates,), u) for u in draws[~tied]]
+        assert len(calls) == len(expected)
+        for (label, eps, shape, u), want in zip(calls, expected):
+            assert (label, eps, shape) == want[:3] and u.tobytes() == want[3].tobytes()
+        # one row or 1-D call per split, and several levels hold tied leaves
+        batches = [shape[0] for _, _, shape, _ in calls if len(shape) == 2]
+        assert len(batches) > 1
+        assert sum(batches) + len(calls) - len(batches) == len(tree.records)
+
 
 def _per_leaf_histogram(X, weights, pos, idx, domains):
     # reference: one bincount + cumsum per leaf and attribute over the
@@ -622,10 +654,10 @@ def _reference_risk(w, w1, spec):
 
 
 def _reference_split_scores(tree, ds, weights, config):
-    """(alpha, utilities) of every split of ``tree``, in induction order,
+    """(alpha, utilities, tied) of every split of ``tree``, in induction order,
     recomputed from scratch: every candidate's children from the per-leaf
-    histograms of the leaf's own rows alone, and alpha from the errors of the
-    live leaves."""
+    histograms of the leaf's own rows alone, alpha from the errors of the
+    live leaves, and whether the leaf has no rows or one class."""
     pos = ds.y == 1
     m = ds.n_examples
 
@@ -655,7 +687,7 @@ def _reference_split_scores(tree, ds, weights, config):
             left = _reference_risk(w_left, w1_left, spec)
             w, w1, _ = live.pop(node)
             right = _reference_risk(w - w_left, w1 - w1_left, spec)
-            out.append((alpha, -(left + right)))
+            out.append((alpha, -(left + right), np.unique(ds.y[idx]).size <= 1))
             mask = ds.X[idx, tree.attribute[node]] <= tree.threshold_bin[node]
             first = int(tree.child[node])
             live[first], live[first + 1] = stats(idx[mask]), stats(idx[~mask])
@@ -676,36 +708,29 @@ def _noisy_threshold_dataset():
 
 class TestRiskBookkeeping:
     def test_every_split_scores_as_a_fresh_evaluation(self, monkeypatch):
-        # each split's scored utilities, or the candidate count of a tied
-        # leaf's uniform draw
+        # the utilities of every mechanism call, then of every greedy argmax
         seen = []
         sampler, argmax = tree_module.exponential_mechanism, np.argmax
-        uniform = tree_module.exponential_mechanism_uniform
 
         def spy_sampler(utilities, *args, **kwargs):
             seen.append(np.array(utilities, copy=True))
             return sampler(utilities, *args, **kwargs)
-
-        def spy_uniform(n, *args, **kwargs):
-            seen.append(n)
-            return uniform(n, *args, **kwargs)
 
         def spy_argmax(utilities, *args, **kwargs):
             seen.append(np.array(utilities, copy=True))
             return argmax(utilities, *args, **kwargs)
 
         monkeypatch.setattr(tree_module, "exponential_mechanism", spy_sampler)
-        monkeypatch.setattr(tree_module, "exponential_mechanism_uniform", spy_uniform)
-        monkeypatch.setattr(np, "argmax", spy_argmax)
-
         ds = make_blocks_dataset(120, 3, seed=5)
         rng = RandomSource(5)
         weights = np.array([0.05 + 0.95 * rng.uniform() for _ in range(120)])
         privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
         private = TreeConfig(depth=5, alpha="oc", privacy=privacy)
+        private_tree = induce_tree(ds, weights, private, BudgetAccountant(1.0), RandomSource(6))
+        # the mechanism's batched sampler may take np.argmax too: spy on the greedy fit alone
+        monkeypatch.setattr(np, "argmax", spy_argmax)
         noisy, noisy_weights = _noisy_threshold_dataset()
         greedy = TreeConfig(depth=5, alpha=0.3)
-        private_tree = induce_tree(ds, weights, private, BudgetAccountant(1.0), RandomSource(6))
         greedy_tree = induce_tree(noisy, noisy_weights, greedy)
         # the cases under test occur: alpha changes within a level, empty
         # leaves, and leaves that stopped early
@@ -715,25 +740,31 @@ class TestRiskBookkeeping:
         assert np.unique(reached).size < np.count_nonzero(leaf_mask(private_tree.child))
         assert np.any(node_depths(greedy_tree.child)[leaf_mask(greedy_tree.child)] < 5)
 
-        scores = []
+        calls, kinds = iter(seen), []
         fits = [(ds, weights, private, private_tree), (noisy, noisy_weights, greedy, greedy_tree)]
         for data, w, config, tree in fits:
             reference = _reference_split_scores(tree, data, w, config)
             assert len(reference) == len(tree.records)
-            scores += zip(tree.records, reference)
-        assert len(seen) == len(scores)
-        # the private fit takes both samplers
-        n_private = len(private_tree.records)
-        assert {isinstance(s, int) for s in seen[:n_private]} == {True, False}
-        # each split's utilities come from its leaf's rows alone, whatever the
-        # rest of the tree holds
-        for utilities, (record, (alpha, expected)) in zip(seen, scores):
-            assert record.alpha == alpha
-            if isinstance(utilities, int):  # a tied leaf: every candidate scores alike
-                assert utilities == len(expected)
-                assert expected.tobytes() == np.full(utilities, record.utility).tobytes()
-            else:
-                assert np.array_equal(utilities, expected)
+            kinds.append({tied for _, _, tied in reference})
+            for d in range(config.depth):
+                level = [(r, s) for r, s in zip(tree.records, reference) if r.depth == d]
+                tied = [(r, s) for r, s in level if s[2]]
+                # a level's tied leaves draw first, as the rows of one batch, in
+                # frontier order: every candidate scores alike
+                if tied:
+                    batch = next(calls)
+                    assert batch.shape == (len(tied), len(tied[0][1][1]))
+                    for row, (record, (alpha, expected, _)) in zip(batch, tied):
+                        assert record.alpha == alpha and np.array_equal(row, expected)
+                        assert expected.tobytes() == np.full(row.size, record.utility).tobytes()
+                # each scored split's utilities come from its leaf's rows alone,
+                # whatever the rest of the tree holds
+                for record, (alpha, expected, _) in (x for x in level if not x[1][2]):
+                    utilities = next(calls)
+                    assert record.alpha == alpha and np.array_equal(utilities, expected)
+        assert next(calls, None) is None
+        # the private fit has tied and scored splits; the greedy one stops tied leaves
+        assert kinds == [{True, False}, {False}]
 
     @settings(max_examples=300, deadline=None)
     @given(
