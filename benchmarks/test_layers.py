@@ -1,7 +1,7 @@
 """Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32)
 and its memory peak, the weight update, deep and grid-sized private induction, deep-tree
 prediction, exponential-mechanism sampling (scored leaves one by one, tied leaves in
-one batch per level), leaf noising,
+one batch per level), the leaf release,
 the forest baseline, k-fold construction and one experiment grid.
 
 Run from the repository root with::
@@ -30,8 +30,14 @@ from dpboost.dataset import (
 )
 from dpboost.ensemble import boost_fit, predict, rf_fit, update_weights
 from dpboost.harness import ExperimentConfig, run_experiment
-from dpboost.privacy import BudgetAccountant, RandomSource, derive_seed, exponential_mechanism
-from dpboost.tree import TreeConfig, TreePrivacy, induce_tree, node_depths, noisify_leaves, walk
+from dpboost.privacy import (
+    BudgetAccountant,
+    RandomSource,
+    derive_seed,
+    exponential_mechanism,
+    laplace_mechanism,
+)
+from dpboost.tree import TreeConfig, TreePrivacy, induce_tree, leaf_mask, node_depths, walk
 
 M_ROWS, N_ATTRS, NVPRIV, DEPTH, OUTPUT_BOUND = 100_000, 20, 32, 6, 10.0
 
@@ -232,15 +238,19 @@ def test_exponential_mechanism_tied_levels(benchmark, blocks, deep_model):
     benchmark(draws)
 
 
-def test_noisify_leaves_deep_private(benchmark, blocks):
-    """Laplace release of the 256 leaves of a private depth-8 tree; every round
-    noises the same tree again, each leaf clamped to the output bound first."""
+def test_leaf_release_deep_private(benchmark, blocks):
+    """The leaf release of a private depth-8 tree: the one ``laplace_mechanism`` call
+    of induction, over the tree's 256 leaves clamped to the output bound, with their
+    uniforms and a ledger entry each; every round releases the same leaves again."""
     train, _ = blocks
     privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=OUTPUT_BOUND, ensemble_size=1)
     tree = induce_tree(train, np.full(400, 0.5), TreeConfig(depth=8, alpha="oc", privacy=privacy),
                        BudgetAccountant(1.0), RandomSource(0))
-    benchmark(lambda: noisify_leaves(tree, 0.5, 1.0, 1, OUTPUT_BOUND, BudgetAccountant(0.5),
-                                     RandomSource(1)))
+    leaves = np.clip(tree.value[leaf_mask(tree.child)], -OUTPUT_BOUND, OUTPUT_BOUND)[:, None]
+    assert leaves.shape == (256, 1)
+    eps_leaf = (1.0 - 0.5) * 1.0 / (1 * 256)
+    benchmark(lambda: laplace_mechanism(leaves, 2.0 * OUTPUT_BOUND, eps_leaf, BudgetAccountant(0.5),
+                                        RandomSource(1).uniforms(256)[:, None], "leaf"))
 
 
 @pytest.mark.parametrize("mechanism", ["laplace", "exponential"])

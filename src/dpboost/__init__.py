@@ -48,7 +48,6 @@ from .tree import (
     TreeConfig,
     TreePrivacy,
     induce_tree,
-    noisify_leaves,
     objective_calibration_alpha,
     split_budget,
 )

@@ -53,25 +53,17 @@ class AttributeDomain:
         if self.nvpriv < 2:
             raise DataError(f"attribute {self.name!r}: nvpriv must be >= 2")
 
-    def grid(self) -> np.ndarray:
-        return self.lo + np.arange(self.nvpriv) * (self.hi - self.lo) / (self.nvpriv - 1)
-
-    def quantize(self, values: np.ndarray) -> tuple[np.ndarray, int]:
-        """Snap values to nearest grid index, ties to the lower index.
-
-        Out-of-range values are clamped; the count of clamped entries is
-        returned alongside the bin indices.
-        """
-        v = np.asarray(values, dtype=float)
-        clamped_count = int(np.sum((v < self.lo) | (v > self.hi)))
-        v = np.clip(v, self.lo, self.hi)
+    def quantize(self, values: np.ndarray) -> np.ndarray:
+        """Snap values to nearest grid index, ties to the lower index; out-of-range
+        values are clamped to the grid's ends."""
+        v = np.clip(np.asarray(values, dtype=float), self.lo, self.hi)
         step = (self.hi - self.lo) / (self.nvpriv - 1)
         lower = np.floor((v - self.lo) / step).astype(np.int64)
         lower = np.clip(lower, 0, self.nvpriv - 2)
         grid_lo = self.lo + lower * step
         grid_hi = self.lo + (lower + 1) * step
         take_upper = (grid_hi - v) < (v - grid_lo)
-        return lower + take_upper.astype(np.int64), clamped_count
+        return lower + take_upper.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -127,7 +119,6 @@ class Dataset:
     y: np.ndarray  # (m,) labels in {-1, +1}
     domains: list[AttributeDomain]
     weights: np.ndarray | None = None
-    clamp_warnings: int = 0
 
     def __post_init__(self):
         X = _integers(self.X, "bin indices")
@@ -238,8 +229,7 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
 
     Every declared attribute must be a column; labels are translated through
     the spec's label map (raw values already equal to -1/+1 pass through
-    when no map is declared).  Out-of-domain values are clamped to the grid
-    and counted in ``clamp_warnings``.
+    when no map is declared).  Out-of-domain values are clamped to the grid.
 
     numpy's C parser reads the data rows a chunk of lines at a time, and each
     chunk is quantized into its bins as it is read.  If a chunk fails (a bad row
@@ -273,22 +263,19 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
         usecols = [column[d.name] for d in spec.attributes] + [column[label_column]]
         labels_of = {"-1": -1, "+1": 1, "1": 1, **spec.label_map}
         try:
-            bins, clamped, labels = _read_columns(fh, reader, usecols, labels_of, spec.attributes)
+            bins, labels = _read_columns(fh, reader, usecols, labels_of, spec.attributes)
         except (ValueError, csv.Error):  # csv.Error: the peek at the first data row
             fh.seek(0)
-            bins, clamped, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
-    return Dataset(bins, labels, list(spec.attributes), clamp_warnings=clamped)
+            bins, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
+    return Dataset(bins, labels, list(spec.attributes))
 
 
 def _quantize(values, domains):
-    """``values`` (rows x attributes) as column-major bins of ``bin_dtype(domains)``,
-    and the count of values clamped into their domains."""
+    """``values`` (rows x attributes) as column-major bins of ``bin_dtype(domains)``."""
     bins = np.empty(values.shape, dtype=bin_dtype(domains), order="F")
-    clamped = 0
     for j, dom in enumerate(domains):
-        bins[:, j], count = dom.quantize(values[:, j])
-        clamped += count
-    return bins, clamped
+        bins[:, j] = dom.quantize(values[:, j])
+    return bins
 
 
 _CHUNK_LINES = 8192  # data lines per C-parser call: a load holds one chunk's values at a time
@@ -298,7 +285,7 @@ _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"(?![^,\r\n])')
 
 
 def _read_columns(fh, reader, usecols, labels_of, domains):
-    """Bins, clamped count and labels of the rows after ``reader``'s header, by numpy's C
+    """Bins and labels of the rows after ``reader``'s header, by numpy's C
     parser a chunk of lines at a time (``usecols``: attributes, then the label);
     ValueError where ``_read_rows`` may differ."""
     skiprows = reader.line_num
@@ -308,7 +295,7 @@ def _read_columns(fh, reader, usecols, labels_of, domains):
     lines = itertools.islice(fh, skiprows, None)
     # labels as objects, because loadtxt reads a str column in chunks that warn on blank lines
     dtype = [("x", float, (len(usecols) - 1,)), ("y", object)]
-    parts = []  # (bins, clamped count, labels) of each chunk
+    parts = []  # (bins, labels) of each chunk
     while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
         text = "".join(chunk)
         if '"' in text and text.count('"') % 2:  # it ends in a quoted field: take lines to its end
@@ -334,15 +321,15 @@ def _read_columns(fh, reader, usecols, labels_of, domains):
         mapped = [labels_of.get(r.strip()) for r in raw.tolist()]
         if None in mapped:
             raise ValueError("unknown label")
-        parts.append((*_quantize(rows["x"], domains), np.asarray(mapped)[codes]))
+        parts.append((_quantize(rows["x"], domains), np.asarray(mapped)[codes]))
         del rows
-    bins, clamped, labels = zip(*parts)
+    bins, labels = zip(*parts)
     # the transposes are row-major, so joining them gives column-major bins in one copy
-    return np.concatenate([b.T for b in bins], axis=1).T, sum(clamped), np.concatenate(labels)
+    return np.concatenate([b.T for b in bins], axis=1).T, np.concatenate(labels)
 
 
 def _read_rows(path, fh, label_column, attributes, labels_of):
-    """Bins, clamped count and labels row by row: the only source of row-numbered
+    """Bins and labels row by row: the only source of row-numbered
     errors, which name the file line a row ends on."""
     raw_features: list[list[float]] = []
     labels: list[int] = []
@@ -361,7 +348,7 @@ def _read_rows(path, fh, label_column, attributes, labels_of):
         raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
     if not labels:
         raise DataError(f"{path}: no data rows")
-    return (*_quantize(np.asarray(raw_features, dtype=float), attributes), np.asarray(labels))
+    return _quantize(np.asarray(raw_features, dtype=float), attributes), np.asarray(labels)
 
 
 def candidate_splits(dataset: Dataset) -> list[SplitCandidate]:

@@ -5,6 +5,8 @@ example weights start at 1/2, each tree is grown against the current
 weights, leveraged by ``beta_t = (a / m) * sum_i w_i y_i h_t(x_i)``, and
 weights are pushed through the inverse link of the leveraging-level loss.
 Tree outputs are clamped to the output bound everywhere they are consumed.
+A private tree comes from ``induce_tree`` already released (split draws and
+Laplace leaves), so each ensemble releases a tree where it grows it.
 
 The random forests pick split features and thresholds purely at random, so
 their structure costs no privacy budget; only the per-leaf class counts are
@@ -29,7 +31,6 @@ from .tree import (
     TreeConfig,
     induce_tree,
     margin_labels,
-    noisify_leaves,
     tables_from_dict,
     tables_to_dict,
     walk,
@@ -169,24 +170,28 @@ def boost_fit(
 ) -> BoostedEnsemble:
     """Boost ``T`` trees against the mirror-updated weight vector.
 
-    With privacy configured, each tree is induced privately and its leaves
-    are noisified before anything downstream (leveraging coefficient,
-    weight update, predictions) sees it; one run spends exactly the
-    configured budget.  Leveraging uses ``a = lc_alpha / output_bound^2``.
+    With privacy configured, each tree comes from a private ``induce_tree``,
+    which releases it whole (splits and noised leaves) before anything
+    downstream (leveraging coefficient, weight update, predictions) sees it; one
+    run spends exactly the configured budget, and ``output_bound``, if given, must
+    be the privacy's.  Without privacy ``output_bound`` (default 10) must be
+    positive and finite.  Leveraging uses ``a = lc_alpha / output_bound^2``.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    private = tree_config.privacy is not None
-    if private:
-        if tree_config.privacy.ensemble_size != T:
+    privacy = tree_config.privacy
+    if privacy is not None:
+        if privacy.ensemble_size != T:
             raise ValueError("tree_config.privacy.ensemble_size must equal T")
         if accountant is None or rng is None:
             raise ValueError("private boosting needs an accountant and a random source")
-        M = tree_config.privacy.output_bound
+        M = privacy.output_bound
+        if output_bound is not None and output_bound != M:
+            raise ValueError(f"output_bound {output_bound} differs from the privacy's {M}")
     else:
         M = output_bound if output_bound is not None else 10.0
-        if not M > 0.0:
-            raise ValueError("output_bound must be positive")
+        if not 0.0 < M < math.inf:
+            raise ValueError("output_bound must be positive and finite")
     a = lc_alpha / M**2
 
     m = dataset.n_examples
@@ -200,17 +205,7 @@ def boost_fit(
         tree_rng = rng.spawn("tree", t) if rng is not None else None
         leaf = np.empty(m, dtype=np.intp)  # each training row's leaf id, filled by induction
         tree = induce_tree(dataset, weights, tree_config, accountant, tree_rng, _leaf_rows=leaf)
-        if private:
-            tree = noisify_leaves(
-                tree,
-                tree_config.privacy.beta_pred,
-                tree_config.privacy.epsilon,
-                T,
-                M,
-                accountant,
-                tree_rng,
-            )
-        h = np.clip(tree.value[leaf], -M, M)  # training outputs, read after any noising
+        h = np.clip(tree.value[leaf], -M, M)  # training outputs, of the released tree
         beta = leveraging_coefficient(a, weights, y, h)
         mean_w = float(np.mean(weights))
         ensemble.traces.mean_weight.append(mean_w)
@@ -341,7 +336,7 @@ def rf_fit(
 
     # each tree draws its leaves' uniforms right to left (Laplace: n_pos's, then n_neg's)
     per_leaf = 2 if leaf_mechanism == "laplace" else 1
-    u = np.array([[r.uniform() for _ in range(n_leaves * per_leaf)] for r in tree_rngs])
+    u = np.array([r.uniforms(n_leaves * per_leaf) for r in tree_rngs])
     u = u.reshape(T, n_leaves, per_leaf)[:, ::-1]
     if leaf_mechanism == "laplace":
         noisy = laplace_mechanism(np.stack([n_pos, n_neg], axis=-1), 2.0, eps_leaf, accountant,

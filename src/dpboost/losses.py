@@ -55,22 +55,6 @@ class LossSpec:
     def malpha(alpha: float) -> "LossSpec":
         return LossSpec("malpha", float(alpha))
 
-    @staticmethod
-    def matsushita() -> "LossSpec":
-        return LossSpec("malpha", 1.0)
-
-    @staticmethod
-    def log() -> "LossSpec":
-        return LossSpec("log")
-
-    @staticmethod
-    def square() -> "LossSpec":
-        return LossSpec("square")
-
-    @staticmethod
-    def zero_one() -> "LossSpec":
-        return LossSpec.malpha(0.0)
-
 
 def _as_float(x, like) -> float | np.ndarray:
     # Collapse 0-d arrays back to python floats for scalar callers.

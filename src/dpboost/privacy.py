@@ -102,9 +102,12 @@ class RandomSource:
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` calls of :meth:`uniform` at once, bit for bit, leaving the same state:
         splitmix64's ``k``-th state is the seed plus ``k`` golden increments, so the
-        steps run side by side in wrapping ``uint64`` arithmetic."""
+        steps run side by side in wrapping ``uint64`` arithmetic.  Fewer than 16 draws
+        are made one by one, which is faster there than a dozen small array steps."""
         if n < 0:
             raise ValueError("n must be non-negative")
+        if n < 16:
+            return np.array([self.uniform() for _ in range(n)])
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

@@ -5,7 +5,9 @@ grid.  Without privacy, every impure leaf above the depth cap is split at
 the risk-minimizing candidate.  With privacy, every leaf is split to the
 exact target depth, candidates are drawn through the exponential mechanism
 with a per-depth budget schedule, and leaf predictions are released through
-the Laplace mechanism after clamping to the output bound.
+the Laplace mechanism after clamping to the output bound: a private
+``induce_tree`` spends its tree's whole share, epsilon / T, and returns what
+a model releases.
 
 Objective calibration ties the loss parameter to training progress: each
 split uses ``alpha = err(current tree) / err(root)``, so induction starts
@@ -66,7 +68,6 @@ __all__ = [
     "split_budget",
     "objective_calibration_alpha",
     "induce_tree",
-    "noisify_leaves",
 ]
 
 # Leaf class proportions are clamped away from {0, 1} before they go
@@ -83,8 +84,9 @@ OBJECTIVE_CALIBRATION = "oc"
 class TreePrivacy:
     """Privacy settings for one tree of a T-tree combination.
 
-    ``epsilon`` is the whole run's budget; each tree draws epsilon / T,
-    split between node selection (``beta_tree``) and leaf releases.
+    ``epsilon`` is the whole run's budget; each tree draws epsilon / T
+    (``T = ensemble_size``), a share ``beta_tree`` for node selection and the
+    rest for leaf releases.
     """
 
     epsilon: float
@@ -101,10 +103,6 @@ class TreePrivacy:
             raise ValueError("output_bound must be positive and finite")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
-
-    @property
-    def beta_pred(self) -> float:
-        return 1.0 - self.beta_tree
 
 
 @dataclass(frozen=True)
@@ -260,10 +258,6 @@ class DecisionTree:
         return [r.alpha for r in self.records]
 
     @property
-    def budget_trace(self) -> list[float]:
-        return [r.epsilon for r in self.records if r.epsilon is not None]
-
-    @property
     def depth(self) -> int:
         return len(_level_ends(self.child)) - 1
 
@@ -396,7 +390,12 @@ def induce_tree(
     mechanism with the per-depth budget schedule.
 
     Leaf predictions apply the canonical link to the clamped class
-    proportion; empty leaves predict 0.
+    proportion; empty leaves predict 0.  A private tree is released whole: after
+    the split draws, each leaf is clamped to [-M, M] for ``M = output_bound``
+    (sensitivity 2M) and goes through one ``laplace_mechanism`` call with budget
+    (1 - beta_tree) * epsilon / (ensemble_size * L) for L leaves, each with its own
+    ledger entry and the next uniform of ``rng``, leaf after leaf.  The noisy value
+    is not re-clamped; consumers clamp at prediction time.
 
     ``_leaf_rows`` is private to boosting: when given (one entry per training
     row), it receives each row's leaf id, so the training outputs need no
@@ -411,7 +410,8 @@ def induce_tree(
     candidates = candidate_splits(dataset)
     if not candidates:
         raise DataError("no non-trivial split candidates")
-    private = config.privacy is not None
+    pv = config.privacy
+    private = pv is not None
     if private and (accountant is None or rng is None):
         raise ValueError("private induction needs an accountant and a random source")
 
@@ -460,7 +460,7 @@ def induce_tree(
             )
             leaf_w = np.array([stats[:2] for _, stats in scored]).T
             cand_parts = iter(_candidate_parts(w_left, w1_left, *leaf_w).swapaxes(0, 1))
-        pv, label = config.privacy, f"split@{level}"  # eps is None without privacy
+        label = f"split@{level}"  # eps is None without privacy
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
         # every leaf of a private level is split, each by its own draw, in frontier order
         draws = rng.uniforms(len(frontier)).tolist() if private else [None] * len(frontier)
@@ -535,34 +535,12 @@ def induce_tree(
     # one link call; its ufuncs round each leaf as a scalar call does; empty leaves keep 0
     q = np.clip([u for _, u in held], Q_CLAMP, 1.0 - Q_CLAMP)
     tree.value[[k for k, _ in held]] = canonical_link(LossSpec.malpha(prediction_alpha), q)
+    if private:  # a complete tree's leaf ids run left to right, after the splits
+        M, leaves = pv.output_bound, np.flatnonzero(leaf_mask(tree.child))
+        eps_leaf = (1.0 - pv.beta_tree) * pv.epsilon / (pv.ensemble_size * len(leaves))
+        tree.value[leaves] = laplace_mechanism(
+            np.clip(tree.value[leaves], -M, M)[:, None], 2.0 * M, eps_leaf, accountant,
+            rng.uniforms(len(leaves))[:, None], "leaf",
+        )[:, 0]
+        tree.noised = True
     return tree
-
-
-def noisify_leaves(
-    tree: DecisionTree,
-    beta_pred: float,
-    epsilon: float,
-    T: int,
-    output_bound: float,
-    accountant: BudgetAccountant,
-    rng: RandomSource,
-) -> DecisionTree:
-    """Release leaf predictions through the Laplace mechanism, in place.
-
-    Each prediction is first clamped to [-output_bound, output_bound] (the
-    value diameter, hence sensitivity 2 * output_bound), then noised with
-    budget beta_pred * epsilon / (T * L) where L is the leaf count.  The
-    noisy value is the released value and is not re-clamped here; consumers
-    clamp at prediction time.  Each leaf is its own release with its own
-    ledger entry, and the leaves' uniforms come from one ``rng.uniforms``
-    call, leaf after leaf.
-    """
-    leaves = np.flatnonzero(leaf_mask(tree.child))  # a complete tree's leaf ids run left to right
-    clamped = np.clip(tree.value[leaves], -output_bound, output_bound)[:, None]
-    eps_leaf = beta_pred * epsilon / (T * len(leaves))
-    noisy = laplace_mechanism(clamped, 2.0 * output_bound, eps_leaf, accountant,
-                              rng.uniforms(len(leaves))[:, None], "leaf")
-    tree.value[leaves] = noisy[:, 0]
-    tree.noised = True
-    return tree
-

@@ -86,27 +86,23 @@ class TestDomainSpec:
 class TestQuantization:
     def test_grid_includes_endpoints(self):
         dom = AttributeDomain("x", 0.0, 1.0, 5)
-        assert np.allclose(dom.grid(), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert dom.quantize(np.array([0.0, 0.25, 0.5, 0.75, 1.0])).tolist() == [0, 1, 2, 3, 4]
 
     def test_nearest_with_ties_to_lower(self):
         dom = AttributeDomain("x", 0.0, 1.0, 5)
-        bins, clamped = dom.quantize(np.array([0.1, 0.125, 0.13, 0.99, 0.375]))
+        bins = dom.quantize(np.array([0.1, 0.125, 0.13, 0.99, 0.375]))
         # 0.125 and 0.375 are exact midpoints: lower bin wins
         assert bins.tolist() == [0, 0, 1, 4, 1]
-        assert clamped == 0
 
-    def test_clamping_counts(self):
+    def test_out_of_range_values_clamp_to_the_end_bins(self):
         dom = AttributeDomain("x", 0.0, 1.0, 5)
-        bins, clamped = dom.quantize(np.array([-0.5, 1.7, 0.5]))
-        assert bins.tolist() == [0, 4, 2]
-        assert clamped == 2
+        bins = dom.quantize(np.array([-0.5, 1.7, 0.5, -1e300, 1e300]))
+        assert bins.tolist() == [0, 4, 2, 0, 4]
 
     def test_idempotence(self):
         dom = AttributeDomain("x", -3.0, 7.0, 13)
-        grid = dom.grid()
-        bins, clamped = dom.quantize(grid)
-        assert bins.tolist() == list(range(13))
-        assert clamped == 0
+        grid = -3.0 + np.arange(13) * (7.0 - -3.0) / 12
+        assert dom.quantize(grid).tolist() == list(range(13))
 
 
 class TestLoadCsv:
@@ -116,16 +112,14 @@ class TestLoadCsv:
         assert ds.n_examples == 4
         assert ds.y.tolist() == [-1, 1, 1, -1]
         assert np.all(ds.weights == 1.0)
-        assert ds.clamp_warnings == 0
         # 0.5 on a 10-point grid of [0,1]: nearest of {0.444..., 0.555...} tie-free
         assert ds.X[1, 0] in (4, 5)
 
-    def test_out_of_domain_clamps_with_warning_count(self, tmp_path, spec_file):
+    def test_out_of_domain_values_clamp_to_the_end_bins(self, tmp_path, spec_file):
         spec = parse_domain_spec(spec_file)
         path = tmp_path / "clamp.csv"
         path.write_text("f1,f2,y\n-5.0,0.0,1\n0.5,9.0,0\n")
         ds = load_csv(str(path), "y", spec)
-        assert ds.clamp_warnings == 2
         assert ds.X[0, 0] == 0
         assert ds.X[1, 1] == 4
 
@@ -214,9 +208,8 @@ def _row_loop(path, label_column, spec):
             else:
                 raise ValueError(f"unknown label {raw_label!r}")
     values = np.asarray(raw_features, dtype=float)
-    quantized = [dom.quantize(values[:, j]) for j, dom in enumerate(spec.attributes)]
-    X = np.column_stack([bins for bins, _ in quantized])
-    return X, np.asarray(labels), sum(count for _, count in quantized)
+    X = np.column_stack([dom.quantize(values[:, j]) for j, dom in enumerate(spec.attributes)])
+    return X, np.asarray(labels)
 
 
 # label keys with a '#' and a '"' in them (the CSV writes it as '""'), and "1" mapped
@@ -263,14 +256,13 @@ class TestLoadCsvMatchesRowLoop:
         # where a quoted field goes on to the next line
         path = tmp_path_factory.getbasetemp() / "equivalence.csv"
         path.write_bytes(text.encode("utf-8"))
-        X, y, clamped = _row_loop(path, "y", SPEC)
+        X, y = _row_loop(path, "y", SPEC)
         with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError), \
                 mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
             ds = load_csv(str(path), None, SPEC)  # the per-row loop would raise
         assert np.array_equal(ds.X, X) and ds.X.flags.f_contiguous
         assert ds.X.dtype == dataset_module.bin_dtype(SPEC.attributes)
         assert np.array_equal(ds.y, y) and ds.y.dtype == np.int64
-        assert ds.clamp_warnings == clamped
 
     def test_a_value_only_float_reads_takes_the_row_loop(self, tmp_path):
         path = tmp_path / "underscore.csv"
@@ -279,9 +271,9 @@ class TestLoadCsvMatchesRowLoop:
                                wraps=dataset_module._read_rows) as row_loop:
             ds = load_csv(str(path), None, SPEC)
         assert row_loop.called
-        X, y, clamped = _row_loop(path, "y", SPEC)
+        X, y = _row_loop(path, "y", SPEC)
         assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
-        assert ds.clamp_warnings == clamped == 1
+        assert ds.X[0, 1] == 8  # float reads 1_0 as 10, above a1's [-2, 2]: its top bin
 
     def test_a_bad_value_in_a_later_chunk_takes_the_row_loop(self, tmp_path):
         path = tmp_path / "late.csv"
@@ -308,7 +300,7 @@ class TestLoadCsvMatchesRowLoop:
                                   wraps=dataset_module._read_rows) as row_loop:
             ds = load_csv(str(path), None, SPEC)
         assert row_loop.called
-        X, y, clamped = _row_loop(path, "y", SPEC)
+        X, y = _row_loop(path, "y", SPEC)
         assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
 
     def test_a_load_holds_one_chunk_at_a_time(self, tmp_path):
@@ -555,7 +547,7 @@ class TestBinType:
         ds = load_csv(str(path), None, spec)
         rows, labels = self._top_rows(nvpriv)
         assert ds.X.dtype == (np.uint8 if nvpriv <= 256 else np.uint16)
-        assert ds.X.tolist() == rows and ds.y.tolist() == labels and ds.clamp_warnings == 1
+        assert ds.X.tolist() == rows and ds.y.tolist() == labels
 
     @pytest.mark.parametrize("nvpriv", [256, 257])
     def test_subset_keeps_the_top_bin(self, nvpriv):

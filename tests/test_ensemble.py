@@ -193,11 +193,27 @@ class TestBoostFit:
         with pytest.raises(ValueError):
             boost_fit(ds, 5, cfg, accountant=BudgetAccountant(1.0), rng=RandomSource(0))
 
-    @pytest.mark.parametrize("bound", [0.0, -5.0, float("nan")])
+    @pytest.mark.parametrize("bound", [0.0, -5.0, float("nan"), float("inf")])
     def test_non_positive_output_bound_rejected(self, bound):
+        # an infinite bound would fit betas of 0 and write a model load_model rejects
         ds = make_blocks_dataset(50, 2, seed=1)
         with pytest.raises(ValueError, match="output_bound"):
             boost_fit(ds, 1, TreeConfig(depth=1, alpha=1.0), output_bound=bound)
+
+    def test_private_output_bound_must_be_the_privacy_one(self):
+        # the privacy's bound clamps the leaves a private tree releases; another one
+        # passed beside it would be ignored, so it is rejected before any spend
+        ds = make_blocks_dataset(50, 2, seed=1)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+        config = TreeConfig(depth=2, alpha=1.0, privacy=privacy)
+        accountant = BudgetAccountant(1.0)
+        with pytest.raises(ValueError, match="output_bound 5.0 differs"):
+            boost_fit(ds, 1, config, output_bound=5.0, accountant=accountant,
+                      rng=RandomSource(0))
+        assert accountant.spends == []
+        model = boost_fit(ds, 1, config, output_bound=10.0, accountant=accountant,
+                          rng=RandomSource(0))
+        assert model.output_bound == 10.0
 
     def test_infinite_private_output_bound_rejected_before_any_spend(self):
         # it would fail only at the leaf release, after the splits spent

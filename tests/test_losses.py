@@ -27,9 +27,9 @@ ALL_KINDS = [
     LossSpec.malpha(0.3),
     LossSpec.malpha(0.7),
     LossSpec.malpha(1.0),
-    LossSpec.log(),
-    LossSpec.square(),
-    LossSpec.zero_one(),
+    LossSpec("log"),
+    LossSpec("square"),
+    LossSpec.malpha(0.5),
 ]
 
 
@@ -74,10 +74,9 @@ class TestBayesRisk:
         assert bayes_risk(LossSpec.malpha(0.5), 0.25) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_one_is_malpha_zero(self):
-        assert LossSpec.zero_one() == LossSpec.malpha(0.0)
         with pytest.raises(ValueError, match="unknown loss kind"):
             LossSpec("zero_one")
-        spec, us = LossSpec.zero_one(), np.linspace(0.0, 1.0, 2001)
+        spec, us = LossSpec.malpha(0.0), np.linspace(0.0, 1.0, 2001)
         inner = us[1:-1]
         # the closed forms of the 0/1 loss, bit for bit
         assert np.array_equal(bayes_risk(spec, us), 2.0 * np.minimum(us, 1.0 - us))
@@ -109,9 +108,9 @@ class TestBayesRisk:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            bayes_risk(LossSpec.matsushita(), 1.0 + 1e-9)
+            bayes_risk(LossSpec.malpha(1.0), 1.0 + 1e-9)
         # within tolerance it clips
-        assert bayes_risk(LossSpec.matsushita(), 1.0 + 1e-13) == 0.0
+        assert bayes_risk(LossSpec.malpha(1.0), 1.0 + 1e-13) == 0.0
 
     def test_domain_boundaries(self):
         spec = LossSpec.malpha(0.5)
@@ -156,9 +155,9 @@ class TestCanonicalLink:
 
     def test_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            canonical_link(LossSpec.matsushita(), 0.0)
+            canonical_link(LossSpec.malpha(1.0), 0.0)
         with pytest.raises(ValueError):
-            canonical_link(LossSpec.matsushita(), 1.0)
+            canonical_link(LossSpec.malpha(1.0), 1.0)
 
 
 def _invert_link_bisect(alpha, z, tol=1e-13):
@@ -273,9 +272,9 @@ class TestSurrogate:
 
     def test_rejects_other_kinds(self):
         with pytest.raises(ValueError):
-            surrogate(LossSpec.log(), 0.0)
+            surrogate(LossSpec("log"), 0.0)
         with pytest.raises(ValueError):
-            inverse_link(LossSpec.square(), 0.0)
+            inverse_link(LossSpec("square"), 0.0)
 
 
 class TestPerspective:
@@ -285,16 +284,16 @@ class TestPerspective:
             2.0 * math.sqrt(3.0), abs=1e-12
         )
         m = 5
-        assert perspective_at(LossSpec.square(), 1.0, m + 1.0) == pytest.approx(
+        assert perspective_at(LossSpec("square"), 1.0, m + 1.0) == pytest.approx(
             4.0 * m / (m + 1.0), abs=1e-12
         )
-        assert perspective_at(LossSpec.zero_one(), 1.0, 100.0) == pytest.approx(2.0, abs=1e-12)
+        assert perspective_at(LossSpec.malpha(0.0), 1.0, 100.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_edge_conventions(self):
-        assert perspective_at(LossSpec.matsushita(), 0.0, 0.0) == 0.0
-        assert perspective_at(LossSpec.matsushita(), 0.0, 5.0) == 0.0
+        assert perspective_at(LossSpec.malpha(1.0), 0.0, 0.0) == 0.0
+        assert perspective_at(LossSpec.malpha(1.0), 0.0, 5.0) == 0.0
         with pytest.raises(ValueError):
-            perspective_at(LossSpec.matsushita(), 2.0, 1.0)
+            perspective_at(LossSpec.malpha(1.0), 2.0, 1.0)
 
     @pytest.mark.parametrize("spec", ALL_KINDS)
     def test_non_decreasing_in_v(self, spec):
@@ -306,7 +305,7 @@ class TestSensitivityBound:
     def test_values(self):
         assert sensitivity_bound(LossSpec.malpha(0.0), 1000) == 3.0
         assert sensitivity_bound(LossSpec.malpha(1.0), 100) == pytest.approx(21.0, abs=1e-12)
-        assert sensitivity_bound(LossSpec.log(), 7) == pytest.approx(
+        assert sensitivity_bound(LossSpec("log"), 7) == pytest.approx(
             1.0 + (1.0 + math.log(8.0)) / math.log(2.0), abs=1e-12
         )
 
@@ -329,12 +328,12 @@ class TestSensitivityBound:
 
 class TestCurvature:
     def test_values(self):
-        assert curvature(LossSpec.square(), 0.3) == pytest.approx(8.0, abs=1e-12)
+        assert curvature(LossSpec("square"), 0.3) == pytest.approx(8.0, abs=1e-12)
         assert curvature(LossSpec.malpha(1.0), 0.5) == pytest.approx(4.0, abs=1e-12)
-        assert curvature(LossSpec.zero_one(), 0.3) == 0.0
+        assert curvature(LossSpec.malpha(0.0), 0.3) == 0.0
 
     @pytest.mark.parametrize(
-        "spec", [LossSpec.matsushita(), LossSpec.square(), LossSpec.log(), LossSpec.malpha(0.6)]
+        "spec", [LossSpec.malpha(1.0), LossSpec("square"), LossSpec("log"), LossSpec.malpha(0.6)]
     )
     def test_matches_finite_differences(self, spec):
         h = 1e-5
@@ -346,7 +345,7 @@ class TestCurvature:
             ) / h**2
             assert curvature(spec, u) == pytest.approx(numeric, rel=1e-4)
 
-    @pytest.mark.parametrize("spec", [LossSpec.matsushita(), LossSpec.square()])
+    @pytest.mark.parametrize("spec", [LossSpec.malpha(1.0), LossSpec("square")])
     @pytest.mark.parametrize("m", [1, 3, 8, 20])
     def test_perspective_derivative_bracket(self, spec, m):
         # The v-derivative of the perspective at (1, m+1) lies between the

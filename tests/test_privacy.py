@@ -57,9 +57,9 @@ class TestRandomSource:
         assert a.spawn("x").next_uint64() != a.spawn("y").next_uint64()
 
     @pytest.mark.parametrize("seed", [0, 123, 2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15])
-    @pytest.mark.parametrize("n", [0, 1, 2, 257])
+    @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 257])
     def test_uniforms_equal_uniform_calls(self, seed, n):
-        # near 2**64 - 1 the state wraps on the first step
+        # near 2**64 - 1 the state wraps on the first step; 15 and 16 flank the array path
         batch, single = RandomSource(seed), RandomSource(seed)
         draws = batch.uniforms(n)
         expected = np.array([single.uniform() for _ in range(n)], dtype=float)

@@ -33,7 +33,6 @@ from dpboost.tree import (
     induce_tree,
     leaf_mask,
     node_depths,
-    noisify_leaves,
     objective_calibration_alpha,
     margin_labels,
     split_budget,
@@ -202,8 +201,9 @@ class TestUnnormalizedRisk:
         assert tree.child.tolist() == [0]  # pure root is never split
 
 
-def _assert_leaves_use_clamped_link(tree, ds):
-    # every leaf predicts the link of its unit-weight class proportion, clamped
+def _assert_leaves_use_clamped_link(tree, ds, output_bound=math.inf):
+    # every leaf predicts the link of its unit-weight class proportion, clamped, then
+    # clamped to the output bound
     spec = LossSpec.malpha(tree.prediction_alpha)
     reached = walk(tree, ds.X, tree.depth)
     for k in np.flatnonzero(leaf_mask(tree.child)):
@@ -211,7 +211,31 @@ def _assert_leaves_use_clamped_link(tree, ds):
             assert tree.value[k] == 0.0
         else:
             q = min(max(np.mean(ds.y[reached == k] == 1), Q_CLAMP), 1 - Q_CLAMP)
-            assert tree.value[k] == pytest.approx(float(canonical_link(spec, q)))
+            link = float(np.clip(canonical_link(spec, q), -output_bound, output_bound))
+            assert tree.value[k] == pytest.approx(link)
+
+
+def _spy_on_leaf_release(monkeypatch) -> list:
+    """Record the ``values`` that each ``laplace_mechanism`` call of induction releases:
+    a private tree's clamped leaf predictions, before the noise."""
+    released, release = [], tree_module.laplace_mechanism
+
+    def spy(values, *args, **kwargs):
+        released.append(np.array(values, copy=True))
+        return release(values, *args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "laplace_mechanism", spy)
+    return released
+
+
+def _before_release(tree, released) -> DecisionTree:
+    """``tree`` with the leaf predictions its one leaf release took in, in place of
+    the noised ones."""
+    (values,) = released
+    value = tree.value.copy()
+    value[leaf_mask(tree.child)] = values[:, 0]
+    return DecisionTree(tree.child, tree.attribute, tree.threshold_bin, value, tree.records,
+                        tree.prediction_alpha)
 
 
 class TestGreedyInduction:
@@ -326,21 +350,25 @@ class TestPrivateInduction:
         assert np.count_nonzero(leaves) == 8
 
     def test_budget_trace_sums_to_tree_share(self):
+        # the ledger's split entries are the records' budgets and spend the tree's share
         ds = make_blocks_dataset(100, 3, seed=2)
         cfg = self._private_config(2, 1, 1.0, beta=0.5)
         acc = BudgetAccountant(1.0)
         tree = induce_tree(ds, np.ones(100), cfg, acc, RandomSource(0))
-        assert math.fsum(tree.budget_trace) == pytest.approx(0.5, abs=1e-12)
-        assert [r.epsilon for r in tree.records] == [
+        splits = [eps for label, eps in acc.spends if label.startswith("split@")]
+        assert math.fsum(splits) == pytest.approx(0.5, abs=1e-12)
+        assert splits == [r.epsilon for r in tree.records] == [
             split_budget(r.depth, 2, 1, 0.5, 1.0) for r in tree.records
         ]
 
-    def test_leaf_predictions_use_clamped_link(self):
-        # this fit splits empty leaves and one-class leaves of both classes down to depth 6
+    def test_leaf_predictions_use_clamped_link(self, monkeypatch):
+        # this fit splits empty leaves and one-class leaves of both classes down to depth 6;
+        # the leaf release takes in each leaf's link clamped to M = 10
+        released = _spy_on_leaf_release(monkeypatch)
         ds = make_blocks_dataset(200, 4, seed=3)
         cfg = self._private_config(depth=6, T=1, eps=1.0, alpha="oc")
         tree = induce_tree(ds, np.ones(200), cfg, BudgetAccountant(1.0), RandomSource(0))
-        _assert_leaves_use_clamped_link(tree, ds)
+        _assert_leaves_use_clamped_link(_before_release(tree, released), ds, output_bound=10.0)
 
     def test_requires_accountant_and_rng(self):
         ds = make_blocks_dataset(50, 2, seed=1)
@@ -391,17 +419,22 @@ class TestTiedSubtrees:
     alone; one walk at the end takes its rows to their leaves."""
 
     @staticmethod
-    def _fit(ds, depth, seed):
-        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+    def _fit(monkeypatch, ds, depth, seed):
+        """The private fit, its leaf of each row, and the tree as its leaf release took it
+        in.  The output bound 100 exceeds every clamped link (at most about 99.99), so
+        the release takes in the links themselves."""
+        released = _spy_on_leaf_release(monkeypatch)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=100.0)
         config = TreeConfig(depth=depth, alpha="oc", privacy=privacy)
         accountant, leaf = BudgetAccountant(1.0), np.full(ds.n_examples, -1)
         tree = induce_tree(ds, np.full(ds.n_examples, 0.5), config, accountant,
                            RandomSource(seed), _leaf_rows=leaf)
-        # one ledger entry and one record per split of the complete tree, level by level
-        assert len(accountant.spends) == len(tree.records) == 2**depth - 1
+        # one ledger entry and one record per split of the complete tree, level by level,
+        # then one ledger entry per leaf
+        assert len(tree.records) == 2**depth - 1
         assert [label for label, _ in accountant.spends] == [
             f"split@{r.depth}" for r in tree.records
-        ]
+        ] + ["leaf"] * 2**depth
         assert [r.depth for r in tree.records] == [
             d for d in range(depth) for _ in range(2**d)
         ]
@@ -410,30 +443,31 @@ class TestTiedSubtrees:
         assert tree.depth == depth and np.array_equal(leaf, reached)
         # a one-class leaf holds the link of the clamped class, bit for bit; an
         # unreached one 0
+        before = _before_release(tree, released)
         spec = LossSpec.malpha(tree.prediction_alpha)
         one_class = canonical_link(spec, np.array([Q_CLAMP, 1.0 - Q_CLAMP]))
         for k in np.flatnonzero(leaf_mask(tree.child)):
             labels = ds.y[reached == k]
             if labels.size == 0:
-                assert tree.value[k] == 0.0
+                assert before.value[k] == 0.0
             elif np.all(labels == labels[0]):
-                assert tree.value[k] == one_class[int(labels[0] == 1)]
-        return tree, reached
+                assert before.value[k] == one_class[int(labels[0] == 1)]
+        return before, reached
 
     @pytest.mark.parametrize("label", [-1, 1])
-    def test_one_class_root(self, label):
+    def test_one_class_root(self, monkeypatch, label):
         ds = make_blocks_dataset(60, 3, seed=1)
         ds = Dataset(ds.X, np.full(60, label), ds.domains)
-        tree, reached = self._fit(ds, 4, seed=2)
+        tree, reached = self._fit(monkeypatch, ds, 4, seed=2)
         # the root is tied: every split's children have risk 0
         assert all(r.utility == 0.0 for r in tree.records)
         assert tree.prediction_alpha == 1.0
         assert np.unique(reached).size > 1
         assert np.all(tree.value[reached] == tree.value[reached[0]])
 
-    def test_blocks_with_empty_and_row_holding_tied_subtrees(self):
+    def test_blocks_with_empty_and_row_holding_tied_subtrees(self, monkeypatch):
         ds = make_blocks_dataset(400, 4, seed=3)
-        tree, reached = self._fit(ds, 8, seed=11)
+        tree, reached = self._fit(monkeypatch, ds, 8, seed=11)
         leaves = np.flatnonzero(leaf_mask(tree.child))
         assert np.unique(reached).size < leaves.size  # empty leaves
         # some split above the last level holds rows of one class: a tied subtree
@@ -456,7 +490,7 @@ class TestTiedSubtrees:
 
         monkeypatch.setattr(tree_module, "exponential_mechanism", spy)
         ds = make_blocks_dataset(400, 4, seed=3)
-        tree, _ = self._fit(ds, 8, seed=11)
+        tree, _ = self._fit(monkeypatch, ds, 8, seed=11)
         # each level's uniforms are the next ones of the stream, one per leaf in frontier
         # order, and its tied leaves (no rows or one class) take theirs into one 2-D
         # call, one row each, before the scored leaves draw one by one
@@ -780,42 +814,46 @@ class TestRiskBookkeeping:
 
 
 class TestNoisifyLeaves:
-    def _fitted_private_tree(self, depth=2, T=1, eps=1.0, beta=0.5, M=10.0, seed=0):
-        ds = make_blocks_dataset(80, 3, seed=6)
-        cfg = TreeConfig(
-            depth=depth,
-            alpha=1.0,
-            privacy=TreePrivacy(epsilon=eps, beta_tree=beta, output_bound=M, ensemble_size=T),
-        )
-        acc = BudgetAccountant(eps)
-        tree = induce_tree(ds, np.ones(80), cfg, acc, RandomSource(seed))
-        return tree, acc
+    """A private ``induce_tree`` releases its leaves itself: after the split draws, one
+    Laplace release of every leaf clamped to [-M, M], each with its own ledger entry."""
 
-    def test_clamp_before_noise(self):
-        tree, acc = self._fitted_private_tree(M=10.0)
-        leaves = np.flatnonzero(leaf_mask(tree.child))
-        raw = tree.value[leaves].tolist()
-        # fabricate an extreme raw prediction to exercise the clamp
-        tree.value[leaves[0]] = 37.2
-        rng = RandomSource(1)
+    @staticmethod
+    def _stump(M):
+        # one candidate, so the one split is known: it leaves two pure leaves, whose
+        # clamped links at alpha = 1 are about -99.98 and 99.98
+        doms = [AttributeDomain("a", 0.0, 1.0, 2)]
+        ds = Dataset(np.array([[0], [0], [1], [1]]), np.array([-1, -1, 1, 1]), doms)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=M)
+        return ds, TreeConfig(depth=1, alpha=1.0, privacy=privacy)
+
+    def test_clamp_before_noise(self, monkeypatch):
+        released = _spy_on_leaf_release(monkeypatch)
+        ds, config = self._stump(M=10.0)
+        tree = induce_tree(ds, np.ones(4), config, BudgetAccountant(1.0), RandomSource(1))
+        links = canonical_link(LossSpec.malpha(1.0), np.array([Q_CLAMP, 1.0 - Q_CLAMP]))
+        assert links[0] < -99.98 and links[1] > 99.98
+        assert released[0].tolist() == [[-10.0], [10.0]]  # the links, clamped to M
+        # each leaf is its own release of sensitivity 2M at (1 - 0.5) * 1 / (1 * 2), with
+        # the uniforms after the split's one
         mirror = RandomSource(1)
-        noisify_leaves(tree, 0.5, 1.0, 1, 10.0, acc, rng)
-        eps_leaf = 0.5 * 1.0 / (1 * 4)
-        expected_first = laplace_mechanism(10.0, 20.0, eps_leaf, BudgetAccountant(1.0),
-                                           mirror.uniform())
-        assert tree.value[leaves[0]] == pytest.approx(expected_first, abs=1e-12)
+        mirror.uniform()
+        expected = [laplace_mechanism(v, 20.0, 0.25, BudgetAccountant(1.0), mirror.uniform())
+                    for v in (-10.0, 10.0)]
+        assert tree.value[[1, 2]].tolist() == expected
         assert tree.noised
-        assert raw  # silence unused warning
 
     def test_leaf_budget_share(self):
-        tree, acc = self._fitted_private_tree(depth=2, T=1, eps=1.0, beta=0.5)
-        before = acc.total_spent
-        noisify_leaves(tree, 0.5, 1.0, 1, 10.0, acc, RandomSource(2))
-        leaf_spend = acc.total_spent - before
-        assert leaf_spend == pytest.approx(0.5, abs=1e-12)
-        # eps_leaf = beta_pred * eps / (T * L) = 0.125 -> scale 160 for M=10
-        assert 0.5 * 1.0 / (1 * 4) == pytest.approx(0.125)
-        assert 2 * 10.0 / 0.125 == pytest.approx(160.0)
+        # each of the L = 4 leaves spends (1 - beta_tree) * epsilon / (T * L) of a T-tree run
+        ds = make_blocks_dataset(80, 3, seed=6)
+        for T in (1, 3):
+            privacy = TreePrivacy(epsilon=1.0, beta_tree=0.3, output_bound=10.0, ensemble_size=T)
+            acc = BudgetAccountant(1.0)
+            induce_tree(ds, np.ones(80), TreeConfig(depth=2, alpha=1.0, privacy=privacy), acc,
+                        RandomSource(2))
+            leaf_spends = [eps for label, eps in acc.spends if label == "leaf"]
+            assert leaf_spends == [(1.0 - 0.3) * 1.0 / (T * 4)] * 4
+            assert math.fsum(leaf_spends) == pytest.approx(0.7 / T, abs=1e-12)
+            assert acc.total_spent == pytest.approx(1.0 / T, abs=1e-12)
 
     def test_noise_distribution_moments(self):
         # fixed leaf budget: noise is Laplace with scale 2M/eps_leaf
@@ -831,16 +869,30 @@ class TestNoisifyLeaves:
     @pytest.mark.parametrize("depth", [1, 3, 6])
     def test_a_private_tree_takes_one_draw_per_split_and_per_leaf(self, depth):
         # the mechanisms draw nothing: induction takes one uniform per split, level by
-        # level, and noisify_leaves one per leaf
+        # level, then one per leaf
         ds = make_blocks_dataset(80, 3, seed=6)
         privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
         config = TreeConfig(depth=depth, alpha="oc", privacy=privacy)
         rng, mirror, acc = RandomSource(9), RandomSource(9), BudgetAccountant(1.0)
-        tree = induce_tree(ds, np.full(80, 0.5), config, acc, rng)
-        noisify_leaves(tree, privacy.beta_pred, 1.0, 1, 10.0, acc, rng)
+        induce_tree(ds, np.full(80, 0.5), config, acc, rng)
         mirror.uniforms(2**depth - 1 + 2**depth)
         assert rng.next_uint64() == mirror.next_uint64()
         assert len(acc.spends) == 2**depth - 1 + 2**depth
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_a_private_tree_is_released_whole(self, depth):
+        # induction alone spends the tree's share: a split entry per split, level by
+        # level, then a leaf entry per leaf, and the tree it returns is the released one
+        ds = make_blocks_dataset(80, 3, seed=6)
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
+        acc = BudgetAccountant(1.0)
+        tree = induce_tree(ds, np.full(80, 0.5), TreeConfig(depth=depth, privacy=privacy), acc,
+                           RandomSource(4))
+        assert tree.noised and tree.to_dict()["noised"] is True
+        assert [label for label, _ in acc.spends] == [
+            f"split@{d}" for d in range(depth) for _ in range(2**d)
+        ] + ["leaf"] * 2**depth
+        assert acc.total_spent == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTreeEfficiency:
