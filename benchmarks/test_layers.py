@@ -1,5 +1,6 @@
-"""Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32)
-and its memory peak, the weight update, deep and grid-sized private induction, deep-tree
+"""Layer benchmarks: CSV load, the large fit (m=100k, 20 attributes, nvpriv=32),
+its level histograms (every leaf binned, or sibling pairs) and its memory peak, the
+weight update, deep and grid-sized private induction, deep-tree
 prediction, exponential-mechanism sampling (scored leaves one by one, tied leaves in
 one batch per level), the leaf release,
 the forest baseline, k-fold construction and one experiment grid.
@@ -94,16 +95,54 @@ def fitted(wide):
     return tree, leaf
 
 
+def _level_inputs(dataset, weights):
+    """Each row's complex (weight, positive weight), the padded width of a slot's bins
+    per attribute and the candidates' columns of ``_left_sums``."""
+    both = np.empty(M_ROWS, dtype=np.complex128)
+    both.real, both.imag = weights, weights * (dataset.y == 1)
+    width = max(dom.nvpriv for dom in dataset.domains)
+    columns = np.array([j * width + b for j, dom in enumerate(dataset.domains)
+                        for b in range(dom.nvpriv - 1)])
+    return both, width, columns
+
+
 def test_histogram_level(benchmark, wide):
-    """Candidate histograms of one level: a 32-leaf frontier over every row."""
+    """Candidate histograms of one level: a 32-leaf frontier over every row, each leaf
+    binned from its rows."""
     dataset, weights = wide
+    both, width, columns = _level_inputs(dataset, weights)
     slot = np.random.default_rng(1).integers(0, 32, size=M_ROWS)
-    leaf_rows = [np.flatnonzero(slot == s) for s in range(32)]
-    pos_weights = weights * (dataset.y == 1)
-    benchmark(
-        tree_module._frontier_histograms,
-        dataset.X, weights, pos_weights, leaf_rows, dataset.domains,
+    direct = [(s, np.flatnonzero(slot == s)) for s in range(32)]
+
+    def level():
+        bins = tree_module._level_bins(dataset.X, both, direct, [], None, width)
+        return tree_module._left_sums(bins, columns)
+
+    benchmark(level)
+
+
+def test_histogram_level_siblings(benchmark, wide):
+    """Candidate histograms of a level of 16 sibling pairs over every row: of each pair,
+    the child with fewer rows (about 40% of its parent's) is binned from its rows and
+    the other is its parent's bins minus its sibling's.  The parents' bins are built
+    outside the timed call."""
+    dataset, weights = wide
+    both, width, columns = _level_inputs(dataset, weights)
+    rng = np.random.default_rng(1)
+    parent, goes_left = rng.integers(0, 16, size=M_ROWS), rng.random(M_ROWS) < 0.4
+    parents = tree_module._level_bins(
+        dataset.X, both, [(s, np.flatnonzero(parent == s)) for s in range(16)], [], None, width
     )
+    direct = [(2 * s, np.flatnonzero((parent == s) & goes_left)) for s in range(16)]
+    derived = [(2 * s + 1, s, 2 * s) for s in range(16)]
+    assert all(idx.size < np.count_nonzero(parent == s) - idx.size for s, (_, idx) in
+               enumerate(direct))
+
+    def level():
+        bins = tree_module._level_bins(dataset.X, both, direct, derived, parents, width)
+        return tree_module._left_sums(bins, columns)
+
+    benchmark(level)
 
 
 def test_boost_iteration(benchmark, wide):

@@ -55,8 +55,10 @@ class AttributeDomain:
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Snap values to nearest grid index, ties to the lower index; out-of-range
-        values are clamped to the grid's ends."""
+        values (infinities too) are clamped to the grid's ends, and NaN is a DataError."""
         v = np.clip(np.asarray(values, dtype=float), self.lo, self.hi)
+        if np.isnan(v).any():
+            raise DataError(f"attribute {self.name!r}: NaN value")
         step = (self.hi - self.lo) / (self.nvpriv - 1)
         lower = np.floor((v - self.lo) / step).astype(np.int64)
         lower = np.clip(lower, 0, self.nvpriv - 2)
@@ -229,7 +231,8 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
 
     Every declared attribute must be a column; labels are translated through
     the spec's label map (raw values already equal to -1/+1 pass through
-    when no map is declared).  Out-of-domain values are clamped to the grid.
+    when no map is declared).  Out-of-domain values are clamped to the grid; a NaN
+    value is a DataError that names its row.
 
     numpy's C parser reads the data rows a chunk of lines at a time, and each
     chunk is quantized into its bins as it is read.  If a chunk fails (a bad row
@@ -338,6 +341,8 @@ def _read_rows(path, fh, label_column, attributes, labels_of):
         for row in rows:
             try:
                 raw_features.append([float(row[d.name]) for d in attributes])
+                if any(v != v for v in raw_features[-1]):  # NaN, which quantize rejects
+                    raise ValueError("NaN value")
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
             raw_label = (row[label_column] or "").strip()

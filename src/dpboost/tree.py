@@ -13,17 +13,22 @@ Objective calibration ties the loss parameter to training progress: each
 split uses ``alpha = err(current tree) / err(root)``, so induction starts
 at the Matsushita risk and drifts toward the 0/1 risk as the tree fits.
 
-A split is scored from level-wise histograms (one complex scatter-add per
-attribute over (frontier leaf, bin) keys covers the whole level, summing a
-row's weight and positive weight at once: a complex add is two independent
-float adds, so the sums are those of one ``bincount`` per statistic) and from
-alpha-free parts of each child's risk (``w``, ``sqrt(u (1 - u))`` and
-``min(u, 1 - u)`` at ``u = w1 / w``), computed once per level.  A candidate's
-utility is the negative risk of its two children: the rest of the tree adds
-the same risk to every candidate of a leaf, and neither the argmax nor the
-exponential mechanism changes when every utility moves by one constant.
-Every value is formed by the operations a per-leaf ``bayes_risk`` evaluation
-would use, in its order.
+A split is scored from level-wise histograms and from alpha-free parts of each
+child's risk (``w``, ``sqrt(u (1 - u))`` and ``min(u, 1 - u)`` at ``u = w1 / w``),
+computed once per level.  A candidate's utility is the negative risk of its two
+children: the rest of the tree adds the same risk to every candidate of a leaf,
+and neither the argmax nor the exponential mechanism changes when every utility
+moves by one constant.  The histograms follow the sibling rule (as in LightGBM):
+of two children the next level scores, the one with fewer rows (the left on a
+tie) is binned from its rows, a row's weight and positive weight summed at once
+as one complex value (two independent float adds, so the bins are those of one
+``bincount`` per statistic), and the other's bins are its parent's minus its
+sibling's.  A derived left sum is within ``(n + nv + 1) 2**-52 w`` of a
+``bincount``'s, for ``nv`` bins and a parent of ``n`` rows and weight ``w`` binned
+from its rows (a derived parent's bound adds).  So a utility can differ from a
+direct evaluation's only through sums rounded within that bound, and a split choice
+only between candidates tied within it; every other value is formed by the
+operations of a per-leaf ``bayes_risk`` evaluation, in its order.
 
 A tied leaf (no training rows, or one class) is not scored: its candidates'
 children all have risk 0, so their utilities are equal, and each private level's
@@ -316,46 +321,37 @@ def objective_calibration_alpha(err_current: float, err_root: float) -> float:
     return min(1.0, max(0.0, err_current / err_root))
 
 
-def _frontier_histograms(
-    X: np.ndarray,
-    weights: np.ndarray,
-    pos_weights: np.ndarray,
-    leaf_rows: list[np.ndarray],
-    domains,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left-child (weight, positive weight) of every candidate at every leaf.
+def _level_bins(X, both, direct, derived, parents, width) -> np.ndarray:
+    """Complex (weight, positive weight) bins ``(slot, attribute, bin)`` of a level's
+    scored leaves, each domain's bins padded to ``width``.  ``direct`` holds ``(slot,
+    rows)`` of the leaves binned from their rows (ascending), by one ``np.add.at`` per
+    attribute over those rows alone, which visits them in order.  ``derived`` holds
+    ``(slot, parent, sibling)``: that leaf's bins are slot ``parent`` of the previous
+    level's ``parents`` minus slot ``sibling``, a direct one, in one subtraction."""
+    slots, rows = zip(*direct)
+    bins = np.zeros((len(direct) + len(derived), X.shape[1], width), dtype=np.complex128)
+    keys = (np.array(slots) * bins[0].size).repeat([idx.size for idx in rows])
+    rows = np.concatenate(rows)
+    values, flat = both[rows], bins.reshape(-1)
+    for j, column in enumerate(X.T):  # attribute j's bins start at j * width of a slot
+        np.add.at(flat[j * width :], keys + column.take(rows), values)
+    if derived:
+        slot, parent, sibling = np.array(derived).T
+        bins[slot] = parents[parent] - bins[sibling]
+    return bins
 
-    Row ``s`` of each result belongs to the leaf whose rows are
-    ``leaf_rows[s]`` (ascending, disjoint); columns are the candidates in
-    (attribute, threshold) order, and a left child collects the bins up to
-    and including the threshold.  Each row's (weight, positive weight) is one
-    complex value, and each attribute takes one ``np.add.at`` of them into a
-    (leaf, bin) table padded to the widest domain.  A complex add is two
-    independent float adds and ``np.add.at`` visits the rows in ascending
-    order, so every bucket, and every prefix sum over a leaf's bins, is the
-    float a per-leaf ``bincount`` of each statistic would give.  Rows of no
-    leaf fall into a spare slot that is dropped.
-    """
-    n_slots, nvs = len(leaf_rows), [dom.nvpriv for dom in domains]
-    width = max(nvs)
-    base = np.full(X.shape[0], n_slots * width, dtype=np.intp)  # the slot's first bucket
-    for s, idx in enumerate(leaf_rows):
-        base[idx] = s * width
-    both = np.empty(X.shape[0], dtype=np.complex128)
-    both.real, both.imag = weights, pos_weights
-    hist = np.zeros((len(nvs), (n_slots + 1) * width), dtype=np.complex128)
-    for j, table in enumerate(hist):
-        np.add.at(table, base + X[:, j], both)
-    hist = hist.reshape(len(nvs), n_slots + 1, width)[:, :n_slots]
-    return tuple(
-        np.concatenate([cum[j, :, : nv - 1] for j, nv in enumerate(nvs)], axis=1)
-        for cum in (np.cumsum(hist.real, axis=2), np.cumsum(hist.imag, axis=2))
-    )
+
+def _left_sums(bins: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left-child (weight, positive weight) of every candidate at every slot of
+    ``_level_bins``' bins, candidate ``c`` at column ``attribute * width + threshold_bin``
+    of ``columns``: a left child collects the bins up to and including the threshold."""
+    left = bins.cumsum(axis=2).reshape(len(bins), -1)[:, columns]  # one cumsum per statistic
+    return left.real, left.imag
 
 
 def _candidate_parts(w_left, w1_left, w_leaf, w1_leaf) -> np.ndarray:
     """``_leaf_parts`` of both children of every candidate at every frontier leaf, from
-    ``_frontier_histograms``' results and the leaves' own (w, w1): entry ``[:, s]``
+    ``_left_sums`` and the leaves' own (w, w1): entry ``[:, s]``
     holds leaf ``s``'s left children, then its right ones."""
     return _leaf_parts(
         np.concatenate([w_left, w_leaf[:, None] - w_left], axis=1),
@@ -418,7 +414,10 @@ def induce_tree(
     X, y = dataset.X, dataset.y
     m = dataset.n_examples
     pos_mask = y == 1
-    pos_weights = weights * pos_mask
+    both = np.empty(m, dtype=np.complex128)  # each row's (weight, positive weight)
+    both.real, both.imag = weights, weights * pos_mask
+    width = max(dom.nvpriv for dom in dataset.domains)  # of a slot's bins per attribute
+    columns = np.array([c.attribute * width + c.threshold_bin for c in candidates])
 
     def leaf_stats(idx: np.ndarray) -> tuple[float, float, int, bool]:
         # (w, w1, errors of the weighted majority label, tied); a weight tie goes negative
@@ -428,6 +427,9 @@ def induce_tree(
         wi, pm = weights[idx], pos_mask[idx]
         w, w1, n_pos = float(wi.sum()), float(wi[pm].sum()), int(np.count_nonzero(pm))
         return w, w1, (int(idx.size) - n_pos if w1 > w - w1 else n_pos), n_pos in (0, idx.size)
+
+    def stops(stats) -> bool:  # a leaf its level does not score: tied, or pure without privacy
+        return stats[3] or (not private and stats[1] >= stats[0])
 
     # the leaf_stats of a leaf in a tied subtree: no rows, no errors, no weight of its own
     in_tied = (0.0, 0.0, 0, True)
@@ -440,26 +442,34 @@ def induce_tree(
 
     oc = config.objective_calibration
 
+    def calibrated() -> tuple[float, float | None]:
+        # the next split's alpha (under OC a pure root leaves the ratio undefined: the
+        # public start value) and, with privacy, the sensitivity of its utilities
+        alpha = float(config.alpha) if not oc else (
+            objective_calibration_alpha(error_count / m, err_root) if err_root > 0.0 else 1.0)
+        return alpha, pv and sensitivity_bound(LossSpec.malpha(alpha), m)
+
+    alpha_l, delta = calibrated()  # recomputed only when a split changes error_count
     # (leaf id, its rows in ascending order or None in a tied subtree, its leaf_stats)
     frontier: list[tuple[int, np.ndarray | None, tuple]] = [(0, np.arange(m), root_stats)]
     final: list[tuple[int, np.ndarray, tuple]] = []  # leaves that stopped early
     tied_rows = []  # the rows of each tied subtree, routed to its leaves after the last level
+    # how the next level's scored leaves get their _level_bins: the root from its rows
+    direct, derived, bins = [(0, np.arange(m))], [], None
     for level in range(config.depth):
         if not private:  # pure leaves stay leaves
-            pure = [w1 <= 0.0 or w1 >= w or idx.size == 0 for _, idx, (w, w1, *_) in frontier]
-            final += [f for f, p in zip(frontier, pure) if p]
-            frontier = [f for f, p in zip(frontier, pure) if not p]
+            final += [f for f in frontier if stops(f[2])]
+            frontier = [f for f in frontier if not stops(f[2])]
         if not frontier:
             break
-        # only untied leaves are scored, each taking the next candidate parts in
-        # frontier order (without privacy the tied ones stopped above)
-        scored = [(idx, stats) for _, idx, stats in frontier if not stats[3]]
+        # only untied leaves are scored, slot after slot in frontier order (without
+        # privacy the tied ones stopped above)
+        scored = [stats for _, _, stats in frontier if not stats[3]]
         if scored:
-            w_left, w1_left = _frontier_histograms(
-                X, weights, pos_weights, [idx for idx, _ in scored], dataset.domains
-            )
-            leaf_w = np.array([stats[:2] for _, stats in scored]).T
-            cand_parts = iter(_candidate_parts(w_left, w1_left, *leaf_w).swapaxes(0, 1))
+            bins = _level_bins(X, both, direct, derived, bins, width)
+            leaf_w = np.array([stats[:2] for stats in scored]).T
+            cand_parts = _candidate_parts(*_left_sums(bins, columns), *leaf_w).swapaxes(0, 1)
+        direct, derived, slot = [], [], -1
         label = f"split@{level}"  # eps is None without privacy
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
         # every leaf of a private level is split, each by its own draw, in frontier order
@@ -474,22 +484,15 @@ def induce_tree(
         ).tolist() if tied else ())
         next_frontier: list[tuple[int, np.ndarray | None, tuple]] = []
         for (k, idx, stats), draw in zip(frontier, draws):
-            if not oc:
-                alpha_l = float(config.alpha)
-            elif err_root > 0.0:
-                alpha_l = objective_calibration_alpha(error_count / m, err_root)
-            else:  # a pure root leaves the ratio undefined: the public start value
-                alpha_l = 1.0
-
             if stats[3]:  # tied
-                # Every candidate of a tied leaf scores -(0.0 + 0.0): on its rows
-                # pos_weights is weights or 0, so each child's w1 is its w or 0 bit for
+                # Every candidate of a tied leaf scores -(0.0 + 0.0): on its rows the
+                # positive weight is the weight or 0, so each child's w1 is its w or 0 bit for
                 # bit (w_leaf - w_left too), u is 0 or 1, and s, mn and the risks are 0.
                 utility, choice = -0.0, next(tied_choices)
             else:
-                utilities = _candidate_utilities(next(cand_parts), alpha_l)
+                slot += 1
+                utilities = _candidate_utilities(cand_parts[slot], alpha_l)
                 if private:
-                    delta = sensitivity_bound(LossSpec.malpha(alpha_l), m)
                     choice = exponential_mechanism(utilities, delta, eps, accountant, draw, label)
                 else:
                     choice = int(np.argmax(utilities))
@@ -511,7 +514,21 @@ def induce_tree(
             left_idx, right_idx = idx[mask], idx[~mask]
             left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
             next_frontier += [(left, left_idx, left_stats), (left + 1, right_idx, right_stats)]
-            error_count += left_stats[2] + right_stats[2] - stats[2]
+            if oc and (change := left_stats[2] + right_stats[2] - stats[2]):
+                error_count += change
+                alpha_l, delta = calibrated()
+            # of two children the next level scores, the one with fewer rows (the left
+            # on a tie) is binned from its rows and the other derived from this slot
+            if level + 1 == config.depth:
+                continue
+            first = len(direct) + len(derived)  # the next level's slot of its first child
+            scores_left, scores_right = not stops(left_stats), not stops(right_stats)
+            if scores_left and scores_right:
+                small = int(right_idx.size < left_idx.size)
+                direct.append((first + small, right_idx if small else left_idx))
+                derived.append((first + 1 - small, slot, first + small))
+            elif scores_left or scores_right:
+                direct.append((first, left_idx if scores_left else right_idx))
         frontier = next_frontier
 
     if oc:

@@ -12,11 +12,14 @@ a tree in five separate loops.  An experiment grid's result columns and
 for every record.  The serialized models are pinned from the version-2
 writer, which keeps no training statistics.  Leaves and nodes are listed
 depth-first, left to right, the order the node graphs that preceded the node
-tables listed them in.  The split utilities of every fit, and the splits, leaf
-predictions, models and ``tree_efficiency`` of the two non-private fits, are
-pinned from the induction that first scored a split by its two children
-alone: node 22 of some trees there cut the same rows with its children
-swapped, a tie the risk of the rest of the tree had rounded away.
+tables listed them in.  The splits, leaf predictions, models and
+``tree_efficiency`` of the two non-private fits are pinned from the induction
+that first scored a split by its two children alone: node 22 of some trees
+there cut the same rows with its children swapped, a tie the risk of the rest
+of the tree had rounded away.  The split utilities of every fit are pinned from
+the induction that first derived the larger of two scored siblings' histograms
+from its parent's and its sibling's, which moves some utilities by rounding and
+no split.
 """
 
 import dataclasses
@@ -112,7 +115,7 @@ GOLDEN = {
         "record.depth": "6ec8cba3eba5977e",
         "record.epsilon": "eb6cce2ffa7d07c7",
         "record.threshold_bin": "75b00dc2f9265d98",
-        "record.utility": "ec8818ae258bdf2e",
+        "record.utility": "3bd77e210130a7b6",
         "model.to_dict": "752f44aaa0a3cb49",
         "traces.edges": "b140baf43cd993a8",
         "traces.mean_weight": "4b5b03a8d3d6bdad",
@@ -128,7 +131,7 @@ GOLDEN = {
         "record.depth": "f88e1383864b270e",
         "record.epsilon": "20b99096e9887f3f",
         "record.threshold_bin": "aeefbebf006cb3d9",
-        "record.utility": "c7ba844a0cbfa5cb",
+        "record.utility": "b4d119a76fd6079d",
         "model.to_dict": "b5d6e758715464ba",
         "traces.edges": "50e652a72fe71d28",
         "traces.mean_weight": "3db347ea08eb5c6d",
@@ -144,7 +147,7 @@ GOLDEN = {
         "record.depth": "f88e1383864b270e",
         "record.epsilon": "20b99096e9887f3f",
         "record.threshold_bin": "a14e54885e3dd7bf",
-        "record.utility": "5ea1455625570cf8",
+        "record.utility": "c1028ea11a7ae4a9",
         "model.to_dict": "255e364b3233d192",
         "traces.edges": "c68c46c8409812cf",
         "traces.mean_weight": "8ad487a0d3ac5f7a",

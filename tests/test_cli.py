@@ -123,6 +123,18 @@ class TestFitEval:
                    "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_DATA
 
+    def test_nan_value_is_data_error(self, tmp_path, blocks_files, capsys):
+        data, domains = blocks_files
+        with open(data) as fh:
+            header, first, *rest = fh.read().splitlines()
+        nan_data = tmp_path / "nan.csv"
+        nan_data.write_text("\n".join([header, "nan," + first.split(",", 1)[1], *rest]) + "\n")
+        rc = main(["fit", "--config", _fit_config(tmp_path), "--data", str(nan_data),
+                   "--domains", domains, "--out", str(tmp_path / "m.json")])
+        assert rc == EXIT_DATA == 3
+        assert f"data error: {nan_data}: row 2: NaN value" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_long_field_in_first_row_is_data_error(self, tmp_path, blocks_files, capsys):
         data, domains = blocks_files
         with open(data) as fh:

@@ -99,6 +99,13 @@ class TestQuantization:
         bins = dom.quantize(np.array([-0.5, 1.7, 0.5, -1e300, 1e300]))
         assert bins.tolist() == [0, 4, 2, 0, 4]
 
+    def test_nan_is_a_data_error(self):
+        dom = AttributeDomain("x", 0.0, 1.0, 5)
+        with pytest.raises(DataError, match="attribute 'x': NaN value"):
+            dom.quantize(np.array([0.5, np.nan]))
+        # infinities keep their clamp
+        assert dom.quantize(np.array([np.inf, -np.inf])).tolist() == [4, 0]
+
     def test_idempotence(self):
         dom = AttributeDomain("x", -3.0, 7.0, 13)
         grid = -3.0 + np.arange(13) * (7.0 - -3.0) / 12
@@ -274,6 +281,30 @@ class TestLoadCsvMatchesRowLoop:
         X, y = _row_loop(path, "y", SPEC)
         assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
         assert ds.X[0, 1] == 8  # float reads 1_0 as 10, above a1's [-2, 2]: its top bin
+
+    @pytest.mark.parametrize("chunk_lines", [1, 8192])
+    def test_a_nan_value_takes_the_row_loop_which_names_its_row(self, tmp_path, chunk_lines):
+        # numpy's parser reads the NaN and quantizing its chunk fails; the row loop
+        # rejects the row before it quantizes anything
+        path = tmp_path / "nan.csv"
+        path.write_text("a0,a1,y\n0.5,0.5,1\n0.5,nan,neg\n0.5,0.5,1\n")
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines), \
+                mock.patch.object(dataset_module, "_read_rows",
+                                  wraps=dataset_module._read_rows) as row_loop:
+            with pytest.raises(DataError) as info:
+                load_csv(str(path), None, SPEC)
+        assert row_loop.called
+        assert str(info.value) == f"{path}: row 3: NaN value"
+
+    def test_infinities_clamp_in_both_parsers(self, tmp_path):
+        # inf and -inf in one row sum to NaN; each value still clamps to its end bin
+        path = tmp_path / "inf.csv"
+        path.write_text("a0,a1,y\ninf,-inf,1\n-inf,inf,neg\n")
+        with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError):
+            by_chunks = load_csv(str(path), None, SPEC)
+        with mock.patch.object(dataset_module, "_read_columns", side_effect=ValueError):
+            by_rows = load_csv(str(path), None, SPEC)
+        assert by_chunks.X.tolist() == by_rows.X.tolist() == [[4, 0], [0, 8]]
 
     def test_a_bad_value_in_a_later_chunk_takes_the_row_loop(self, tmp_path):
         path = tmp_path / "late.csv"

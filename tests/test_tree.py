@@ -9,6 +9,7 @@ import functools
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,12 +54,33 @@ def unnormalized_risk(tree, dataset, weights, alpha) -> float:
     return math.fsum(tree_module._risks(tree_module._leaf_parts(w, w1), alpha).tolist())
 
 
+def level_left_sums(X, weights, pos, leaf_rows, domains):
+    """``_left_sums`` of a level whose leaves (rows ``leaf_rows``) are all binned from
+    their rows, as induction bins its root."""
+    width = max(dom.nvpriv for dom in domains)
+    bins = tree_module._level_bins(X, _both(weights, pos), list(enumerate(leaf_rows)), [],
+                                   None, width)
+    return tree_module._left_sums(bins, _columns(domains))
+
+
+def _both(weights, pos):
+    both = np.empty(len(weights), dtype=np.complex128)
+    both.real, both.imag = weights, weights * pos
+    return both
+
+
+def _columns(domains):
+    # the candidates' columns of _left_sums, in (attribute, threshold) order
+    width = max(dom.nvpriv for dom in domains)
+    return np.array([j * width + b for j, dom in enumerate(domains) for b in range(dom.nvpriv - 1)])
+
+
 def root_split_probabilities(dataset, weights, alpha, epsilon_node) -> np.ndarray:
     """Exact probabilities of private induction's candidate draw at a root leaf, so
     privacy-ratio tests can compare neighbor datasets without sampling."""
     weights, pos = np.asarray(weights, dtype=float), dataset.y == 1
-    w_left, w1_left = tree_module._frontier_histograms(
-        dataset.X, weights, weights * pos, [np.arange(dataset.n_examples)], dataset.domains
+    w_left, w1_left = level_left_sums(
+        dataset.X, weights, pos, [np.arange(dataset.n_examples)], dataset.domains
     )
     leaf_w = np.array([weights.sum()]), np.array([weights[pos].sum()])
     utilities = tree_module._candidate_utilities(
@@ -513,16 +535,29 @@ class TestTiedSubtrees:
         assert sum(batches) + len(calls) - len(batches) == len(tree.records)
 
 
+def _per_leaf_bins(X, weights, pos, idx, domains):
+    # reference: one weighted bincount per attribute and statistic over the leaf's own
+    # rows; each attribute's (weight, positive weight) bins stacked
+    return [np.stack([np.bincount(X[idx, j], weights=weights[idx], minlength=dom.nvpriv),
+                      np.bincount(X[idx, j], weights=weights[idx] * pos[idx], minlength=dom.nvpriv)])
+            for j, dom in enumerate(domains)]
+
+
+def _sibling_bins(parent_bins, sibling_bins):
+    # reference: the sibling rule, a leaf's bins are its parent's minus its sibling's
+    return [p - s for p, s in zip(parent_bins, sibling_bins)]
+
+
+def _left_of(bins):
+    # reference: each attribute's cumulative sums up to every threshold, attribute after
+    # attribute; (weight, positive weight)
+    left = np.concatenate([np.cumsum(b, axis=1)[:, :-1] for b in bins], axis=1)
+    return left[0], left[1]
+
+
 def _per_leaf_histogram(X, weights, pos, idx, domains):
-    # reference: one bincount + cumsum per leaf and attribute over the
-    # leaf's own rows
-    w_parts, w1_parts = [], []
-    for j, dom in enumerate(domains):
-        w_bin = np.bincount(X[idx, j], weights=weights[idx], minlength=dom.nvpriv)
-        w1_bin = np.bincount(X[idx, j], weights=weights[idx] * pos[idx], minlength=dom.nvpriv)
-        w_parts.append(np.cumsum(w_bin)[: dom.nvpriv - 1])
-        w1_parts.append(np.cumsum(w1_bin)[: dom.nvpriv - 1])
-    return np.concatenate(w_parts), np.concatenate(w1_parts)
+    # reference: the left sums of a leaf binned from its own rows
+    return _left_of(_per_leaf_bins(X, weights, pos, idx, domains))
 
 
 def _leaf_of(tree, row):
@@ -601,6 +636,51 @@ class TestWalk:
         self._check_against_walk(tree, ds.X[picks])
 
 
+def _two_levels(X, weights, pos, leaf_rows, goes_left, domains):
+    """Left sums of a level binned from its rows (``leaf_rows``), then of the level of
+    their children (a row goes left where ``goes_left``) under the sibling rule: of two
+    children, the one with fewer rows (the left on a tie) binned from its rows, the
+    other derived.  Returns both levels' (w_left, w1_left), each child's rows in slot
+    order and which slots were derived."""
+    width, columns, both = max(d.nvpriv for d in domains), _columns(domains), _both(weights, pos)
+    parents = tree_module._level_bins(X, both, list(enumerate(leaf_rows)), [], None, width)
+    direct, derived, children = [], [], []
+    for s, idx in enumerate(leaf_rows):
+        kids = idx[goes_left[idx]], idx[~goes_left[idx]]
+        small = int(kids[1].size < kids[0].size)
+        direct.append((2 * s + small, kids[small]))
+        derived.append((2 * s + 1 - small, s, 2 * s + small))
+        children += kids
+    level = tree_module._level_bins(X, both, direct, derived, parents, width)
+    return (tree_module._left_sums(parents, columns), tree_module._left_sums(level, columns),
+            children, {slot for slot, _, _ in derived})
+
+
+def _check_two_levels(X, weights, pos, leaf_rows, goes_left, domains):
+    """``_two_levels`` against per-leaf bincounts bit for bit: a binned leaf's left sums
+    are its own bincounts', a derived one's those of its parent's bincounts minus its
+    sibling's."""
+    (p_w, p_w1), (w_left, w1_left), children, derived = _two_levels(
+        X, weights, pos, leaf_rows, goes_left, domains)
+    n_cand = sum(d.nvpriv - 1 for d in domains)
+    assert p_w.shape == p_w1.shape == (len(leaf_rows), n_cand)
+    assert w_left.shape == w1_left.shape == (2 * len(leaf_rows), n_cand)
+    for s, idx in enumerate(leaf_rows):
+        ref_w, ref_w1 = _per_leaf_histogram(X, weights, pos, idx, domains)
+        assert p_w[s].tobytes() == ref_w.tobytes() and p_w1[s].tobytes() == ref_w1.tobytes()
+        parent = _per_leaf_bins(X, weights, pos, idx, domains)
+        for slot in (2 * s, 2 * s + 1):
+            sibling = children[slot ^ 1]
+            if slot in derived:
+                ref = _left_of(_sibling_bins(parent, _per_leaf_bins(X, weights, pos, sibling,
+                                                                      domains)))
+            else:
+                ref = _per_leaf_histogram(X, weights, pos, children[slot], domains)
+            assert w_left[slot].tobytes() == ref[0].tobytes()
+            assert w1_left[slot].tobytes() == ref[1].tobytes()
+    return w_left, w1_left
+
+
 class TestFrontierHistograms:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -617,19 +697,12 @@ class TestFrontierHistograms:
         )
         pos = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
         # slot n_leaves: the row belongs to no frontier leaf; some leaves
-        # may get no rows at all
+        # may get no rows at all, and some children none or as many as their sibling
         slot = np.array(data.draw(st.lists(st.integers(0, n_leaves), min_size=m, max_size=m)))
+        goes_left = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
         leaf_rows = [np.flatnonzero(slot == s) for s in range(n_leaves)]
         domains = [AttributeDomain(f"a{j}", 0.0, 1.0, n) for j, n in enumerate(sizes)]
-
-        w_left, w1_left = tree_module._frontier_histograms(
-            X, weights, weights * pos, leaf_rows, domains
-        )
-        assert w_left.shape == w1_left.shape == (n_leaves, sum(sizes) - len(sizes))
-        for s, idx in enumerate(leaf_rows):
-            ref_w, ref_w1 = _per_leaf_histogram(X, weights, pos, idx, domains)
-            assert np.array_equal(w_left[s], ref_w)
-            assert np.array_equal(w1_left[s], ref_w1)
+        _check_two_levels(X, weights, pos, leaf_rows, goes_left, domains)
 
     def test_unequal_domains_match_per_leaf_bincounts_bit_for_bit(self):
         # domains padded to the widest (12 bins), a leaf with no rows, rows of no
@@ -642,16 +715,69 @@ class TestFrontierHistograms:
         slot = rng.choice([0, 1, 3, 4], size=m)  # leaf 2 gets no rows; slot 4 is no leaf's
         leaf_rows = [np.flatnonzero(slot == s) for s in range(4)]
         domains = [AttributeDomain(f"a{j}", 0.0, 1.0, n) for j, n in enumerate(sizes)]
+        # the left child is the smaller at leaf 0 and the larger elsewhere
+        goes_left = np.where(slot == 0, rng.random(m) < 0.3, rng.random(m) < 0.7)
+        w_left, w1_left = _check_two_levels(X, weights, pos, leaf_rows, goes_left, domains)
+        assert not w_left[4:6].any() and not w1_left[4:6].any()
 
-        w_left, w1_left = tree_module._frontier_histograms(
-            X, weights, weights * pos, leaf_rows, domains
-        )
-        assert w_left.shape == w1_left.shape == (4, sum(sizes) - len(sizes))
-        for s, idx in enumerate(leaf_rows):
-            ref_w, ref_w1 = _per_leaf_histogram(X, weights, pos, idx, domains)
-            assert w_left[s].tobytes() == ref_w.tobytes()
-            assert w1_left[s].tobytes() == ref_w1.tobytes()
-        assert not w_left[2].any() and not w1_left[2].any()
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_larger_child_is_derived_within_the_bound(self, data):
+        # Induction derives the larger of two scored children (the right on a tie) from
+        # its parent and sibling.  A derived left sum is within (n + nv + 1) 2**-52 w of
+        # the direct bincount's, for a parent of n rows and weight w and nv bins per
+        # attribute; a derived parent's own bound adds.
+        m, nv = data.draw(st.integers(8, 80)), data.draw(st.integers(2, 9))
+        X = np.array(data.draw(st.lists(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2),
+                                        min_size=m, max_size=m)))
+        # weights over many orders of magnitude, so that the sums round
+        weights = np.array(data.draw(st.lists(st.floats(1e-9, 1.0), min_size=m, max_size=m)))
+        y = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)))
+        private = data.draw(st.booleans())
+        ds = Dataset(X, y, [AttributeDomain(f"a{j}", 0.0, 1.0, nv) for j in range(2)])
+        calls, level_bins = [], tree_module._level_bins
+
+        def spy(X, both, direct, derived, parents, width):
+            bins = level_bins(X, both, direct, derived, parents, width)
+            calls.append((direct, derived, bins))
+            return bins
+
+        privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0) if private else None
+        config = TreeConfig(depth=4, alpha="oc", privacy=privacy)
+        with mock.patch.object(tree_module, "_level_bins", spy):
+            tree = induce_tree(ds, weights, config, BudgetAccountant(1.0), RandomSource(1))
+
+        pos, columns = y == 1, _columns(ds.domains)
+        depths, parent_of = node_depths(tree.child), {}
+        for k in np.flatnonzero(~leaf_mask(tree.child)):
+            parent_of[int(tree.child[k])] = parent_of[int(tree.child[k]) + 1] = int(k)
+        rows_of = {int(k): np.flatnonzero(walk(tree, X, depths[k]) == k)
+                   for k in range(len(tree.child))}
+        # each level's scored leaves, slot after slot: split, with rows of both classes
+        scored = [[k for k, d in enumerate(depths) if d == level and tree.child[k] != k
+                   and np.unique(y[rows_of[k]]).size == 2] for level in range(config.depth)]
+        bound = {}
+        for level, (direct, derived, bins) in enumerate(calls):
+            leaves = scored[level]
+            assert len(direct) + len(derived) == len(leaves) == len(bins)
+            for slot, idx in direct:
+                assert np.array_equal(idx, rows_of[leaves[slot]])
+            # a split whose two children are both scored derives one of them
+            pairs = {parent_of[k] for k in leaves if k and 2 * tree.child[parent_of[k]] + 1 - k
+                     in leaves}
+            assert len(derived) == len(pairs)
+            w_left, w1_left = tree_module._left_sums(bins, columns)
+            for slot, parent, sibling in derived:
+                k, sib = leaves[slot], leaves[sibling]
+                assert parent_of[k] == parent_of[sib] == scored[level - 1][parent]
+                n, n_sib = rows_of[k].size, rows_of[sib].size
+                assert n > n_sib or (n == n_sib and k == tree.child[parent_of[k]] + 1)
+                p_rows = rows_of[parent_of[k]]
+                bound[k] = bound.get(parent_of[k], 0.0) + (
+                    (p_rows.size + nv + 1) * 2.0**-52 * weights[p_rows].sum())
+                ref_w, ref_w1 = _per_leaf_histogram(X, weights, pos, rows_of[k], ds.domains)
+                assert np.all(np.abs(w_left[slot] - ref_w) <= bound[k])
+                assert np.all(np.abs(w1_left[slot] - ref_w1) <= bound[k])
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_root_probabilities_are_what_induction_samples(self, monkeypatch, alpha):
@@ -689,9 +815,10 @@ def _reference_risk(w, w1, spec):
 
 def _reference_split_scores(tree, ds, weights, config):
     """(alpha, utilities, tied) of every split of ``tree``, in induction order,
-    recomputed from scratch: every candidate's children from the per-leaf
-    histograms of the leaf's own rows alone, alpha from the errors of the
-    live leaves, and whether the leaf has no rows or one class."""
+    recomputed from scratch: every candidate's children from per-leaf bincounts
+    under the sibling rule (of two children that both score, the one with more rows,
+    or the right on a tie, has its parent's bins minus its sibling's), alpha from the
+    errors of the live leaves, and whether the leaf has no rows or one class."""
     pos = ds.y == 1
     m = ds.n_examples
 
@@ -701,12 +828,16 @@ def _reference_split_scores(tree, ds, weights, config):
         w, w1 = float(weights[idx].sum()), float(weights[idx[pos[idx]]].sum())
         return w, w1, int(np.count_nonzero(ds.y[idx] != (1 if w1 > w - w1 else -1)))
 
+    def scores(node, idx):  # split, with rows of both classes
+        return tree.child[node] != node and np.unique(ds.y[idx]).size == 2
+
     live = {0: stats(np.arange(m))}
     err_root = live[0][2] / m
-    frontier, out = [(0, np.arange(m))], []
+    # (node, its rows, its parent, its sibling's rows); bins of every scored node
+    frontier, out, bins = [(0, np.arange(m), None, None)], [], {}
     for _ in range(config.depth):
         next_frontier = []
-        for node, idx in frontier:
+        for node, idx, parent, sibling in frontier:
             if tree.child[node] == node:  # a leaf that stopped early stays live
                 continue
             if not config.objective_calibration:
@@ -717,15 +848,25 @@ def _reference_split_scores(tree, ds, weights, config):
             else:
                 alpha = 1.0
             spec = LossSpec.malpha(alpha)
-            w_left, w1_left = _per_leaf_histogram(ds.X, weights, pos, idx, ds.domains)
+            tied = not scores(node, idx)
+            own = _per_leaf_bins(ds.X, weights, pos, idx, ds.domains)
+            if node and not tied:
+                on_right, left_child = node == tree.child[parent] + 1, tree.child[parent]
+                if scores(2 * left_child + 1 - node, sibling) and (
+                        idx.size > sibling.size or (idx.size == sibling.size and on_right)):
+                    own = _sibling_bins(
+                        bins[parent], _per_leaf_bins(ds.X, weights, pos, sibling, ds.domains))
+            bins[node] = own
+            w_left, w1_left = _left_of(own)
             left = _reference_risk(w_left, w1_left, spec)
             w, w1, _ = live.pop(node)
             right = _reference_risk(w - w_left, w1 - w1_left, spec)
-            out.append((alpha, -(left + right), np.unique(ds.y[idx]).size <= 1))
+            out.append((alpha, -(left + right), tied))
             mask = ds.X[idx, tree.attribute[node]] <= tree.threshold_bin[node]
             first = int(tree.child[node])
             live[first], live[first + 1] = stats(idx[mask]), stats(idx[~mask])
-            next_frontier += [(first, idx[mask]), (first + 1, idx[~mask])]
+            next_frontier += [(first, idx[mask], node, idx[~mask]),
+                              (first + 1, idx[~mask], node, idx[mask])]
         frontier = next_frontier
     return out
 
@@ -791,8 +932,8 @@ class TestRiskBookkeeping:
                     for row, (record, (alpha, expected, _)) in zip(batch, tied):
                         assert record.alpha == alpha and np.array_equal(row, expected)
                         assert expected.tobytes() == np.full(row.size, record.utility).tobytes()
-                # each scored split's utilities come from its leaf's rows alone,
-                # whatever the rest of the tree holds
+                # each scored split's utilities come from its leaf's rows and, for a
+                # derived leaf, its parent's and sibling's, whatever the rest of the tree holds
                 for record, (alpha, expected, _) in (x for x in level if not x[1][2]):
                     utilities = next(calls)
                     assert record.alpha == alpha and np.array_equal(utilities, expected)
@@ -1001,11 +1142,13 @@ class TestCompactBins:
     @pytest.mark.parametrize("nvpriv", [256, 257])
     def test_frontier_histograms(self, nvpriv):
         compact, wide = self._pair(nvpriv)
-        weights = np.random.default_rng(1).uniform(0.1, 1.0, 300)
-        pos = weights * (compact.y == 1)
+        rng = np.random.default_rng(1)
+        weights, pos = rng.uniform(0.1, 1.0, 300), compact.y == 1
         leaf_rows = [np.arange(0, 300, 3), np.arange(1, 300, 3)]
-        a = tree_module._frontier_histograms(compact.X, weights, pos, leaf_rows, compact.domains)
-        b = tree_module._frontier_histograms(wide.X, weights, pos, leaf_rows, wide.domains)
+        # leaf 0's left child has the more rows, leaf 1's right one: both sides derived
+        goes_left = rng.random(300) < np.where(np.arange(300) % 3 == 0, 0.6, 0.4)
+        a = _check_two_levels(compact.X, weights, pos, leaf_rows, goes_left, compact.domains)
+        b = _check_two_levels(wide.X, weights, pos, leaf_rows, goes_left, wide.domains)
         assert [h.tobytes() for h in a] == [h.tobytes() for h in b]
 
     @pytest.mark.parametrize("nvpriv", [256, 257])
