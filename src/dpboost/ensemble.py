@@ -29,6 +29,7 @@ from .tree import (
     LEAF_BIN,
     DecisionTree,
     TreeConfig,
+    _complete_child,
     induce_tree,
     margin_labels,
     tables_from_dict,
@@ -271,13 +272,6 @@ class RandomForest:
         if len({len(child) for child, *_ in trees}) > 1:
             raise ValueError("forest trees differ in depth")
         return RandomForest(*(np.array(table) for table in zip(*trees)), data["leaf_mechanism"])
-
-
-def _complete_child(depth: int) -> np.ndarray:
-    """The ``child`` table of a complete depth-``depth`` tree: node ``k``'s children are
-    ``2k + 1`` and ``2k + 2``, and its last ``2^depth`` nodes are leaves."""
-    k = np.arange(2 ** (depth + 1) - 1)
-    return np.where(k < 2**depth - 1, 2 * k + 1, k)
 
 
 def _preorder(k: int, depth: int) -> list[int]:

@@ -31,13 +31,11 @@ only between candidates tied within it; every other value is formed by the
 operations of a per-leaf ``bayes_risk`` evaluation, in its order.
 
 A tied leaf (no training rows, or one class) is not scored: its candidates'
-children all have risk 0, so their utilities are equal, and each private level's
-tied leaves draw in one batched ``exponential_mechanism`` call over a zero-utility
-matrix, each with its own uniform and ledger entry.  A tied leaf's subtree is tied
-throughout and grows from the draws alone: its leaves carry no rows and no
-statistics of their own.  The rows of every tied subtree are
-routed to their leaves by one ``walk`` at the end, and a reached tied leaf
-predicts the clamped link of its rows' one class.
+children all have risk 0, so their utilities are equal.  With privacy its subtree,
+marked in a mask over the complete heap, grows from the draws alone, and one ``walk``
+at the end routes its rows to their leaves, where a reached tied leaf predicts the
+clamped link of its rows' one class.  A private level pays for its draws in one
+ledger call and draws its scored leaves in runs of equal alpha, its tied nodes at once.
 
 A tree is a node table numbered breadth-first (``DecisionTree``); ``walk`` routes
 rows through it, ``tables_to_dict`` and ``tables_from_dict`` write and read it, and a
@@ -56,7 +54,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, candidate_splits
 from .losses import LossSpec, canonical_link, malpha_combine, malpha_parts, sensitivity_bound
-from .privacy import BudgetAccountant, RandomSource, exponential_mechanism, laplace_mechanism
+from .privacy import BudgetAccountant, RandomSource, _select, laplace_mechanism
 
 __all__ = [
     "Q_CLAMP",
@@ -144,6 +142,16 @@ def margin_labels(margins: np.ndarray) -> np.ndarray:
 def leaf_mask(child: np.ndarray) -> np.ndarray:
     """Which nodes of a ``child`` table (1-D, or stacked on leading axes) are leaves."""
     return child == np.arange(child.shape[-1])
+
+
+def _child_table(split: np.ndarray) -> np.ndarray:
+    """The ``child`` table of a tree whose nodes split where ``split`` (see ``_level_ends``)."""
+    return np.where(split, 2 * np.cumsum(split) - 1, np.arange(split.size))
+
+
+def _complete_child(depth: int) -> np.ndarray:
+    """The ``child`` table of a complete depth-``depth`` tree: the heap."""
+    return _child_table(np.arange(2 ** (depth + 1) - 1) < 2**depth - 1)
 
 
 def _level_ends(child: np.ndarray) -> list[int]:
@@ -327,14 +335,18 @@ def _level_bins(X, both, direct, derived, parents, width) -> np.ndarray:
     rows)`` of the leaves binned from their rows (ascending), by one ``np.add.at`` per
     attribute over those rows alone, which visits them in order.  ``derived`` holds
     ``(slot, parent, sibling)``: that leaf's bins are slot ``parent`` of the previous
-    level's ``parents`` minus slot ``sibling``, a direct one, in one subtraction."""
+    level's ``parents`` minus slot ``sibling``, a direct one, in one subtraction.  All
+    the rows (the root) read the columns in place: each bin still adds its rows in order."""
     slots, rows = zip(*direct)
     bins = np.zeros((len(direct) + len(derived), X.shape[1], width), dtype=np.complex128)
     keys = (np.array(slots) * bins[0].size).repeat([idx.size for idx in rows])
-    rows = np.concatenate(rows)
-    values, flat = both[rows], bins.reshape(-1)
-    for j, column in enumerate(X.T):  # attribute j's bins start at j * width of a slot
-        np.add.at(flat[j * width :], keys + column.take(rows), values)
+    rows, flat = np.concatenate(rows), bins.reshape(-1)
+    if rows.size == len(both):  # each row's key, in row order
+        keys[rows], values, columns = keys.copy(), both, X.T
+    else:
+        values, columns = both[rows], (column.take(rows) for column in X.T)
+    for j, column in enumerate(columns):  # attribute j's bins start at j * width of a slot
+        np.add.at(flat[j * width :], keys + column, values)
     if derived:
         slot, parent, sibling = np.array(derived).T
         bins[slot] = parents[parent] - bins[sibling]
@@ -360,11 +372,11 @@ def _candidate_parts(w_left, w1_left, w_leaf, w1_leaf) -> np.ndarray:
 
 
 def _candidate_utilities(parts: np.ndarray, alpha: float) -> np.ndarray:
-    """Utility of every candidate of one leaf, from its ``_candidate_parts`` entry:
-    the negative risk of its two children."""
+    """Utility of every candidate of the leaves of ``_candidate_parts`` entries (``[:, s]``
+    of one leaf, ``[:, a:b]`` of several): the negative risk of its two children."""
     child_risk = _risks(parts, alpha)
-    k = child_risk.size // 2
-    return -(child_risk[:k] + child_risk[k:])
+    k = child_risk.shape[-1] // 2
+    return -(child_risk[..., :k] + child_risk[..., k:])
 
 
 def induce_tree(
@@ -383,15 +395,16 @@ def induce_tree(
     which ranks candidates as the risk of the grown tree does (ties go to the
     lowest (attribute, threshold)).  With privacy, every leaf is carried to
     the exact target depth and candidates are sampled by the exponential
-    mechanism with the per-depth budget schedule.
+    mechanism with the per-depth budget schedule: the draws of one
+    ``exponential_mechanism`` call per node, but spent and drawn in batches per level.
 
     Leaf predictions apply the canonical link to the clamped class
     proportion; empty leaves predict 0.  A private tree is released whole: after
     the split draws, each leaf is clamped to [-M, M] for ``M = output_bound``
     (sensitivity 2M) and goes through one ``laplace_mechanism`` call with budget
     (1 - beta_tree) * epsilon / (ensemble_size * L) for L leaves, each with its own
-    ledger entry and the next uniform of ``rng``, leaf after leaf.  The noisy value
-    is not re-clamped; consumers clamp at prediction time.
+    ledger entry and the uniform of its heap position.  The noisy value is not
+    re-clamped; consumers clamp at prediction time.
 
     ``_leaf_rows`` is private to boosting: when given (one entry per training
     row), it receives each row's leaf id, so the training outputs need no
@@ -417,7 +430,8 @@ def induce_tree(
     both = np.empty(m, dtype=np.complex128)  # each row's (weight, positive weight)
     both.real, both.imag = weights, weights * pos_mask
     width = max(dom.nvpriv for dom in dataset.domains)  # of a slot's bins per attribute
-    columns = np.array([c.attribute * width + c.threshold_bin for c in candidates])
+    table = np.array([(c.attribute, c.threshold_bin) for c in candidates])
+    columns = table[:, 0] * width + table[:, 1]
 
     def leaf_stats(idx: np.ndarray) -> tuple[float, float, int, bool]:
         # (w, w1, errors of the weighted majority label, tied); a weight tie goes negative
@@ -431,15 +445,14 @@ def induce_tree(
     def stops(stats) -> bool:  # a leaf its level does not score: tied, or pure without privacy
         return stats[3] or (not private and stats[1] >= stats[0])
 
-    # the leaf_stats of a leaf in a tied subtree: no rows, no errors, no weight of its own
-    in_tied = (0.0, 0.0, 0, True)
-    # (child, attribute, threshold_bin) of each node, numbered breadth-first as
-    # induction grows them; a new node is a leaf
-    nodes, records = [(0, 0, LEAF_BIN)], []
+    # a private tree is the complete heap: node k draws with draws[k]; tied[k] marks a tied subtree
+    n_heap = 2 ** (config.depth + 1) - 1 if private else 0
+    draws, tied = private and rng.uniforms(n_heap), np.zeros(n_heap, dtype=bool)
+    pick = np.full(1, -1)  # the candidate of each node, breadth-first; -1 at a leaf
+    records, final, tied_rows = [], [], []  # final: leaves that stopped early, no privacy
     root_stats = leaf_stats(np.arange(m))
     error_count = root_stats[2]
     err_root = error_count / m
-
     oc = config.objective_calibration
 
     def calibrated() -> tuple[float, float | None]:
@@ -450,92 +463,84 @@ def induce_tree(
         return alpha, pv and sensitivity_bound(LossSpec.malpha(alpha), m)
 
     alpha_l, delta = calibrated()  # recomputed only when a split changes error_count
-    # (leaf id, its rows in ascending order or None in a tied subtree, its leaf_stats)
-    frontier: list[tuple[int, np.ndarray | None, tuple]] = [(0, np.arange(m), root_stats)]
-    final: list[tuple[int, np.ndarray, tuple]] = []  # leaves that stopped early
-    tied_rows = []  # the rows of each tied subtree, routed to its leaves after the last level
+    # (leaf id, its rows in ascending order, its leaf_stats)
+    frontier: list[tuple[int, np.ndarray, tuple]] = [(0, np.arange(m), root_stats)]
     # how the next level's scored leaves get their _level_bins: the root from its rows
     direct, derived, bins = [(0, np.arange(m))], [], None
+    lo, n_nodes = 0, 1  # the level's nodes are lo, ..., n_nodes - 1
     for level in range(config.depth):
-        if not private:  # pure leaves stay leaves
-            final += [f for f in frontier if stops(f[2])]
-            frontier = [f for f in frontier if not stops(f[2])]
-        if not frontier:
+        stopped = [f for f in frontier if stops(f[2])]
+        frontier = [f for f in frontier if not stops(f[2])]  # scored, slot after slot
+        if private:  # a tied leaf marks its subtree, whose rows one walk routes at the end
+            tied[[k for k, _, _ in stopped]] = True
+            tied_rows += [idx for _, idx, _ in stopped if idx.size]
+        else:
+            final += stopped
+        level_tied = lo + np.flatnonzero(tied[lo:n_nodes])
+        if not frontier and not level_tied.size:
             break
-        # only untied leaves are scored, slot after slot in frontier order (without
-        # privacy the tied ones stopped above)
-        scored = [stats for _, _, stats in frontier if not stats[3]]
-        if scored:
+        if frontier:
             bins = _level_bins(X, both, direct, derived, bins, width)
-            leaf_w = np.array([stats[:2] for stats in scored]).T
-            cand_parts = _candidate_parts(*_left_sums(bins, columns), *leaf_w).swapaxes(0, 1)
-        direct, derived, slot = [], [], -1
-        label = f"split@{level}"  # eps is None without privacy
+            leaf_w = np.array([stats[:2] for _, _, stats in frontier]).T
+            cand_parts = _candidate_parts(*_left_sums(bins, columns), *leaf_w)
+        ids = np.array([k for k, _, _ in frontier], dtype=np.intp)
+        direct, derived, slot, next_frontier = [], [], 0, []
         eps = pv and split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
-        # every leaf of a private level is split, each by its own draw, in frontier order
-        draws = rng.uniforms(len(frontier)).tolist() if private else [None] * len(frontier)
-        # the level's tied leaves (only a private level keeps them) draw in one call:
-        # equal utilities give every candidate 1 / n, so the sensitivity may be any
-        # bound, and the one at alpha = 1 bounds it at every alpha
-        tied = [i for i, (_, _, stats) in enumerate(frontier) if stats[3]]
-        tied_choices = iter(exponential_mechanism(
-            np.zeros((len(tied), len(candidates))), sensitivity_bound(LossSpec.malpha(1.0), m),
-            eps, accountant, np.array([draws[i] for i in tied]), label,
-        ).tolist() if tied else ())
-        next_frontier: list[tuple[int, np.ndarray | None, tuple]] = []
-        for (k, idx, stats), draw in zip(frontier, draws):
-            if stats[3]:  # tied
-                # Every candidate of a tied leaf scores -(0.0 + 0.0): on its rows the
-                # positive weight is the weight or 0, so each child's w1 is its w or 0 bit for
-                # bit (w_leaf - w_left too), u is 0 or 1, and s, mn and the risks are 0.
-                utility, choice = -0.0, next(tied_choices)
-            else:
+        n_splits = n_nodes - lo if private else len(frontier)
+        if private:  # each node is split by one draw, paid for first
+            accountant.spend(f"split@{level}", eps, n_splits)
+        level_records = [None] * (n_nodes - lo)
+        while slot < len(frontier):
+            # a run: the rest of the level drawn in one batch at the current alpha (greedy: one
+            # leaf's argmax), taken in frontier order until a split changes the error count
+            end = len(frontier) if private else slot + 1
+            utilities = _candidate_utilities(cand_parts[:, slot:end], alpha_l)
+            choices = (_select(utilities, delta, eps, draws[ids[slot:end]]) if private
+                       else np.argmax(utilities, axis=-1)).tolist()
+            for row, choice in zip(utilities, choices):
+                (k, idx, stats), cand = frontier[slot], candidates[choice]
+                utility, pick[k] = float(row[choice]), choice
+                level_records[k - lo] = SplitRecord(level, alpha_l, eps, utility, cand.attribute,
+                                                    cand.threshold_bin)
+                mask = X[:, cand.attribute][idx] <= cand.threshold_bin
+                left_idx, right_idx = idx[mask], idx[~mask]
+                left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
+                left = n_nodes + 2 * (k - lo if private else slot)  # split i: n_nodes + 2i
+                next_frontier += [(left, left_idx, left_stats), (left + 1, right_idx, right_stats)]
+                # of two children the next level scores, the one with fewer rows (the left
+                # on a tie) is binned from its rows and the other derived from this slot
+                first = len(direct) + len(derived)  # the next level's slot of its first child
+                scores_left, scores_right = not stops(left_stats), not stops(right_stats)
+                if scores_left and scores_right:
+                    small = int(right_idx.size < left_idx.size)
+                    direct.append((first + small, right_idx if small else left_idx))
+                    derived.append((first + 1 - small, slot, first + small))
+                elif scores_left or scores_right:
+                    direct.append((first, left_idx if scores_left else right_idx))
                 slot += 1
-                utilities = _candidate_utilities(cand_parts[slot], alpha_l)
-                if private:
-                    choice = exponential_mechanism(utilities, delta, eps, accountant, draw, label)
-                else:
-                    choice = int(np.argmax(utilities))
-                utility = float(utilities[choice])
+                if oc and (change := left_stats[2] + right_stats[2] - stats[2]):
+                    error_count += change
+                    alpha_l, delta = calibrated()
+                    break
+        if level_tied.size:
+            # every candidate of a tied node scores -(0.0 + 0.0) (its children's w1 is their w
+            # or 0), and equal utilities give each 1 / n under any sensitivity bound
+            choices = _select(np.zeros((level_tied.size, len(candidates))),
+                              sensitivity_bound(LossSpec.malpha(1.0), m), eps, draws[level_tied])
+            pick[level_tied], tied[2 * level_tied + 1], tied[2 * level_tied + 2] = choices, 1, 1
+            in_force = [level_records[k - lo].alpha for k in ids] + [alpha_l]  # at each slot
+            alphas = np.take(in_force, np.searchsorted(ids, level_tied)).tolist()
+            for k, a, (j, b) in zip((level_tied - lo).tolist(), alphas, table[choices].tolist()):
+                level_records[k] = SplitRecord(level, a, eps, -0.0, j, b)
+        records += [record for record in level_records if record is not None]
+        pick = np.concatenate([pick, np.full(2 * n_splits, -1)])
+        lo, n_nodes, frontier = n_nodes, n_nodes + 2 * n_splits, next_frontier
 
-            cand = candidates[choice]
-            left = len(nodes)
-            nodes[k] = (left, cand.attribute, cand.threshold_bin)
-            nodes += [(left, 0, LEAF_BIN), (left + 1, 0, LEAF_BIN)]
-            records.append(
-                SplitRecord(level, alpha_l, eps, utility, cand.attribute, cand.threshold_bin)
-            )
-            if stats[3]:  # the children are tied and carry no errors
-                if idx is not None and idx.size:
-                    tied_rows.append(idx)
-                next_frontier += [(left, None, in_tied), (left + 1, None, in_tied)]
-                continue
-            mask = X[:, cand.attribute][idx] <= cand.threshold_bin
-            left_idx, right_idx = idx[mask], idx[~mask]
-            left_stats, right_stats = leaf_stats(left_idx), leaf_stats(right_idx)
-            next_frontier += [(left, left_idx, left_stats), (left + 1, right_idx, right_stats)]
-            if oc and (change := left_stats[2] + right_stats[2] - stats[2]):
-                error_count += change
-                alpha_l, delta = calibrated()
-            # of two children the next level scores, the one with fewer rows (the left
-            # on a tie) is binned from its rows and the other derived from this slot
-            if level + 1 == config.depth:
-                continue
-            first = len(direct) + len(derived)  # the next level's slot of its first child
-            scores_left, scores_right = not stops(left_stats), not stops(right_stats)
-            if scores_left and scores_right:
-                small = int(right_idx.size < left_idx.size)
-                direct.append((first + small, right_idx if small else left_idx))
-                derived.append((first + 1 - small, slot, first + small))
-            elif scores_left or scores_right:
-                direct.append((first, left_idx if scores_left else right_idx))
-        frontier = next_frontier
-
-    if oc:
-        prediction_alpha = records[-1].alpha if records else 1.0
-    else:
-        prediction_alpha = float(config.alpha)
-    tree = DecisionTree(*np.array(nodes).T.copy(), np.zeros(len(nodes)), records, prediction_alpha)
+    prediction_alpha = (records[-1].alpha if records else 1.0) if oc else float(config.alpha)
+    split = pick >= 0
+    attribute, threshold_bin = np.where(split, table[pick].T, [[0], [LEAF_BIN]])
+    tree = DecisionTree(_child_table(split), attribute, threshold_bin, np.zeros(split.size),
+                        records, prediction_alpha)
     leaves = final + frontier
     held = [(k, w1 / w) for k, _, (w, w1, *_) in leaves if w > 0.0]  # (leaf, u = w1 / w)
     if tied_rows:  # one walk takes the rows of every tied subtree to its leaves
@@ -547,8 +552,7 @@ def induce_tree(
             _leaf_rows[rows] = reached
     if _leaf_rows is not None:
         for k, idx, _ in leaves:
-            if idx is not None:
-                _leaf_rows[idx] = k
+            _leaf_rows[idx] = k
     # one link call; its ufuncs round each leaf as a scalar call does; empty leaves keep 0
     q = np.clip([u for _, u in held], Q_CLAMP, 1.0 - Q_CLAMP)
     tree.value[[k for k, _ in held]] = canonical_link(LossSpec.malpha(prediction_alpha), q)
@@ -557,7 +561,7 @@ def induce_tree(
         eps_leaf = (1.0 - pv.beta_tree) * pv.epsilon / (pv.ensemble_size * len(leaves))
         tree.value[leaves] = laplace_mechanism(
             np.clip(tree.value[leaves], -M, M)[:, None], 2.0 * M, eps_leaf, accountant,
-            rng.uniforms(len(leaves))[:, None], "leaf",
+            draws[leaves][:, None], "leaf",
         )[:, 0]
         tree.noised = True
     return tree

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpboost.dataset import AttributeDomain, Dataset
@@ -185,6 +185,16 @@ class TestLaplace:
             assert noisy.tolist() == [
                 v + laplace_from_uniform(x - 0.5, 2.0 / epsilon) for v, x in zip(row, draws)
             ]
+
+    def test_noise_is_the_scalar_log1p_formula_bit_for_bit(self):
+        # The noise keeps Python's scalar math.log1p: np.log1p can differ from it in the
+        # last bit on some CPUs, which would make the released bits depend on the CPU.
+        u = RandomSource(7).uniforms(20_000)
+        noisy = laplace_mechanism(np.full((20_000, 1), 0.25), 2.0, 0.5, BudgetAccountant(1e4),
+                                  u[:, None])
+        expected = [0.25 + -4.0 * math.copysign(1.0, x - 0.5) * math.log1p(-2.0 * abs(x - 0.5))
+                    for x in u.tolist()]
+        assert noisy[:, 0].tobytes() == np.array(expected).tobytes()
 
 
 class TestExponentialMechanism:
@@ -392,6 +402,54 @@ class TestBudgetAccountant:
         acc = BudgetAccountant(0.5)
         with pytest.raises(BudgetExceededError):
             laplace_mechanism(0.0, 1.0, 0.6, acc, 0.5)
+
+    def test_a_batch_of_none_appends_nothing(self):
+        acc = BudgetAccountant(1.0)
+        acc.spend("split@3", 0.25, 0)
+        assert acc.spends == [] and acc.remaining == 1.0
+        acc.spend("split@3", 1.0, 1)
+        acc.spend("split@3", 0.25, 0)  # nothing to spend: no overspend either
+        assert acc.spends == [("split@3", 1.0)]
+
+    def test_a_negative_count_is_a_value_error(self):
+        acc = BudgetAccountant(1.0)
+        with pytest.raises(ValueError):
+            acc.spend("split@3", 0.25, -1)
+        assert acc.spends == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        budget=st.floats(0.0, 2.0),
+        before=st.lists(st.floats(1e-6, 0.5), max_size=4),
+        epsilon=st.floats(1e-6, 0.5),
+        count=st.integers(0, 40),
+    )
+    @example(budget=1.0, before=[], epsilon=0.1, count=12)  # overspends at the 11th
+    @example(budget=0.3, before=[0.1], epsilon=0.1, count=3)  # 0.1 + 0.1 + 0.1 > 0.3
+    def test_a_batch_is_its_single_calls_bit_for_bit(self, budget, before, epsilon, count):
+        # the same entries and running sum as ``count`` single calls, which stop at the
+        # first overspend, and then the same error
+        batch, single = BudgetAccountant(budget), BudgetAccountant(budget)
+        for acc in (batch, single):
+            for eps in before:
+                try:
+                    acc.spend("before", eps)
+                except BudgetExceededError:
+                    pass
+        done = 0
+        try:
+            for _ in range(count):
+                single.spend("split@2", epsilon)
+                done += 1
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                batch.spend("split@2", epsilon, count)
+        else:
+            batch.spend("split@2", epsilon, count)
+        assert batch.spends == single.spends
+        assert [label for label, _ in batch.spends].count("split@2") == done
+        assert (batch._running.hex(), batch._carry.hex()) == (single._running.hex(),
+                                                             single._carry.hex())
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dpboost.tree as tree_module
@@ -23,12 +23,14 @@ from dpboost.losses import LossSpec, bayes_risk, canonical_link, sensitivity_bou
 from dpboost.privacy import (
     BudgetAccountant,
     RandomSource,
+    exponential_mechanism,
     exponential_mechanism_probabilities,
     laplace_mechanism,
 )
 from dpboost.tree import (
     DecisionTree,
     Q_CLAMP,
+    SplitRecord,
     TreeConfig,
     TreePrivacy,
     induce_tree,
@@ -435,6 +437,40 @@ class TestPrivateInduction:
         tree = induce_tree(ds, np.ones(3), cfg, BudgetAccountant(1.0), RandomSource(5))
         assert set(node_depths(tree.child)[leaf_mask(tree.child)].tolist()) == {2}
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 80),
+        n=st.integers(2, 3),
+        data_seed=st.integers(0, 50),
+        depth=st.integers(1, 5),
+        alpha=st.one_of(st.just("oc"), st.sampled_from([0.0, 0.35, 1.0])),
+        one_class=st.sampled_from([None, None, -1, 1]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(m=60, n=2, data_seed=1, depth=4, alpha=0.35, one_class=None, seed=3)
+    @example(m=120, n=3, data_seed=5, depth=5, alpha="oc", one_class=None, seed=6)
+    @example(m=40, n=2, data_seed=2, depth=3, alpha="oc", one_class=1, seed=1)
+    def test_equals_a_one_node_at_a_time_reference(self, m, n, data_seed, depth, alpha,
+                                                   one_class, seed):
+        # The examples: a fixed alpha, alpha changing within levels (OC), a tied root.
+        # Levels spend in one call and draw in batches; the reference spends and draws
+        # node by node.
+        ds = make_blocks_dataset(m, n, seed=data_seed)
+        if one_class is not None:
+            ds = Dataset(ds.X, np.full(m, one_class), ds.domains)
+        rng = RandomSource(data_seed)
+        weights = np.array([0.05 + 0.95 * rng.uniform() for _ in range(m)])
+        config = self._private_config(depth, 3, 1.0, alpha=alpha)
+        accountant, random = BudgetAccountant(1.0), RandomSource(seed)
+        tree = induce_tree(ds, weights, config, accountant, random)
+        reference, ref_accountant, ref_random = _reference_private_tree(ds, weights, config, seed)
+        for table in ("child", "attribute", "threshold_bin", "value"):
+            assert getattr(tree, table).tobytes() == getattr(reference, table).tobytes()
+        assert [repr(r) for r in tree.records] == [repr(r) for r in reference.records]
+        assert tree.prediction_alpha == reference.prediction_alpha and tree.noised
+        assert accountant.spends == ref_accountant.spends
+        assert random.next_uint64() == ref_random.next_uint64()
+
 
 class TestTiedSubtrees:
     """A tied subtree (below a leaf with no rows or one class) grows from its draws
@@ -503,36 +539,65 @@ class TestTiedSubtrees:
         assert tied_with_rows
 
     def test_each_level_draws_its_tied_leaves_in_one_batch(self, monkeypatch):
-        calls = []  # (label, epsilon, shape of the utilities, uniforms) of each call
-        sampler = tree_module.exponential_mechanism
+        calls = []  # ("spend", label, epsilon, count) or ("draw", epsilon, utilities, uniforms)
+        select, spend = tree_module._select, BudgetAccountant.spend
 
-        def spy(utilities, sensitivity, epsilon, accountant, u, label):
-            calls.append((label, epsilon, np.shape(utilities), np.array(u, copy=True)))
-            return sampler(utilities, sensitivity, epsilon, accountant, u, label)
+        def spy_select(utilities, sensitivity, epsilon, u):
+            calls.append(("draw", epsilon, np.array(utilities, copy=True), np.array(u, copy=True)))
+            return select(utilities, sensitivity, epsilon, u)
 
-        monkeypatch.setattr(tree_module, "exponential_mechanism", spy)
+        def spy_spend(accountant, label, epsilon, count=1):
+            calls.append(("spend", label, epsilon, count))
+            return spend(accountant, label, epsilon, count)
+
+        monkeypatch.setattr(tree_module, "_select", spy_select)
+        monkeypatch.setattr(BudgetAccountant, "spend", spy_spend)
         ds = make_blocks_dataset(400, 4, seed=3)
         tree, _ = self._fit(monkeypatch, ds, 8, seed=11)
-        # each level's uniforms are the next ones of the stream, one per leaf in frontier
-        # order, and its tied leaves (no rows or one class) take theirs into one 2-D
-        # call, one row each, before the scored leaves draw one by one
-        rng, depths = RandomSource(11), node_depths(tree.child)
+        # Node k of the complete tree draws with the k-th uniform of the stream, and the
+        # leaves take the ones after the splits.  A level pays for its 2^d draws in one
+        # ledger call, then draws its scored leaves (rows of both classes) in runs: a run
+        # holds the rest of the level at the current alpha and ends after the first split
+        # that changes the error count (OC).  Its tied leaves (no rows or one class) then
+        # draw in one batch over zero utilities.
+        u, depths = RandomSource(11).uniforms(2**9 - 1), node_depths(tree.child)
         n_candidates, expected = len(candidate_splits(ds)), []
+
+        def errors(rows):  # of the majority label; the weights are equal, a tie goes negative
+            n_pos = np.count_nonzero(ds.y[rows] == 1)
+            return rows.size - n_pos if n_pos > rows.size - n_pos else n_pos
+
         for d in range(tree.depth):
-            draws, at = rng.uniforms(2**d), walk(tree, ds.X, d)
+            at, below = walk(tree, ds.X, d), walk(tree, ds.X, d + 1)
             level = np.flatnonzero(depths == d)
-            tied = np.array([np.unique(ds.y[at == k]).size <= 1 for k in level])
+            tied = [k for k in level if np.unique(ds.y[at == k]).size <= 1]
+            scored = [k for k in level if k not in tied]
+            changes = [errors(np.flatnonzero(below == tree.child[k])) + errors(
+                np.flatnonzero(below == tree.child[k] + 1)) != errors(np.flatnonzero(at == k))
+                for k in scored]
             eps = tree.records[2**d - 1].epsilon
-            if tied.any():
-                expected.append((f"split@{d}", eps, (int(tied.sum()), n_candidates), draws[tied]))
-            expected += [(f"split@{d}", eps, (n_candidates,), u) for u in draws[~tied]]
-        assert len(calls) == len(expected)
-        for (label, eps, shape, u), want in zip(calls, expected):
-            assert (label, eps, shape) == want[:3] and u.tobytes() == want[3].tobytes()
-        # one row or 1-D call per split, and several levels hold tied leaves
-        batches = [shape[0] for _, _, shape, _ in calls if len(shape) == 2]
+            expected.append(("spend", f"split@{d}", eps, 2**d))
+            start = 0
+            while start < len(scored):
+                expected.append(("draw", eps, (len(scored) - start, n_candidates),
+                                 u[scored[start:]]))
+                start += changes[start:].index(True) + 1 if True in changes[start:] else len(scored)
+            if tied:
+                expected.append(("draw", eps, (len(tied), n_candidates), u[tied]))
+        leaf_eps = 0.5 / 256
+        expected.append(("spend", "leaf", leaf_eps, 256))
+        assert [c[:2] for c in calls] == [e[:2] for e in expected]
+        for call, want in zip(calls, expected):
+            if call[0] == "spend":
+                assert call == want
+            else:
+                _, eps, utilities, draws = call
+                assert (eps, utilities.shape) == want[1:3] and draws.tobytes() == want[3].tobytes()
+        # several levels hold tied leaves, and the runs are fewer than the scored splits
+        batches = [c[2] for c in calls if c[0] == "draw" and not c[2].any()]
         assert len(batches) > 1
-        assert sum(batches) + len(calls) - len(batches) == len(tree.records)
+        runs = [c[2] for c in calls if c[0] == "draw" and c[2].any()]
+        assert len(runs) < len(tree.records) - sum(len(b) for b in batches)
 
 
 def _per_leaf_bins(X, weights, pos, idx, domains):
@@ -784,24 +849,28 @@ class TestFrontierHistograms:
         ds = make_blocks_dataset(90, 3, seed=8)
         rng = RandomSource(21)
         weights = np.array([0.05 + 0.95 * rng.uniform() for _ in range(90)])
-        seen = []
-        sampler = tree_module.exponential_mechanism
+        seen = []  # (utilities, sensitivity, epsilon) of each draw
+        select = tree_module._select
 
-        def spy(utilities, *args, **kwargs):
-            seen.append(np.array(utilities, copy=True))
-            return sampler(utilities, *args, **kwargs)
+        def spy(utilities, sensitivity, epsilon, u):
+            seen.append((np.array(utilities, copy=True), sensitivity, epsilon))
+            return select(utilities, sensitivity, epsilon, u)
 
-        monkeypatch.setattr(tree_module, "exponential_mechanism", spy)
+        monkeypatch.setattr(tree_module, "_select", spy)
         privacy = TreePrivacy(epsilon=1.0, beta_tree=0.5, output_bound=10.0)
         induce_tree(
             ds, weights, TreeConfig(depth=1, alpha=alpha, privacy=privacy),
             BudgetAccountant(1.0), RandomSource(3),
         )
+        # the root is the one row of the one draw, at the sensitivity and budget of alpha
         eps_node = split_budget(0, 1, 1, 0.5, 1.0)
         delta = sensitivity_bound(LossSpec.malpha(alpha), 90)
+        ((utilities, sensitivity, epsilon),) = seen
+        assert utilities.shape == (1, len(candidate_splits(ds)))
+        assert (sensitivity, epsilon) == (delta, eps_node)
         assert np.array_equal(
             root_split_probabilities(ds, weights, alpha, eps_node),
-            exponential_mechanism_probabilities(seen[0], delta, eps_node),
+            exponential_mechanism_probabilities(utilities[0], delta, eps_node),
         )
 
 
@@ -813,12 +882,15 @@ def _reference_risk(w, w1, spec):
     return np.where(nonempty, w * bayes_risk(spec, q), 0.0)
 
 
-def _reference_split_scores(tree, ds, weights, config):
-    """(alpha, utilities, tied) of every split of ``tree``, in induction order,
-    recomputed from scratch: every candidate's children from per-leaf bincounts
-    under the sibling rule (of two children that both score, the one with more rows,
-    or the right on a tie, has its parent's bins minus its sibling's), alpha from the
-    errors of the live leaves, and whether the leaf has no rows or one class."""
+def _reference_split_scores(child, ds, weights, config, choose):
+    """(alpha, utilities, tied, changes) of every split of a tree of table ``child``, in
+    induction order, recomputed from scratch: every candidate's children from per-leaf
+    bincounts under the sibling rule (of two children that both score, the one with more
+    rows, or the right on a tie, has its parent's bins minus its sibling's), alpha from
+    the errors of the live leaves, whether the leaf has no rows or one class, and whether
+    its split changes the error count.  ``choose(node, level, alpha, utilities)`` gives
+    the split's (attribute, threshold_bin).  Also returns the live leaves' (w, w1,
+    errors), by node."""
     pos = ds.y == 1
     m = ds.n_examples
 
@@ -829,16 +901,16 @@ def _reference_split_scores(tree, ds, weights, config):
         return w, w1, int(np.count_nonzero(ds.y[idx] != (1 if w1 > w - w1 else -1)))
 
     def scores(node, idx):  # split, with rows of both classes
-        return tree.child[node] != node and np.unique(ds.y[idx]).size == 2
+        return child[node] != node and np.unique(ds.y[idx]).size == 2
 
     live = {0: stats(np.arange(m))}
     err_root = live[0][2] / m
     # (node, its rows, its parent, its sibling's rows); bins of every scored node
     frontier, out, bins = [(0, np.arange(m), None, None)], [], {}
-    for _ in range(config.depth):
+    for level in range(config.depth):
         next_frontier = []
         for node, idx, parent, sibling in frontier:
-            if tree.child[node] == node:  # a leaf that stopped early stays live
+            if child[node] == node:  # a leaf that stopped early stays live
                 continue
             if not config.objective_calibration:
                 alpha = config.alpha
@@ -851,7 +923,7 @@ def _reference_split_scores(tree, ds, weights, config):
             tied = not scores(node, idx)
             own = _per_leaf_bins(ds.X, weights, pos, idx, ds.domains)
             if node and not tied:
-                on_right, left_child = node == tree.child[parent] + 1, tree.child[parent]
+                on_right, left_child = node == child[parent] + 1, child[parent]
                 if scores(2 * left_child + 1 - node, sibling) and (
                         idx.size > sibling.size or (idx.size == sibling.size and on_right)):
                     own = _sibling_bins(
@@ -859,16 +931,55 @@ def _reference_split_scores(tree, ds, weights, config):
             bins[node] = own
             w_left, w1_left = _left_of(own)
             left = _reference_risk(w_left, w1_left, spec)
-            w, w1, _ = live.pop(node)
+            w, w1, errors = live.pop(node)
             right = _reference_risk(w - w_left, w1 - w1_left, spec)
-            out.append((alpha, -(left + right), tied))
-            mask = ds.X[idx, tree.attribute[node]] <= tree.threshold_bin[node]
-            first = int(tree.child[node])
+            attribute, threshold_bin = choose(node, level, alpha, -(left + right))
+            mask = ds.X[idx, attribute] <= threshold_bin
+            first = int(child[node])
             live[first], live[first + 1] = stats(idx[mask]), stats(idx[~mask])
+            out.append((alpha, -(left + right), tied,
+                        live[first][2] + live[first + 1][2] != errors))
             next_frontier += [(first, idx[mask], node, idx[~mask]),
                               (first + 1, idx[~mask], node, idx[mask])]
         frontier = next_frontier
-    return out
+    return out, live
+
+
+def _reference_private_tree(ds, weights, config, seed):
+    """Private induction one node at a time: breadth-first, each node of the complete
+    tree, tied or not, draws its split through its own ``exponential_mechanism`` call
+    over ``_reference_split_scores``' utilities, with the next uniform of the stream,
+    and then each leaf's clamped link is released through its own ``laplace_mechanism``
+    call, with the next uniform.  Returns the tree, its accountant and its random
+    source."""
+    pv, m, candidates = config.privacy, ds.n_examples, candidate_splits(ds)
+    accountant, rng, records = BudgetAccountant(pv.epsilon), RandomSource(seed), []
+
+    def draw(node, level, alpha, utilities):
+        eps = split_budget(level, config.depth, pv.ensemble_size, pv.beta_tree, pv.epsilon)
+        choice = exponential_mechanism(utilities, sensitivity_bound(LossSpec.malpha(alpha), m),
+                                       eps, accountant, rng.uniform(), f"split@{level}")
+        c = candidates[choice]
+        records.append(SplitRecord(level, alpha, eps, float(utilities[choice]), c.attribute,
+                                   c.threshold_bin))
+        return c.attribute, c.threshold_bin
+
+    child = tree_module._complete_child(config.depth)
+    _, live = _reference_split_scores(child, ds, weights, config, draw)
+    alpha = records[-1].alpha if config.objective_calibration else config.alpha
+    n_splits, M = len(records), pv.output_bound
+    eps_leaf = (1.0 - pv.beta_tree) * pv.epsilon / (pv.ensemble_size * (n_splits + 1))
+    value = [0.0] * n_splits
+    for k in range(n_splits, len(child)):
+        w, w1, _ = live[k]
+        q = min(max(w1 / w, Q_CLAMP), 1.0 - Q_CLAMP) if w > 0.0 else None
+        link = 0.0 if q is None else float(canonical_link(LossSpec.malpha(alpha), q))
+        value.append(float(laplace_mechanism(min(max(link, -M), M), 2.0 * M, eps_leaf,
+                                             accountant, rng.uniform(), "leaf")))
+    tree = DecisionTree(child, np.array([r.attribute for r in records] + [0] * (n_splits + 1)),
+                        np.array([r.threshold_bin for r in records] + [tree_module.LEAF_BIN]
+                                 * (n_splits + 1)), np.array(value), records, alpha, True)
+    return tree, accountant, rng
 
 
 def _noisy_threshold_dataset():
@@ -883,9 +994,9 @@ def _noisy_threshold_dataset():
 
 class TestRiskBookkeeping:
     def test_every_split_scores_as_a_fresh_evaluation(self, monkeypatch):
-        # the utilities of every mechanism call, then of every greedy argmax
+        # the utilities of every draw, then of every greedy argmax
         seen = []
-        sampler, argmax = tree_module.exponential_mechanism, np.argmax
+        sampler, argmax = tree_module._select, np.argmax
 
         def spy_sampler(utilities, *args, **kwargs):
             seen.append(np.array(utilities, copy=True))
@@ -895,7 +1006,7 @@ class TestRiskBookkeeping:
             seen.append(np.array(utilities, copy=True))
             return argmax(utilities, *args, **kwargs)
 
-        monkeypatch.setattr(tree_module, "exponential_mechanism", spy_sampler)
+        monkeypatch.setattr(tree_module, "_select", spy_sampler)
         ds = make_blocks_dataset(120, 3, seed=5)
         rng = RandomSource(5)
         weights = np.array([0.05 + 0.95 * rng.uniform() for _ in range(120)])
@@ -918,25 +1029,37 @@ class TestRiskBookkeeping:
         calls, kinds = iter(seen), []
         fits = [(ds, weights, private, private_tree), (noisy, noisy_weights, greedy, greedy_tree)]
         for data, w, config, tree in fits:
-            reference = _reference_split_scores(tree, data, w, config)
+            reference, _ = _reference_split_scores(
+                tree.child, data, w, config,
+                lambda node, *_: (tree.attribute[node], tree.threshold_bin[node]))
             assert len(reference) == len(tree.records)
-            kinds.append({tied for _, _, tied in reference})
+            kinds.append({s[2] for s in reference})
+            n_candidates = len(candidate_splits(data))
             for d in range(config.depth):
                 level = [(r, s) for r, s in zip(tree.records, reference) if r.depth == d]
-                tied = [(r, s) for r, s in level if s[2]]
-                # a level's tied leaves draw first, as the rows of one batch, in
-                # frontier order: every candidate scores alike
+                scored, tied = [x for x in level if not x[1][2]], [x for x in level if x[1][2]]
+                # A level's scored leaves draw in runs, in frontier order: a run holds the
+                # rest of them at the current alpha (a greedy run holds one leaf) and takes
+                # rows up to the first split that changes the error count.  Each taken row
+                # comes from its leaf's rows and, for a derived leaf, its parent's and
+                # sibling's, whatever the rest of the tree holds.
+                while scored:
+                    batch = next(calls)
+                    assert batch.shape == (len(scored) if config.privacy else 1, n_candidates)
+                    changes = [s[3] and config.objective_calibration for _, s in scored]
+                    taken = min(len(batch), changes.index(True) + 1 if True in changes else
+                                len(scored))
+                    for row, (record, (alpha, expected, _, _)) in zip(batch, scored[:taken]):
+                        assert record.alpha == alpha and np.array_equal(row, expected)
+                    scored = scored[taken:]
+                # then its tied leaves draw as the rows of one batch: every candidate
+                # scores alike
                 if tied:
                     batch = next(calls)
-                    assert batch.shape == (len(tied), len(tied[0][1][1]))
-                    for row, (record, (alpha, expected, _)) in zip(batch, tied):
+                    assert batch.shape == (len(tied), n_candidates)
+                    for row, (record, (alpha, expected, _, _)) in zip(batch, tied):
                         assert record.alpha == alpha and np.array_equal(row, expected)
                         assert expected.tobytes() == np.full(row.size, record.utility).tobytes()
-                # each scored split's utilities come from its leaf's rows and, for a
-                # derived leaf, its parent's and sibling's, whatever the rest of the tree holds
-                for record, (alpha, expected, _) in (x for x in level if not x[1][2]):
-                    utilities = next(calls)
-                    assert record.alpha == alpha and np.array_equal(utilities, expected)
         assert next(calls, None) is None
         # the private fit has tied and scored splits; the greedy one stops tied leaves
         assert kinds == [{True, False}, {False}]
