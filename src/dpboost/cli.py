@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: fit, eval, experiment, summarize, compare, sensitivity-audit.
-Exit codes: 0 success, 2 configuration error (also when a ``sensitivity-audit``
-row's empirical sensitivity exceeds its bound), 3 data error (also when every
-record an ``experiment`` run wrote failed), 4 budget error.
+Exit codes: 0 success, 2 configuration error (also when an output or results path
+cannot be opened, or a ``sensitivity-audit`` row's empirical sensitivity exceeds its
+bound), 3 data error (also when every record an ``experiment`` run wrote failed),
+4 budget error.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:  # OSError: a path that cannot be opened
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

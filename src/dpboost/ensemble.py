@@ -32,8 +32,8 @@ from .tree import (
     _complete_child,
     induce_tree,
     margin_labels,
-    tables_from_dict,
-    tables_to_dict,
+    tables_from_nodes,
+    tables_to_nodes,
     walk,
 )
 
@@ -89,7 +89,8 @@ class BoostedEnsemble:
             "output_bound": self.output_bound,
             "lc_alpha": self.lc_alpha,
             "betas": list(self.betas),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [tables_to_nodes(t.child, t.attribute, t.threshold_bin, t.value)
+                      for t in self.trees],
         }
 
     @staticmethod
@@ -108,7 +109,7 @@ class BoostedEnsemble:
         if not 0.0 <= lc_alpha <= 1.0:
             raise ValueError(f"lc_alpha {lc_alpha} outside [0, 1]")
         return BoostedEnsemble(
-            trees=[DecisionTree.from_dict(t) for t in data["trees"]],
+            trees=[DecisionTree(*tables_from_nodes(t)) for t in data["trees"]],
             betas=betas,
             output_bound=output_bound,
             lc_alpha=lc_alpha,
@@ -254,16 +255,16 @@ class RandomForest:
         return {
             "kind": "forest",
             "leaf_mechanism": self.leaf_mechanism,
-            "trees": [tables_to_dict(*tables) for tables in
+            "trees": [tables_to_nodes(*tables) for tables in
                       zip(self.child, self.attribute, self.threshold_bin, self.value)],
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RandomForest":
-        """Inverse of ``to_dict``; a version-1 node's training statistics are not read."""
+        """Inverse of ``to_dict``."""
         if data["leaf_mechanism"] not in LEAF_MECHANISMS:
             raise ValueError(f"unknown forest leaf_mechanism {data['leaf_mechanism']!r}")
-        trees = [tables_from_dict(tree) for tree in data["trees"]]
+        trees = [tables_from_nodes(tree) for tree in data["trees"]]
         if not trees or len(trees[0][0]) < 3:
             raise ValueError("a forest needs at least one tree of depth >= 1")
         for child, *_ in trees:  # a complete tree of depth d has 2^(d+1) - 1 nodes

@@ -41,7 +41,7 @@ from .privacy import (
     derive_seed,
     replacement_neighbors,
 )
-from .tree import TreeConfig, TreePrivacy, leaf_mask, node_depths
+from .tree import TreeConfig, TreePrivacy, leaf_mask, node_depths, nodes_from_nested
 
 __all__ = [
     "ConfigError",
@@ -627,7 +627,7 @@ def write_csv(path: str, rows: list[dict], columns: tuple[str, ...]) -> None:
 # --- model persistence -----------------------------------------------------
 
 MODEL_FORMAT = "dpboost-model"
-MODEL_VERSION = 2  # load_model still reads version 1, which also wrote node statistics
+MODEL_VERSION = 3  # load_model still reads versions 1 and 2, which nested each tree's nodes
 MODEL_CLASSES = {"boost": BoostedEnsemble, "forest": RandomForest}
 
 
@@ -635,7 +635,7 @@ def save_model(path: str, model, spec: DomainSpec) -> None:
     """Serialize a fitted model plus the public domains it expects.
 
     The file appears whole or not at all: it is written next to ``path`` and moved
-    into place.  A model nested too deeply for the JSON writer is a ``ConfigError``.
+    into place.
     """
     payload = {
         "format": MODEL_FORMAT,
@@ -648,10 +648,7 @@ def save_model(path: str, model, spec: DomainSpec) -> None:
         "label_map": spec.label_map,
         "label_column": spec.label_column,
     }
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    except RecursionError as exc:
-        raise ConfigError(f"cannot write model {path}: nested too deeply to serialize") from exc
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     part = f"{path}.{os.getpid()}.part"
     fh = open(part, "x", encoding="utf-8")  # a new file, never another one's
     try:
@@ -664,7 +661,7 @@ def save_model(path: str, model, spec: DomainSpec) -> None:
 
 
 def load_model(path: str):
-    """Inverse of :func:`save_model` for version 1 and 2 files; returns (model, DomainSpec).
+    """Inverse of :func:`save_model` for version 1, 2 and 3 files; returns (model, DomainSpec).
 
     A released value that no fit can produce is a ``ConfigError``.
     """
@@ -674,19 +671,27 @@ def load_model(path: str):
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from exc
     try:
-        if payload.get("format") != MODEL_FORMAT or payload.get("version") not in (1, 2):
-            raise ConfigError(f"{path}: not a version-1 or version-2 {MODEL_FORMAT} file")
+        version = payload.get("version")
+        if payload.get("format") != MODEL_FORMAT or type(version) is not int or not (
+                1 <= version <= MODEL_VERSION):
+            raise ConfigError(f"{path}: not a version-1, 2 or 3 {MODEL_FORMAT} file")
         spec = DomainSpec(
             tuple(
                 AttributeDomain(d["name"], float(d["lo"]), float(d["hi"]), int(d["nvpriv"]))
                 for d in payload["domains"]
             ),
-            {k: int(v) for k, v in payload["label_map"].items()},
+            dict(payload["label_map"]),
             payload.get("label_column"),
         )
+        if any(type(v) is not int or v not in (-1, 1) for v in spec.label_map.values()):
+            raise ConfigError(f"{path}: label_map targets must be -1 or +1: {spec.label_map}")
         data = payload["model"]
         if data["kind"] not in MODEL_CLASSES:
             raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")
+        if version < MODEL_VERSION:  # nested trees, a boosted one's under "root"
+            boost = data["kind"] == "boost"
+            data = {**data, "trees": [nodes_from_nested(tree["root"] if boost else tree)
+                                      for tree in data["trees"]]}
         model = MODEL_CLASSES[data["kind"]].from_dict(data)
         forest = isinstance(model, RandomForest)
         # a forest leaf releases a vote, a boosted leaf any finite value
@@ -706,5 +711,5 @@ def load_model(path: str):
         raise
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad value: {exc}") from exc

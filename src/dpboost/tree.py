@@ -38,10 +38,10 @@ clamped link of its rows' one class.  A private level pays for its draws in one
 ledger call and draws its scored leaves in runs of equal alpha, its tied nodes at once.
 
 A tree is a node table numbered breadth-first (``DecisionTree``); ``walk`` routes
-rows through it, ``tables_to_dict`` and ``tables_from_dict`` write and read it, and a
-forest stacks the same tables.  The tables hold only what a model releases.  A leaf's
-training statistics (``w``, ``w1``, the errors of its majority label) live in
-induction's frontier only.
+rows through it, ``tables_to_nodes`` and ``tables_from_nodes`` write and read it as one
+list of its nodes in that order, and a forest stacks the same tables.  The tables hold
+only what a model releases.  A leaf's training statistics (``w``, ``w1``, the errors of
+its majority label) live in induction's frontier only.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ __all__ = [
     "leaf_mask",
     "node_depths",
     "walk",
-    "tables_to_dict",
-    "tables_from_dict",
+    "tables_to_nodes",
+    "tables_from_nodes",
+    "nodes_from_nested",
     "split_budget",
     "objective_calibration_alpha",
     "induce_tree",
@@ -195,46 +196,49 @@ def walk(tree, X: np.ndarray, steps: int) -> np.ndarray:
     return node - start
 
 
-def tables_to_dict(child, attribute, threshold_bin, value) -> dict:
-    """One tree's tables as nested nodes: ``{"leaf": {"prediction": v}}`` for a leaf, else
-    ``{"split": {"attribute": j, "threshold_bin": b}, "left": ..., "right": ...}``."""
-    child, attribute, threshold_bin, value = (
-        a.tolist() for a in (child, attribute, threshold_bin, value)
-    )
-    nodes = [None] * len(child)
-    for k in reversed(range(len(child))):  # children come after their parent
-        c = child[k]
-        nodes[k] = {"leaf": {"prediction": value[k]}} if c == k else {
-            "split": {"attribute": attribute[k], "threshold_bin": threshold_bin[k]},
-            "left": nodes[c],
-            "right": nodes[c + 1],
-        }
-    return nodes[0]
+def tables_to_nodes(child, attribute, threshold_bin, value) -> list:
+    """One tree's tables as its nodes, breadth-first: ``[attribute, threshold_bin]`` at a
+    split, the released value at a leaf."""
+    return [[j, b] if c != k else v for k, (c, j, b, v) in enumerate(zip(
+        child.tolist(), attribute.tolist(), threshold_bin.tolist(), value.tolist()))]
 
 
-def _split_int(split: dict, key: str) -> int:
-    value = split[key]
-    if type(value) is not int:  # a float or a boolean is not a split a fit makes
-        raise ValueError(f"split {key} {value!r} is not a JSON integer")
-    return value
+def tables_from_nodes(nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of ``tables_to_nodes``.  A split is two JSON integers and a leaf a JSON
+    number (a boolean is neither), and ``2 s + 1`` nodes of ``s`` splits whose levels
+    ``_level_ends`` walks are a tree: each node is reached once, after its parent."""
+    if type(nodes) is not list:
+        raise ValueError(f"a tree is a list of nodes, not a {type(nodes).__name__}")
+    for node in nodes:
+        if type(node) is list:
+            if len(node) != 2 or any(type(v) is not int for v in node):
+                raise ValueError(f"split {node!r} is not two JSON integers")
+        elif type(node) not in (int, float):
+            raise ValueError(f"leaf prediction {node!r} is not a JSON number")
+    split = [type(node) is list for node in nodes]
+    if len(nodes) != 2 * sum(split) + 1:
+        raise ValueError(f"{len(nodes)} nodes for {sum(split)} splits")
+    child = _child_table(np.array(split))
+    _level_ends(child)
+    pairs = np.array([node if s else (0, LEAF_BIN) for s, node in zip(split, nodes)],
+                     dtype=np.intp)
+    value = np.array([0.0 if s else float(node) for s, node in zip(split, nodes)])
+    return child, pairs[:, 0], pairs[:, 1], value
 
 
-def tables_from_dict(root: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of ``tables_to_dict``, numbering the nodes breadth-first without recursion;
-    a version-1 node's training statistics are not read."""
-    nodes, rows = [root], []
-    for k, node in enumerate(nodes):  # the children join the queue as their parent is read
+def nodes_from_nested(root: dict) -> list:
+    """The nodes of a version-1 or version-2 tree, ``{"leaf": {"prediction": v}}`` at a
+    leaf, else ``{"split": {"attribute": j, "threshold_bin": b}, "left": ..., "right":
+    ...}``, breadth-first without recursion; a version-1 node's statistics are not read."""
+    queue, nodes = [root], []
+    for node in queue:  # the children join the queue as their parent is read
         split = node.get("split")
         if split is None:
-            prediction = node["leaf"]["prediction"]
-            if type(prediction) not in (int, float):
-                raise ValueError(f"leaf prediction {prediction!r} is not a JSON number")
-            rows.append((k, 0, LEAF_BIN, float(prediction)))
+            nodes.append(node["leaf"]["prediction"])
         else:
-            j, b = _split_int(split, "attribute"), _split_int(split, "threshold_bin")
-            rows.append((len(nodes), j, b, 0.0))
-            nodes += (node["left"], node["right"])
-    return tuple(np.array(table) for table in zip(*rows))  # intp, intp, intp, float
+            nodes.append([split["attribute"], split["threshold_bin"]])
+            queue += (node["left"], node["right"])
+    return nodes
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,8 +267,6 @@ class DecisionTree:
     threshold_bin: np.ndarray
     value: np.ndarray
     records: list[SplitRecord] = field(default_factory=list)
-    prediction_alpha: float = 1.0
-    noised: bool = False
 
     @property
     def alpha_trace(self) -> list[float]:
@@ -277,23 +279,6 @@ class DecisionTree:
     def predict_bins(self, X: np.ndarray) -> np.ndarray:
         """Leaf predictions for quantized rows ``X``."""
         return self.value[walk(self, X, self.depth)]
-
-    def to_dict(self) -> dict:
-        return {
-            "prediction_alpha": self.prediction_alpha,
-            "noised": self.noised,
-            "root": tables_to_dict(self.child, self.attribute, self.threshold_bin, self.value),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "DecisionTree":
-        prediction_alpha = float(data["prediction_alpha"])
-        if not 0.0 <= prediction_alpha <= 1.0:
-            raise ValueError(f"prediction_alpha {prediction_alpha} outside [0, 1]")
-        if not isinstance(data["noised"], bool):
-            raise ValueError(f"noised {data['noised']!r} is not a JSON boolean")
-        tables = tables_from_dict(data["root"])
-        return DecisionTree(*tables, prediction_alpha=prediction_alpha, noised=data["noised"])
 
 
 def _leaf_parts(w: np.ndarray, w1: np.ndarray) -> np.ndarray:
@@ -540,7 +525,7 @@ def induce_tree(
     split = pick >= 0
     attribute, threshold_bin = np.where(split, table[pick].T, [[0], [LEAF_BIN]])
     tree = DecisionTree(_child_table(split), attribute, threshold_bin, np.zeros(split.size),
-                        records, prediction_alpha)
+                        records)
     leaves = final + frontier
     held = [(k, w1 / w) for k, _, (w, w1, *_) in leaves if w > 0.0]  # (leaf, u = w1 / w)
     if tied_rows:  # one walk takes the rows of every tied subtree to its leaves
@@ -563,5 +548,4 @@ def induce_tree(
             np.clip(tree.value[leaves], -M, M)[:, None], 2.0 * M, eps_leaf, accountant,
             draws[leaves][:, None], "leaf",
         )[:, 0]
-        tree.noised = True
     return tree

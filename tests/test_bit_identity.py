@@ -9,8 +9,8 @@ traces are pinned from the code that still recomputed training outputs with
 ``tree_efficiency`` are pinned from the code that still routed rows through
 a tree in five separate loops.  An experiment grid's result columns and
 ``stratified_kfold``'s folds are pinned from the loop that rebuilt the folds
-for every record.  The serialized models are pinned from the version-2
-writer, which keeps no training statistics.  Leaves and nodes are listed
+for every record.  The serialized models are pinned from the version-3
+writer, which lists each tree's nodes breadth-first and nothing else.  Leaves and nodes are listed
 depth-first, left to right, the order the node graphs that preceded the node
 tables listed them in.  The splits, leaf predictions, models and
 ``tree_efficiency`` of the two non-private fits are pinned from the induction
@@ -43,7 +43,7 @@ from dpboost.tree import (
     node_depths,
     walk,
 )
-from test_tree import tree_efficiency, unnormalized_risk
+from test_tree import _prediction_alpha, tree_efficiency, unnormalized_risk
 
 
 def _sha(values) -> str:
@@ -116,7 +116,7 @@ GOLDEN = {
         "record.epsilon": "eb6cce2ffa7d07c7",
         "record.threshold_bin": "75b00dc2f9265d98",
         "record.utility": "3bd77e210130a7b6",
-        "model.to_dict": "752f44aaa0a3cb49",
+        "model.to_dict": "05bd935d4eece9c2",
         "traces.edges": "b140baf43cd993a8",
         "traces.mean_weight": "4b5b03a8d3d6bdad",
         "traces.surrogate": "d54bc4c221a0adf0",
@@ -132,7 +132,7 @@ GOLDEN = {
         "record.epsilon": "20b99096e9887f3f",
         "record.threshold_bin": "aeefbebf006cb3d9",
         "record.utility": "b4d119a76fd6079d",
-        "model.to_dict": "b5d6e758715464ba",
+        "model.to_dict": "75c1218e2b8e23fd",
         "traces.edges": "50e652a72fe71d28",
         "traces.mean_weight": "3db347ea08eb5c6d",
         "traces.surrogate": "731b842a247d4b5a",
@@ -148,7 +148,7 @@ GOLDEN = {
         "record.epsilon": "20b99096e9887f3f",
         "record.threshold_bin": "a14e54885e3dd7bf",
         "record.utility": "c1028ea11a7ae4a9",
-        "model.to_dict": "255e364b3233d192",
+        "model.to_dict": "8b356749c7ad95ea",
         "traces.edges": "c68c46c8409812cf",
         "traces.mean_weight": "8ad487a0d3ac5f7a",
         "traces.surrogate": "292edfb1175d13cf",
@@ -161,6 +161,7 @@ FITS = {
     "fixed_alpha_depth5": lambda: _non_private_fit(0.6),
     "oc_depth5": lambda: _non_private_fit("oc"),
 }
+FIT_ALPHAS = {"private_oc_depth8": "oc", "fixed_alpha_depth5": 0.6, "oc_depth5": "oc"}
 
 
 def _field_names(cls) -> set[str]:
@@ -172,10 +173,10 @@ def test_fit_matches_golden_digests(name):
     model, ds = FITS[name]()
     assert _fingerprint(model, ds) == GOLDEN[name]
     # the training rows of each leaf are not kept on the model: a tree holds
-    # only its tables, records, prediction_alpha and noised
+    # only its tables and records
     assert set(vars(model)) == _field_names(BoostedEnsemble)
     tables = {"child", "attribute", "threshold_bin", "value"}
-    assert _field_names(DecisionTree) == tables | {"records", "prediction_alpha", "noised"}
+    assert _field_names(DecisionTree) == tables | {"records"}
     for tree in model.trees:
         assert set(vars(tree)) == _field_names(DecisionTree)
         assert {getattr(tree, name).shape for name in tables} == {tree.child.shape}
@@ -228,12 +229,12 @@ FOREST_GOLDEN = {
     "laplace": {
         "leaf.prediction": "d221e05aad26aa43",
         "margins": "bfef536775f31179",
-        "model.to_dict": "fa74a5471f5dceb7",
+        "model.to_dict": "dbd4849ebee4ef5e",
     },
     "exponential": {
         "leaf.prediction": "491d725de035d049",
         "margins": "e48871f20d316ce7",
-        "model.to_dict": "df26e07cffdc46f2",
+        "model.to_dict": "7e0d0532423146b2",
     },
 }
 
@@ -252,7 +253,7 @@ def test_forest_matches_golden_digests(name):
     } == FOREST_GOLDEN[name]
 
 
-# unnormalized_risk of each tree at its prediction alpha and tree_efficiency
+# unnormalized_risk of each tree at the alpha of its leaves and tree_efficiency
 # of each node, depth-first, under weights linspace(0.05, 1, m)
 DIAGNOSTICS_GOLDEN = {
     "fixed_alpha_depth5": {
@@ -274,7 +275,8 @@ DIAGNOSTICS_GOLDEN = {
 def test_tree_diagnostics_match_golden_digests(name):
     model, ds = FITS[name]()
     weights = np.linspace(0.05, 1.0, ds.n_examples)
-    risks = [unnormalized_risk(t, ds, weights, t.prediction_alpha) for t in model.trees]
+    risks = [unnormalized_risk(t, ds, weights, _prediction_alpha(t, FIT_ALPHAS[name]))
+             for t in model.trees]
     efficiencies = [tree_efficiency(k, t, ds, weights) for t in model.trees for k in _preorder(t)]
     assert {
         "unnormalized_risk": _sha(risks),

@@ -1,8 +1,10 @@
 """Command-line round trips and exit codes."""
 
 import csv
+import errno
 import json
 import math
+import os
 
 import pytest
 
@@ -12,6 +14,7 @@ from dpboost.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from dpboost.dataset import load_csv, make_blocks_dataset
 from dpboost.ensemble import empirical_risk, predict
 from dpboost.harness import load_model, read_results
+from test_tree import V2_STUMP
 
 
 @pytest.fixture
@@ -29,6 +32,12 @@ def blocks_files(tmp_path):
         "attribute = x0 0.0 9.0 10\nattribute = x1 0.0 9.0 10\nattribute = x2 0.0 9.0 10\n"
     )
     return str(data), str(domains)
+
+
+def _first_leaf(payload) -> int:
+    """The index of the first leaf of the model's first tree, in its node list."""
+    return next(k for k, node in enumerate(payload["model"]["trees"][0])
+                if not isinstance(node, list))
 
 
 def _fit_config(tmp_path, **kv):
@@ -185,39 +194,42 @@ class TestFitEval:
         (lambda p: p["model"].update(kind="tree"), "'tree'"),
         (lambda p: p["model"].pop("trees"), "'trees'"),
         (lambda p: p.pop("domains"), "'domains'"),
-        (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].pop("prediction"),
-         "'prediction'"),
+        (lambda p: p["model"]["trees"][0].pop(), "nodes for"),
         (lambda p: p["model"].update(betas=p["model"]["betas"][:1]), "1 betas for 3 trees"),
-        (lambda p: p["model"]["trees"][0]["root"]["split"].update(attribute=7), "attribute 7"),
-        (lambda p: p["model"]["trees"][0]["root"]["split"].update(attribute=-1), "attribute -1"),
-        (lambda p: p["model"]["trees"][0]["root"]["split"].update(threshold_bin=-5), "bin -5"),
-        (lambda p: p["model"]["trees"][0]["root"]["split"].update(threshold_bin=9), "bin 9"),
-        (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].update(prediction=math.nan),
+        (lambda p: p["model"]["trees"][0][0].__setitem__(0, 7), "attribute 7"),
+        (lambda p: p["model"]["trees"][0][0].__setitem__(0, -1), "attribute -1"),
+        (lambda p: p["model"]["trees"][0][0].__setitem__(1, -5), "bin -5"),
+        (lambda p: p["model"]["trees"][0][0].__setitem__(1, 9), "bin 9"),
+        (lambda p: p["model"]["trees"][0].__setitem__(_first_leaf(p), math.nan),
          "boost leaf prediction nan"),
         (lambda p: p["model"]["betas"].__setitem__(1, math.inf), "non-finite beta"),
         (lambda p: p["model"].update(output_bound=math.nan), "output_bound nan"),
         (lambda p: p["model"].update(output_bound=-1), "output_bound -1.0"),
-        (lambda p: p["model"]["trees"][0]["left"]["leaf"].update(prediction=1e300),
+        (lambda p: p["model"]["trees"][0].__setitem__(1, 1e300),
          "forest leaf prediction 1e+300"),
         (lambda p: p["model"].update(lc_alpha=math.nan), "lc_alpha nan"),
-        (lambda p: p["model"]["trees"][0].update(prediction_alpha=-7), "prediction_alpha -7.0"),
-        (lambda p: p["model"]["trees"][0].update(noised="false"), "noised 'false'"),
         (lambda p: p["model"].update(leaf_mechanism="gaussian"),
          "forest leaf_mechanism 'gaussian'"),
-        (lambda p: p["model"]["trees"][0].update(left=p["model"]["trees"][1]),
+        # a stump whose left leaf is another stump: every leaf at depth 1 or 2
+        (lambda p: p["model"]["trees"].__setitem__(
+            0, p["model"]["trees"][0][:1] + p["model"]["trees"][1][:1] + [1.0] * 3),
          "forest tree is not complete"),
-        (lambda p: p["model"]["trees"].__setitem__(1, p["model"]["trees"][1]["left"]),
+        (lambda p: p["model"]["trees"].__setitem__(1, p["model"]["trees"][1][1:2]),
          "forest trees differ in depth"),
         (lambda p: p["model"].update(trees=[], betas=[]), "at least one tree"),
-        (lambda p: p["model"]["trees"][0]["root"]["left"]["leaf"].update(prediction="0.5"),
+        (lambda p: p["model"]["trees"][0].__setitem__(_first_leaf(p), "0.5"),
          "leaf prediction '0.5' is not a JSON number"),
+        (lambda p: p["label_map"].update({"1": 2}), "label_map targets must be -1 or +1"),
+        (lambda p: p["label_map"].update({"-1": -1.5}), "label_map targets must be -1 or +1"),
+        (lambda p: p["model"]["trees"][0].__setitem__(_first_leaf(p), 10**400),
+         "int too large to convert to float"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
             "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
             "negative-threshold", "threshold-past-last-gap", "nan-leaf", "infinite-beta",
             "nan-output-bound", "negative-output-bound", "forest-vote-past-one",
-            "nan-lc-alpha", "negative-prediction-alpha", "noised-as-string",
-            "unknown-leaf-mechanism", "incomplete-forest-tree", "forest-depths-differ",
-            "boost-with-empty-trees", "prediction-as-string"])
+            "nan-lc-alpha", "unknown-leaf-mechanism", "incomplete-forest-tree",
+            "forest-depths-differ", "boost-with-empty-trees", "prediction-as-string",
+            "label-map-past-one", "label-map-fraction", "leaf-past-every-float"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
@@ -238,13 +250,10 @@ class TestFitEval:
         assert not (tmp_path / "scores.csv").exists()
 
     @pytest.mark.parametrize("algorithm", ["boost", "rf_laplace"])
-    @pytest.mark.parametrize("key, value, shown", [
-        ("attribute", 0.7, "split attribute 0.7 is not a JSON integer"),
-        ("attribute", 1.0, "split attribute 1.0 is not a JSON integer"),
-        ("threshold_bin", True, "split threshold_bin True is not a JSON integer"),
-    ], ids=["fractional-attribute", "float-attribute", "boolean-threshold"])
+    @pytest.mark.parametrize("index, value", [(0, 0.7), (0, 1.0), (1, True)],
+                             ids=["fractional-attribute", "float-attribute", "boolean-threshold"])
     def test_split_that_is_not_an_integer_is_config_error(self, tmp_path, blocks_files, capsys,
-                                                          algorithm, key, value, shown):
+                                                          algorithm, index, value):
         # int() would truncate these to a split of the domains
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
@@ -252,13 +261,14 @@ class TestFitEval:
         assert main(["fit", "--config", config, "--data", data,
                      "--domains", domains, "--out", str(model_path)]) == EXIT_OK
         payload = json.loads(model_path.read_text())
-        tree = payload["model"]["trees"][0]
-        (tree["root"] if algorithm == "boost" else tree)["split"][key] = value
+        split = payload["model"]["trees"][0][0]  # [attribute, threshold_bin]
+        split[index] = value
         model_path.write_text(json.dumps(payload))
         assert main(["eval", "--model", str(model_path), "--data", data,
                      "--out", str(tmp_path / "scores.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "config error" in err and str(model_path) in err and shown in err
+        assert "config error" in err and str(model_path) in err
+        assert f"split {split!r} is not two JSON integers" in err
         assert not (tmp_path / "scores.csv").exists()
 
     LEAF = '{"leaf": {"prediction": -2.0}}'
@@ -268,17 +278,23 @@ class TestFitEval:
     @pytest.mark.parametrize("depth, bottom, code, shown", [
         # a depth-800 fit on rows that no candidate separates grows such a chain
         (800, LEAF, EXIT_OK, "eval: wrote"),
-        (800, BAD_SPLIT, EXIT_CONFIG, "split threshold_bin 0.5 is not a JSON integer"),
+        (800, BAD_SPLIT, EXIT_CONFIG, "split [0, 0.5] is not two JSON integers"),
+        (800, '{"leaf": {"prediction": "-2.0"}}', EXIT_CONFIG,
+         "leaf prediction '-2.0' is not a JSON number"),
         (5000, LEAF, EXIT_CONFIG, "cannot read model"),
-    ], ids=["fit-800-deep", "bad-split-800-deep", "5000-deep"])
+    ], ids=["fit-800-deep", "bad-split-800-deep", "bad-leaf-800-deep", "5000-deep"])
     def test_deeply_nested_model(self, tmp_path, blocks_files, capsys, depth, bottom, code,
                                  shown):
+        # version 2 nested each tree: the golden stump of test_tree is one such tree
         data, domains = blocks_files
         model_path = tmp_path / "m.json"
         assert main(["fit", "--config", _fit_config(tmp_path), "--data", data,
                      "--domains", domains, "--out", str(model_path)]) == EXIT_OK
         payload = json.loads(model_path.read_text())
-        payload["model"]["trees"][0]["root"] = "ROOT"
+        stump = json.loads(V2_STUMP)
+        stump["root"] = "ROOT"
+        payload["version"] = 2
+        payload["model"].update(trees=[stump], betas=payload["model"]["betas"][:1])
         # each split sends the rows of bin 0 of x0 on down the chain, the rest to a leaf
         split = '{"split": {"attribute": 0, "threshold_bin": 0}, "right": '
         split += '{"leaf": {"prediction": 1.0}}, "left": '
@@ -298,26 +314,69 @@ class TestFitEval:
                 margins = [float(row["margin"]) for row in csv.DictReader(fh)]
             assert margins == predict(model, x)[0].tolist()
 
-    def test_model_too_deep_to_write_is_config_error(self, tmp_path, capsys):
+    def test_model_1200_deep_is_written_and_scored(self, tmp_path, capsys, monkeypatch):
         # identical rows with mixed labels: every split leaves one child empty and the
         # other impure, so a non-private fit grows a chain as deep as its cap
         data, domains = tmp_path / "same.csv", tmp_path / "same.domains"
         data.write_text("x0,y\n" + "0.0,-1\n0.0,1\n" * 20)
         domains.write_text("label_column = y\nlabel_map = -1:-1, 1:+1\n"
                            "attribute = x0 0.0 1.0 4\n")
+        model_path, scores = tmp_path / "m.json", tmp_path / "scores.csv"
+        fitted, save = [], cli.save_model
+        monkeypatch.setattr(cli, "save_model", lambda path, model, spec: (
+            fitted.append(model), save(path, model, spec)))
+        assert main(["fit", "--config", _fit_config(tmp_path, T="1", depth="1200"),
+                     "--data", str(data), "--domains", str(domains),
+                     "--out", str(model_path)]) == EXIT_OK
+        (model,) = fitted
+        assert model.trees[0].depth == 1200
+        assert main(["eval", "--model", str(model_path), "--data", str(data),
+                     "--out", str(scores)]) == EXIT_OK
+        with open(scores, newline="") as fh:
+            margins = [float(row["margin"]) for row in csv.DictReader(fh)]
+        x = load_csv(str(data), "y", load_model(str(model_path))[1]).X
+        assert margins == model.margins(x).tolist()
+
+    @pytest.mark.parametrize("command", [
+        "fit-to-missing-dir", "fit-to-directory", "fit-over-model-write-fails", "eval",
+        "experiment", "summarize", "compare", "sensitivity-audit",
+    ])
+    def test_path_that_cannot_be_opened_is_config_error(self, tmp_path, blocks_files, capsys,
+                                                        monkeypatch, command):
+        data, domains = blocks_files
+        missing = str(tmp_path / "missing_dir" / "out.csv")
         model_path = tmp_path / "m.json"
-        fit = ["fit", "--config", _fit_config(tmp_path, T="1", depth="1200"),
-               "--data", str(data), "--domains", str(domains), "--out", str(model_path)]
-        assert main(fit) == EXIT_CONFIG
-        assert f"cannot write model {model_path}" in capsys.readouterr().err
-        # no model file, torn or temporary
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "fit.config", "same.csv", "same.domains"
-        ]
-        model_path.write_text("an earlier model")  # a failed write leaves it as it was
-        assert main(fit) == EXIT_CONFIG
-        assert model_path.read_text() == "an earlier model"
-        assert len(list(tmp_path.iterdir())) == 4
+        fit = ["fit", "--config", _fit_config(tmp_path), "--data", data, "--domains", domains]
+        assert main(fit + ["--out", str(model_path)]) == EXIT_OK
+        grid = tmp_path / "grid.config"
+        grid.write_text(f"data = {data}\ndomains = {domains}\nalgorithm = boost\nT = 1\n"
+                        "depth = 1\nalpha = 1.0\nepsilon = off\nk_folds = 2\nseeds = 0\n")
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        if command == "fit-over-model-write-fails":
+            def replace(src, dst):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src)
+            monkeypatch.setattr(harness.os, "replace", replace)
+        argv, named = {
+            "fit-to-missing-dir": (fit + ["--out", missing], missing),
+            "fit-to-directory": (fit + ["--out", str(a_dir)], str(a_dir)),
+            "fit-over-model-write-fails": (fit + ["--out", str(model_path)], str(model_path)),
+            "eval": (["eval", "--model", str(model_path), "--data", data, "--out", missing],
+                     missing),
+            "experiment": (["experiment", "--config", str(grid), "--out", missing], missing),
+            "summarize": (["summarize", "--results", missing, "--out", "s.csv"], missing),
+            "compare": (["compare", "--a", missing, "--b", missing, "--out", "c.csv"], missing),
+            "sensitivity-audit": (["sensitivity-audit", "--trials", "1", "--out", missing],
+                                  missing),
+        }[command]
+        earlier = model_path.read_bytes()
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        # a failed write leaves the earlier model as it was, and no temporary file
+        assert model_path.read_bytes() == earlier
+        assert not list(tmp_path.rglob("*.part")) and not (tmp_path / "missing_dir").exists()
+        assert not list(a_dir.iterdir())
 
     def test_bad_config_is_config_error(self, tmp_path, blocks_files):
         data, domains = blocks_files

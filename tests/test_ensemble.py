@@ -23,14 +23,20 @@ from dpboost.ensemble import (
 )
 from dpboost.losses import LossSpec, inverse_link
 from dpboost.privacy import BudgetAccountant, RandomSource
-from dpboost.tree import DecisionTree, TreeConfig, TreePrivacy, induce_tree, leaf_mask, walk
+from dpboost.tree import (
+    DecisionTree,
+    TreeConfig,
+    TreePrivacy,
+    induce_tree,
+    leaf_mask,
+    tables_from_nodes,
+    walk,
+)
 
 
 def _leaf_tree(prediction: float) -> DecisionTree:
     # a tree that is one leaf
-    return DecisionTree.from_dict(
-        {"prediction_alpha": 1.0, "noised": False, "root": {"leaf": {"prediction": prediction}}}
-    )
+    return DecisionTree(*tables_from_nodes([prediction]))
 
 
 class TestEdge:
@@ -365,12 +371,11 @@ class TestRandomForest:
     def test_from_dict_rejects_what_no_fit_makes(self):
         ds = make_blocks_dataset(60, 2, seed=5)
         data = rf_fit(ds, 3, 2, 1.0, "laplace", BudgetAccountant(1.0), RandomSource(4)).to_dict()
-        leaf = {"leaf": {"prediction": 1.0}}
-        damages = {
-            "not complete": lambda d: d["trees"][1].update(right=leaf),
-            "differ in depth": lambda d: d["trees"][2].update(d["trees"][2]["left"]),
+        damages = {  # each tree is 7 nodes, the last 4 its leaves
+            "not complete": lambda d: d["trees"][1].__setitem__(slice(2, None), [1.0] * 3),
+            "differ in depth": lambda d: d["trees"][2].__setitem__(slice(1, None), [1.0] * 2),
             "at least one tree": lambda d: d.update(trees=[]),
-            "at least one tree of depth >= 1": lambda d: d.update(trees=[leaf, leaf]),
+            "at least one tree of depth >= 1": lambda d: d.update(trees=[[1.0], [1.0]]),
         }
         for message, damage in damages.items():
             broken = json.loads(json.dumps(data))

@@ -8,6 +8,7 @@ itself.
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -517,9 +518,7 @@ class TestSensitivityAudit:
 # are the public domain spec
 RELEASE_KEYS = {
     "format", "version", "model", "domains", "label_map", "label_column", "kind",
-    "output_bound", "lc_alpha", "betas", "trees", "prediction_alpha", "noised", "root",
-    "split", "attribute", "threshold_bin", "left", "right", "leaf", "prediction",
-    "leaf_mechanism",
+    "output_bound", "lc_alpha", "betas", "trees", "leaf_mechanism",
 }
 
 
@@ -582,23 +581,28 @@ V1_FOREST = (
 V1_FITS = {"boost": (V1_BOOST, _private_oc_boost(1)), "forest": (V1_FOREST, _forest("laplace", 1))}
 
 
+def _version_2(value):
+    """A version-1 model as version 2 wrote it: without node statistics or forest depth."""
+    if isinstance(value, dict):
+        return {key: _version_2(item) for key, item in value.items()
+                if key not in ("stats", "w", "w1", "n_pos", "n_neg", "depth")}
+    return [_version_2(item) for item in value] if isinstance(value, list) else value
+
+
 class TestModelIO:
     def test_round_trip_boost(self, tmp_path, blocks_files):
-        data, domains = blocks_files
-        from dpboost.dataset import load_csv
-        from dpboost.ensemble import boost_fit, predict
-        from dpboost.tree import TreeConfig
-
-        spec = parse_domain_spec(domains)
-        ds = load_csv(data, spec.label_column, spec)
-        model = boost_fit(ds, 3, TreeConfig(depth=2, alpha=1.0), output_bound=10.0)
+        # and of private OC boosting and both forests
+        spec = parse_domain_spec(blocks_files[1])
+        ds = load_csv(blocks_files[0], spec.label_column, spec)
         path = str(tmp_path / "model.json")
-        save_model(path, model, spec)
-        loaded, loaded_spec = load_model(path)
-        assert loaded_spec == spec
-        m0, l0 = predict(model, ds.X)
-        m1, l1 = predict(loaded, ds.X)
-        assert np.array_equal(m0, m1) and np.array_equal(l0, l1)
+        for fit in (lambda ds: boost_fit(ds, 3, TreeConfig(depth=2, alpha=1.0), output_bound=10.0),
+                    _private_oc_boost(3), _forest("laplace", 2), _forest("exponential", 3)):
+            model = fit(ds)
+            save_model(path, model, spec)
+            assert json.loads(open(path).read())["version"] == 3
+            loaded, loaded_spec = load_model(path)
+            assert loaded_spec == spec
+            assert loaded.margins(ds.X).tobytes() == model.margins(ds.X).tobytes()
 
     @pytest.mark.parametrize("fit", [_private_oc_boost(2), _forest("laplace", 2),
                                      _forest("exponential", 2)],
@@ -616,6 +620,7 @@ class TestModelIO:
 
     @pytest.mark.parametrize("kind", sorted(V1_FITS))
     def test_version_1_files_load_to_the_same_margins(self, tmp_path, kind):
+        # and the same models as version 2 wrote them
         ds = make_blocks_dataset(60, 3, seed=2)
         written, fit = V1_FITS[kind]
         fresh = fit(ds)
@@ -625,13 +630,27 @@ class TestModelIO:
             "label_map": {"-1": -1, "1": 1}, "label_column": "y",
         }
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(payload))
-        model, _ = load_model(str(path))
-        assert model.margins(ds.X).tobytes() == fresh.margins(ds.X).tobytes()
-        assert model.to_dict() == fresh.to_dict()  # the statistics are not read
-        for version in (0, 3, "2", None):
+        for version in (1, 2):
+            nested = payload["model"] if version == 1 else _version_2(payload["model"])
+            path.write_text(json.dumps({**payload, "version": version, "model": nested}))
+            model, _ = load_model(str(path))
+            assert model.margins(ds.X).tobytes() == fresh.margins(ds.X).tobytes()
+            assert model.to_dict() == fresh.to_dict()  # the statistics are not read
+        for version in (0, 4, "3", None, True):
             path.write_text(json.dumps({**payload, "version": version}))
-            with pytest.raises(ConfigError, match="not a version-1 or version-2"):
+            with pytest.raises(ConfigError, match="not a version-1, 2 or 3"):
+                load_model(str(path))
+
+    def test_a_node_neither_split_nor_leaf_is_config_error(self, tmp_path, blocks_files):
+        spec = parse_domain_spec(blocks_files[1])
+        model = _forest("laplace", 1)(load_csv(blocks_files[0], spec.label_column, spec))
+        path = tmp_path / "model.json"
+        save_model(str(path), model, spec)
+        payload = json.loads(path.read_text())
+        for node in ("true", '"0.5"', "null", "[0, 1.0]", "[0, 1, 2]"):
+            payload["model"]["trees"][0][1] = json.loads(node)
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: bad value: ") + ".* is not"):
                 load_model(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):

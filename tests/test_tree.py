@@ -38,7 +38,10 @@ from dpboost.tree import (
     node_depths,
     objective_calibration_alpha,
     margin_labels,
+    nodes_from_nested,
     split_budget,
+    tables_from_nodes,
+    tables_to_nodes,
     walk,
 )
 
@@ -225,10 +228,16 @@ class TestUnnormalizedRisk:
         assert tree.child.tolist() == [0]  # pure root is never split
 
 
-def _assert_leaves_use_clamped_link(tree, ds, output_bound=math.inf):
+def _prediction_alpha(tree, alpha) -> float:
+    """The alpha whose link a tree's leaves took: the config's ``alpha``, or under OC the
+    alpha of the tree's last split (1 without splits)."""
+    return (tree.records[-1].alpha if tree.records else 1.0) if alpha == "oc" else alpha
+
+
+def _assert_leaves_use_clamped_link(tree, ds, alpha, output_bound=math.inf):
     # every leaf predicts the link of its unit-weight class proportion, clamped, then
     # clamped to the output bound
-    spec = LossSpec.malpha(tree.prediction_alpha)
+    spec = LossSpec.malpha(_prediction_alpha(tree, alpha))
     reached = walk(tree, ds.X, tree.depth)
     for k in np.flatnonzero(leaf_mask(tree.child)):
         if not np.any(reached == k):  # no training row: no weight
@@ -258,8 +267,7 @@ def _before_release(tree, released) -> DecisionTree:
     (values,) = released
     value = tree.value.copy()
     value[leaf_mask(tree.child)] = values[:, 0]
-    return DecisionTree(tree.child, tree.attribute, tree.threshold_bin, value, tree.records,
-                        tree.prediction_alpha)
+    return DecisionTree(tree.child, tree.attribute, tree.threshold_bin, value, tree.records)
 
 
 class TestGreedyInduction:
@@ -331,7 +339,7 @@ class TestGreedyInduction:
     def test_leaf_predictions_use_clamped_link(self):
         ds = make_blocks_dataset(200, 4, seed=3)
         tree = induce_tree(ds, np.ones(200), TreeConfig(depth=2, alpha=1.0))
-        _assert_leaves_use_clamped_link(tree, ds)
+        _assert_leaves_use_clamped_link(tree, ds, 1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -392,7 +400,8 @@ class TestPrivateInduction:
         ds = make_blocks_dataset(200, 4, seed=3)
         cfg = self._private_config(depth=6, T=1, eps=1.0, alpha="oc")
         tree = induce_tree(ds, np.ones(200), cfg, BudgetAccountant(1.0), RandomSource(0))
-        _assert_leaves_use_clamped_link(_before_release(tree, released), ds, output_bound=10.0)
+        _assert_leaves_use_clamped_link(_before_release(tree, released), ds, "oc",
+                                        output_bound=10.0)
 
     def test_requires_accountant_and_rng(self):
         ds = make_blocks_dataset(50, 2, seed=1)
@@ -417,7 +426,8 @@ class TestPrivateInduction:
         def run():
             acc = BudgetAccountant(1.0)
             tree = induce_tree(ds, np.ones(100), cfg, acc, RandomSource(77))
-            return json.dumps(tree.to_dict(), sort_keys=True)
+            return json.dumps(tables_to_nodes(tree.child, tree.attribute, tree.threshold_bin,
+                                              tree.value))
 
         assert run() == run()
 
@@ -467,8 +477,8 @@ class TestPrivateInduction:
         for table in ("child", "attribute", "threshold_bin", "value"):
             assert getattr(tree, table).tobytes() == getattr(reference, table).tobytes()
         assert [repr(r) for r in tree.records] == [repr(r) for r in reference.records]
-        assert tree.prediction_alpha == reference.prediction_alpha and tree.noised
         assert accountant.spends == ref_accountant.spends
+        assert [label for label, _ in accountant.spends[-2**depth:]] == ["leaf"] * 2**depth
         assert random.next_uint64() == ref_random.next_uint64()
 
 
@@ -502,7 +512,7 @@ class TestTiedSubtrees:
         # a one-class leaf holds the link of the clamped class, bit for bit; an
         # unreached one 0
         before = _before_release(tree, released)
-        spec = LossSpec.malpha(tree.prediction_alpha)
+        spec = LossSpec.malpha(_prediction_alpha(tree, "oc"))
         one_class = canonical_link(spec, np.array([Q_CLAMP, 1.0 - Q_CLAMP]))
         for k in np.flatnonzero(leaf_mask(tree.child)):
             labels = ds.y[reached == k]
@@ -519,7 +529,7 @@ class TestTiedSubtrees:
         tree, reached = self._fit(monkeypatch, ds, 4, seed=2)
         # the root is tied: every split's children have risk 0
         assert all(r.utility == 0.0 for r in tree.records)
-        assert tree.prediction_alpha == 1.0
+        assert _prediction_alpha(tree, "oc") == 1.0
         assert np.unique(reached).size > 1
         assert np.all(tree.value[reached] == tree.value[reached[0]])
 
@@ -978,7 +988,7 @@ def _reference_private_tree(ds, weights, config, seed):
                                              accountant, rng.uniform(), "leaf")))
     tree = DecisionTree(child, np.array([r.attribute for r in records] + [0] * (n_splits + 1)),
                         np.array([r.threshold_bin for r in records] + [tree_module.LEAF_BIN]
-                                 * (n_splits + 1)), np.array(value), records, alpha, True)
+                                 * (n_splits + 1)), np.array(value), records)
     return tree, accountant, rng
 
 
@@ -1093,7 +1103,8 @@ class TestNoisifyLeaves:
     def test_clamp_before_noise(self, monkeypatch):
         released = _spy_on_leaf_release(monkeypatch)
         ds, config = self._stump(M=10.0)
-        tree = induce_tree(ds, np.ones(4), config, BudgetAccountant(1.0), RandomSource(1))
+        accountant = BudgetAccountant(1.0)
+        tree = induce_tree(ds, np.ones(4), config, accountant, RandomSource(1))
         links = canonical_link(LossSpec.malpha(1.0), np.array([Q_CLAMP, 1.0 - Q_CLAMP]))
         assert links[0] < -99.98 and links[1] > 99.98
         assert released[0].tolist() == [[-10.0], [10.0]]  # the links, clamped to M
@@ -1104,7 +1115,7 @@ class TestNoisifyLeaves:
         expected = [laplace_mechanism(v, 20.0, 0.25, BudgetAccountant(1.0), mirror.uniform())
                     for v in (-10.0, 10.0)]
         assert tree.value[[1, 2]].tolist() == expected
-        assert tree.noised
+        assert accountant.spends == [("split@0", 0.5), ("leaf", 0.25), ("leaf", 0.25)]
 
     def test_leaf_budget_share(self):
         # each of the L = 4 leaves spends (1 - beta_tree) * epsilon / (T * L) of a T-tree run
@@ -1152,7 +1163,7 @@ class TestNoisifyLeaves:
         acc = BudgetAccountant(1.0)
         tree = induce_tree(ds, np.full(80, 0.5), TreeConfig(depth=depth, privacy=privacy), acc,
                            RandomSource(4))
-        assert tree.noised and tree.to_dict()["noised"] is True
+        assert np.count_nonzero(leaf_mask(tree.child)) == 2**depth
         assert [label for label, _ in acc.spends] == [
             f"split@{d}" for d in range(depth) for _ in range(2**d)
         ] + ["leaf"] * 2**depth
@@ -1207,37 +1218,85 @@ class TestTreeEfficiency:
                 tree_efficiency(node, tree, ds, np.ones(50))
 
 
+# a stump as version 2 wrote it, nested, with the prediction_alpha and noised that no
+# version-3 reader reads
+V2_STUMP = (
+    '{"noised": false, "prediction_alpha": 1.0, "root": {"left": {"leaf": '
+    '{"prediction": -99.98499937495625}}, "right": {"leaf": {"prediction": '
+    '99.98499937496176}}, "split": {"attribute": 0, "threshold_bin": 0}}}'
+)
+
+
+def _is_tree(pattern) -> bool:
+    """Whether nodes that split where ``pattern`` is true, the ``i``-th split's children
+    numbered ``2i + 1`` and ``2i + 2``, form a tree: breadth-first from the root, each
+    child comes after its parent, lies in range and is reached once, and every node is."""
+    children = iter(range(1, 2 * len(pattern) + 1))
+    kids = {k: (next(children), next(children)) for k, split in enumerate(pattern) if split}
+    reached = [0]
+    for k in reached:  # the queue grows as it is read
+        for c in kids.get(k, ()):
+            if not k < c < len(pattern) or c in reached:
+                return False
+            reached.append(c)
+    return len(reached) == len(pattern)
+
+
 class TestSerialization:
+    def _tables(self, tree):
+        return tree.child, tree.attribute, tree.threshold_bin, tree.value
+
     def test_round_trip(self):
         ds = make_blocks_dataset(120, 3, seed=4)
         tree = induce_tree(ds, np.ones(120), TreeConfig(depth=3, alpha=0.5))
-        clone = DecisionTree.from_dict(tree.to_dict())
-        assert np.array_equal(clone.predict_bins(ds.X), tree.predict_bins(ds.X))
-        assert json.dumps(clone.to_dict(), sort_keys=True) == json.dumps(
-            tree.to_dict(), sort_keys=True
-        )
+        nodes = json.loads(json.dumps(tables_to_nodes(*self._tables(tree))))
+        for table, clone in zip(self._tables(tree), tables_from_nodes(nodes)):
+            assert table.dtype == clone.dtype and table.tobytes() == clone.tobytes()
 
     def test_golden_stump(self):
         doms = [AttributeDomain("a", 0.0, 1.0, 2)]
         ds = Dataset(np.array([[0], [0], [1], [1]]), np.array([-1, -1, 1, 1]), doms)
         tree = induce_tree(ds, np.ones(4), TreeConfig(depth=1, alpha=1.0))
-        golden = (
-            '{"noised": false, "prediction_alpha": 1.0, "root": {"left": {"leaf": '
-            '{"prediction": -99.98499937495625}}, "right": {"leaf": {"prediction": '
-            '99.98499937496176}}, "split": {"attribute": 0, "threshold_bin": 0}}}'
-        )
-        assert json.dumps(tree.to_dict(), sort_keys=True) == golden
-        # the same stump as version 1 wrote it, training statistics included
+        golden = "[[0, 0], -99.98499937495625, 99.98499937496176]"
+        assert json.dumps(tables_to_nodes(*self._tables(tree))) == golden
+        # the same stump as versions 2 and 1 wrote it, version 1 with training statistics
         version1 = (
-            '{"noised": false, "prediction_alpha": 1.0, "root": {"left": {"leaf": '
-            '{"n_neg": 2, "n_pos": 0, "prediction": -99.98499937495625, "w": 2.0, '
-            '"w1": 0.0}}, "right": {"leaf": {"n_neg": 0, "n_pos": 2, "prediction": '
+            '{"left": {"leaf": {"n_neg": 2, "n_pos": 0, "prediction": -99.98499937495625, '
+            '"w": 2.0, "w1": 0.0}}, "right": {"leaf": {"n_neg": 0, "n_pos": 2, "prediction": '
             '99.98499937496176, "w": 2.0, "w1": 2.0}}, "split": {"attribute": 0, '
-            '"threshold_bin": 0}, "stats": {"n_neg": 2, "n_pos": 2, "w": 4.0, "w1": 2.0}}}'
+            '"threshold_bin": 0}, "stats": {"n_neg": 2, "n_pos": 2, "w": 4.0, "w1": 2.0}}'
         )
-        clone = DecisionTree.from_dict(json.loads(version1))
-        assert np.array_equal(clone.predict_bins(ds.X), tree.predict_bins(ds.X))
-        assert json.dumps(clone.to_dict(), sort_keys=True) == golden
+        for root in (json.loads(V2_STUMP)["root"], json.loads(version1)):
+            assert json.dumps(nodes_from_nested(root)) == golden
+
+    def test_reader_accepts_exactly_the_trees(self):
+        # every split/leaf pattern of up to 13 nodes; the trees among them: 1 of 1 node,
+        # 1 of 3, 2 of 5, ..., 132 of 13 (Catalan numbers)
+        accepted = 0
+        for n in range(14):
+            for pattern in itertools.product((False, True), repeat=n):
+                nodes = [[0, 0] if split else 0.5 for split in pattern]
+                try:
+                    child, *_ = tables_from_nodes(nodes)
+                except ValueError:
+                    assert not _is_tree(pattern), pattern
+                    continue
+                assert _is_tree(pattern), pattern
+                assert leaf_mask(child).tolist() == [not split for split in pattern]
+                accepted += 1
+        assert accepted == 197
+
+    @pytest.mark.parametrize("node", ["true", '"0.5"', "null", "[0, 1.0]", "[0, 1, 2]",
+                                      "[true, 0]", "{}"])
+    def test_reader_rejects_a_node_that_is_neither_split_nor_leaf(self, node):
+        for nodes in (f"[[0, 0], {node}, 1.0]", f"[{node}]"):
+            with pytest.raises(ValueError, match="is not (two JSON integers|a JSON number)"):
+                tables_from_nodes(json.loads(nodes))
+
+    def test_reader_rejects_what_is_no_list(self):
+        for tree in ({"root": 1.0}, 1.0, None):
+            with pytest.raises(ValueError, match="a tree is a list of nodes"):
+                tables_from_nodes(tree)
 
 
 class TestCompactBins:
