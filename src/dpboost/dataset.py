@@ -9,10 +9,9 @@ points.  Labels are mapped to {-1, +1} at load time.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +74,17 @@ class DomainSpec:
     attributes: tuple[AttributeDomain, ...]
     label_map: dict[str, int]
     label_column: str | None = None
+
+    def __post_init__(self):
+        names = set()
+        for dom in self.attributes:
+            if dom.name in names:
+                raise DataError(f"attribute {dom.name!r} is declared twice")
+            names.add(dom.name)
+        if self.label_column in names:
+            raise DataError(f"label column {self.label_column!r} is also an attribute")
+        if any(type(v) is not int or v not in (-1, 1) for v in self.label_map.values()):
+            raise DataError(f"label_map targets must be -1 or +1: {self.label_map}")
 
 
 @dataclass(frozen=True)
@@ -221,9 +231,10 @@ def parse_domain_spec(path: str) -> DomainSpec:
             raise DataError(f"{path}:{lineno}: unknown key {key!r}")
     if not attributes:
         raise DataError(f"{path}: no attributes declared")
-    if any(v not in (-1, 1) for v in label_map.values()):
-        raise DataError(f"{path}: label_map targets must be -1 or +1")
-    return DomainSpec(tuple(attributes), label_map, label_column)
+    try:
+        return DomainSpec(tuple(attributes), label_map, label_column)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
@@ -234,126 +245,116 @@ def load_csv(path: str, label_column: str | None, spec: DomainSpec) -> Dataset:
     when no map is declared).  Out-of-domain values are clamped to the grid; a NaN
     value is a DataError that names its row.
 
-    numpy's C parser reads the data rows a chunk of lines at a time, and each
-    chunk is quantized into its bins as it is read.  If a chunk fails (a bad row
-    or label, a value only ``float`` reads such as ``1_0``, a quote outside a
-    quoted field) or there are no data rows, the file is read again row by row,
-    which names the bad row; where the C parser succeeds, it returns exactly what
-    the row loop would, except that it has no limit on field length; ``csv``'s
-    limit raises a ``DataError``.
+    The file's lines form records: a record takes lines while its count of ``"`` is
+    odd, and a blank line outside a quoted field is dropped.  The first record is the
+    header.  numpy's C parser reads the data records a chunk at a time, and each chunk
+    is quantized as it is read; if a chunk fails, its records are parsed one at a time
+    and the first bad one is a DataError that names the file line it ends on.
     """
-    label_column = label_column or spec.label_column
-    if label_column is None:
+    spec = replace(spec, label_column=label_column or spec.label_column)  # DomainSpec checks it
+    if spec.label_column is None:
         raise DataError("no label column declared")
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise DataError(f"{path}: header row: {exc}") from exc
+        number, header = next(_records(enumerate(fh, start=1)), (0, None))
         if header is None:
             raise DataError(f"{path}: missing header row")
+        try:
+            header = np.loadtxt([header], object, **_CSV).tolist()
+        except ValueError as exc:
+            raise DataError(f"{path}: header row: {exc}") from exc
         missing = [d.name for d in spec.attributes if d.name not in header]
         if missing:
             raise DataError(f"{path}: columns not found: {missing}")
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found")
+        if spec.label_column not in header:
+            raise DataError(f"{path}: label column {spec.label_column!r} not found")
         column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
-        usecols = [column[d.name] for d in spec.attributes] + [column[label_column]]
+        usecols = [column[d.name] for d in spec.attributes] + [column[spec.label_column]]
         labels_of = {"-1": -1, "+1": 1, "1": 1, **spec.label_map}
-        try:
-            bins, labels = _read_columns(fh, reader, usecols, labels_of, spec.attributes)
-        except (ValueError, csv.Error):  # csv.Error: the peek at the first data row
-            fh.seek(0)
-            bins, labels = _read_rows(path, fh, label_column, spec.attributes, labels_of)
+        bins, labels = _read_data(path, fh, number, usecols, labels_of, spec.attributes)
     return Dataset(bins, labels, list(spec.attributes))
 
 
-def _quantize(values, domains):
-    """``values`` (rows x attributes) as column-major bins of ``bin_dtype(domains)``."""
-    bins = np.empty(values.shape, dtype=bin_dtype(domains), order="F")
-    for j, dom in enumerate(domains):
-        bins[:, j] = dom.quantize(values[:, j])
-    return bins
-
-
-_CHUNK_LINES = 8192  # data lines per C-parser call: a load holds one chunk's values at a time
-
-# a quoted field that starts and ends a field, as both parsers read one
-_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"(?![^,\r\n])')
-
-
-def _read_columns(fh, reader, usecols, labels_of, domains):
-    """Bins and labels of the rows after ``reader``'s header, by numpy's C
-    parser a chunk of lines at a time (``usecols``: attributes, then the label);
-    ValueError where ``_read_rows`` may differ."""
-    skiprows = reader.line_num
-    if not any(reader):  # no data rows; a csv error in the first goes to the row loop too
-        raise ValueError("no data rows")
-    fh.seek(0)
-    lines = itertools.islice(fh, skiprows, None)
-    # labels as objects, because loadtxt reads a str column in chunks that warn on blank lines
-    dtype = [("x", float, (len(usecols) - 1,)), ("y", object)]
+def _read_data(path, fh, number, usecols, labels_of, domains):
+    """Bins and labels of the records after line ``number`` of ``fh``, a chunk at a
+    time, by ``_parse``; a failing chunk's first bad record is a row-numbered DataError."""
     parts = []  # (bins, labels) of each chunk
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+    while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
         text = "".join(chunk)
-        if '"' in text and text.count('"') % 2:  # it ends in a quoted field: take lines to its end
-            for line in lines:
+        if '"' in text and text.count('"') % 2:  # it ends in a quoted field: take its lines
+            for line in fh:
                 chunk.append(line)
                 if line.count('"') % 2:
                     break
-            text = "".join(chunk)
-        # NUL, which a str array drops from the end of a label, and \x1c-\x1f, which
-        # numpy's float parser strips as space where float() fails
-        if any(c in text for c in "\x00\x1c\x1d\x1e\x1f"):
-            raise ValueError("characters the two parsers read differently")
-        # a quote inside an unquoted field, which throws the count of quotes off
-        if '"' in text and '"' in _QUOTED_FIELD.sub("", text):
-            raise ValueError("a quote outside a quoted field")
-        del text
+        del text  # _parse joins the lines again: one chunk's text is held at a time
+        first, number = number + 1, number + len(chunk)
         if not any(line.strip("\r\n") for line in chunk):
             continue  # blank lines only, on which numpy warns
-        rows = np.loadtxt(chunk, dtype, delimiter=",", quotechar='"', comments=None,
-                          usecols=usecols, ndmin=1)
-        del chunk  # as rows below: gone before the next chunk is read
-        raw, codes = np.unique(rows["y"].astype(str), return_inverse=True)
-        mapped = [labels_of.get(r.strip()) for r in raw.tolist()]
-        if None in mapped:
-            raise ValueError("unknown label")
-        parts.append((_quantize(rows["x"], domains), np.asarray(mapped)[codes]))
-        del rows
+        try:
+            parts.append(_parse(chunk, usecols, labels_of, domains))
+        except ValueError:
+            for end, record in _records(enumerate(chunk, start=first)):
+                try:
+                    _parse([record], usecols, labels_of, domains)
+                except ValueError as exc:
+                    reason = re.sub(r" at row \d+", "", str(exc))  # numpy's row in the record
+                    raise DataError(f"{path}: row {end}: {reason}") from exc
+            raise
+        del chunk  # as the chunk's values: gone before the next chunk is read
+    if not parts:
+        raise DataError(f"{path}: no data rows")
     bins, labels = zip(*parts)
     # the transposes are row-major, so joining them gives column-major bins in one copy
     return np.concatenate([b.T for b in bins], axis=1).T, np.concatenate(labels)
 
 
-def _read_rows(path, fh, label_column, attributes, labels_of):
-    """Bins and labels row by row: the only source of row-numbered
-    errors, which name the file line a row ends on."""
-    raw_features: list[list[float]] = []
-    labels: list[int] = []
-    rows = csv.DictReader(fh)
-    try:
-        for row in rows:
-            try:
-                raw_features.append([float(row[d.name]) for d in attributes])
-                if any(v != v for v in raw_features[-1]):  # NaN, which quantize rejects
-                    raise ValueError("NaN value")
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
-            raw_label = (row[label_column] or "").strip()
-            if raw_label not in labels_of:
-                raise DataError(f"{path}: row {rows.reader.line_num}: unknown label {raw_label!r}")
-            labels.append(labels_of[raw_label])
-    except csv.Error as exc:
-        raise DataError(f"{path}: row {rows.reader.line_num}: {exc}") from exc
-    if not labels:
-        raise DataError(f"{path}: no data rows")
-    return _quantize(np.asarray(raw_features, dtype=float), attributes), np.asarray(labels)
+_CHUNK_LINES = 8192  # data lines per C-parser call: a load holds one chunk's values at a time
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 1}  # np.loadtxt's CSV
+
+# a quoted field that starts and ends a field
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")(?:[^"]|"")*"(?![^,\r\n])')
+
+
+def _records(lines):
+    """(file line it ends on, text) of each record of ``lines``, (number, line) pairs:
+    a record takes lines while its count of ``"`` is odd, and a blank line outside a
+    quoted field is dropped."""
+    record, quotes = "", 0
+    for number, line in lines:
+        record += line
+        quotes += line.count('"')
+        if quotes % 2 == 0:
+            if record.strip("\r\n"):
+                yield number, record
+            record, quotes = "", 0
+    if record:  # a quoted field the file leaves open
+        yield number, record
+
+
+def _parse(lines, usecols, labels_of, domains):
+    """Bins and labels of ``lines``, whole records, by numpy's C parser (``usecols``:
+    attributes, then the label); a ValueError that gives the reason if one is bad."""
+    text = "".join(lines)
+    if bad := [c for c in "\x1c\x1d\x1e\x1f" if c in text]:  # numpy's float parser strips them
+        raise ValueError(f"a separator character {bad[0]!r}")
+    if '"' in text and '"' in _QUOTED_FIELD.sub("", text):  # numpy reads it its own way
+        raise ValueError("a quote outside a quoted field")
+    del text
+    rows = np.loadtxt(lines, [("x", float, (len(domains),)), ("y", object)], **_CSV,
+                      usecols=usecols)
+    bins = np.empty(rows.shape + (len(domains),), dtype=bin_dtype(domains), order="F")
+    for j, dom in enumerate(domains):
+        bins[:, j] = dom.quantize(rows["x"][:, j])
+    raw = rows["y"].tolist()
+    del rows
+    mapped = {r: labels_of.get(r.strip()) for r in set(raw)}
+    unknown = [r.strip() for r, label in mapped.items() if label is None]
+    if unknown:
+        raise ValueError(f"unknown label {unknown[0]!r}")
+    return bins, np.fromiter(map(mapped.__getitem__, raw), np.int64, len(raw))
 
 
 def candidate_splits(dataset: Dataset) -> list[SplitCandidate]:

@@ -650,14 +650,17 @@ def save_model(path: str, model, spec: DomainSpec) -> None:
     }
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     part = f"{path}.{os.getpid()}.part"
-    fh = open(part, "x", encoding="utf-8")  # a new file, never another one's
     try:
-        with fh:
-            fh.write(text)
-        os.replace(part, path)
-    except BaseException:
-        os.unlink(part)
-        raise
+        fh = open(part, "x", encoding="utf-8")  # a new file, never another one's
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(part, path)
+        except BaseException:
+            os.unlink(part)
+            raise
+    except OSError as exc:  # named by the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def load_model(path: str):
@@ -675,16 +678,16 @@ def load_model(path: str):
         if payload.get("format") != MODEL_FORMAT or type(version) is not int or not (
                 1 <= version <= MODEL_VERSION):
             raise ConfigError(f"{path}: not a version-1, 2 or 3 {MODEL_FORMAT} file")
+        for d in payload["domains"]:  # JSON numbers, as save_model writes them
+            if type(d["nvpriv"]) is not int or not {type(d["lo"]), type(d["hi"])} <= {int, float}:
+                raise ConfigError(f"{path}: domain {d['name']!r}: lo and hi must be JSON numbers "
+                                  "and nvpriv a JSON integer")
         spec = DomainSpec(
-            tuple(
-                AttributeDomain(d["name"], float(d["lo"]), float(d["hi"]), int(d["nvpriv"]))
-                for d in payload["domains"]
-            ),
+            tuple(AttributeDomain(d["name"], float(d["lo"]), float(d["hi"]), d["nvpriv"])
+                  for d in payload["domains"]),
             dict(payload["label_map"]),
             payload.get("label_column"),
         )
-        if any(type(v) is not int or v not in (-1, 1) for v in spec.label_map.values()):
-            raise ConfigError(f"{path}: label_map targets must be -1 or +1: {spec.label_map}")
         data = payload["model"]
         if data["kind"] not in MODEL_CLASSES:
             raise ConfigError(f"{path}: unknown model kind {data['kind']!r}")

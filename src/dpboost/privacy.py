@@ -149,7 +149,7 @@ class BudgetAccountant:
     """
 
     total_budget: float
-    spends: list[tuple[str, float]] = field(default_factory=list)
+    spends: list[tuple[str, float]] = field(init=False, default_factory=list)
     # Kahan running sum for the O(1) overspend gate; total_spent stays exact.
     _running: float = field(init=False, default=0.0, repr=False)
     _carry: float = field(init=False, default=0.0, repr=False)
@@ -157,18 +157,6 @@ class BudgetAccountant:
     def __post_init__(self):
         if not (self.total_budget >= 0.0) or math.isinf(self.total_budget):
             raise ValueError("total_budget must be finite and non-negative")
-        for _, eps in self.spends:
-            self._accumulate(eps, 1, math.inf)
-
-    def _accumulate(self, eps: float, count: int, limit: float) -> int:
-        # Kahan-adds up to count spends of eps while the sum stays within limit: how many
-        running, carry, done = self._running, self._carry, 0
-        while done < count and running + eps <= limit:
-            y = eps - carry
-            t = running + y
-            carry, running, done = (t - running) - y, t, done + 1
-        self._running, self._carry = running, carry
-        return done
 
     @property
     def total_spent(self) -> float:
@@ -184,7 +172,14 @@ class BudgetAccountant:
             raise ValueError("epsilon must be finite and positive")
         if count < 0:
             raise ValueError("count must be non-negative")
-        done = self._accumulate(epsilon, count, self.total_budget + _BUDGET_TOL)
+        # Kahan-adds up to count spends while the sum stays within the budget
+        running, carry, done = self._running, self._carry, 0
+        limit = self.total_budget + _BUDGET_TOL
+        while done < count and running + epsilon <= limit:
+            y = epsilon - carry
+            t = running + y
+            carry, running, done = (t - running) - y, t, done + 1
+        self._running, self._carry = running, carry
         self.spends += [(label, epsilon)] * done
         if done < count:
             raise BudgetExceededError(

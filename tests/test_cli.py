@@ -141,10 +141,11 @@ class TestFitEval:
         rc = main(["fit", "--config", _fit_config(tmp_path), "--data", str(nan_data),
                    "--domains", domains, "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_DATA == 3
-        assert f"data error: {nan_data}: row 2: NaN value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"data error: {nan_data}: row 2: attribute 'x0': NaN value" in err
         assert not (tmp_path / "m.json").exists()
 
-    def test_long_field_in_first_row_is_data_error(self, tmp_path, blocks_files, capsys):
+    def test_long_field_in_first_row_loads(self, tmp_path, blocks_files):
         data, domains = blocks_files
         with open(data) as fh:
             header, first, *rest = fh.read().splitlines()
@@ -154,9 +155,19 @@ class TestFitEval:
         ) + "\n")
         rc = main(["fit", "--config", _fit_config(tmp_path), "--data", str(long_data),
                    "--domains", domains, "--out", str(tmp_path / "m.json")])
-        assert rc == EXIT_DATA
-        assert "data error" in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
+        assert rc == EXIT_OK
+        assert (tmp_path / "m.json").exists()
+
+    def test_model_write_error_names_the_path_asked_for(self, tmp_path, blocks_files, capsys):
+        data, domains = blocks_files
+        out = tmp_path / "missing" / "m.json"
+        rc = main(["fit", "--config", _fit_config(tmp_path), "--data", data,
+                   "--domains", domains, "--out", str(out)])
+        assert rc == EXIT_CONFIG == 2
+        assert capsys.readouterr().err == (
+            f"config error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert not (tmp_path / "missing").exists() and not list(tmp_path.rglob("*.part"))
 
     @pytest.mark.parametrize("command, missing, code", [
         ("fit", "config", EXIT_CONFIG),
@@ -223,13 +234,21 @@ class TestFitEval:
         (lambda p: p["label_map"].update({"-1": -1.5}), "label_map targets must be -1 or +1"),
         (lambda p: p["model"]["trees"][0].__setitem__(_first_leaf(p), 10**400),
          "int too large to convert to float"),
+        (lambda p: p["domains"][0].update(nvpriv=10.9), "nvpriv a JSON integer"),
+        (lambda p: p["domains"][0].update(nvpriv=True), "nvpriv a JSON integer"),
+        (lambda p: p["domains"][0].update(lo="0.0"), "lo and hi must be JSON numbers"),
+        (lambda p: p["domains"][0].update(hi=True), "lo and hi must be JSON numbers"),
+        (lambda p: p["domains"].append(dict(p["domains"][0])), "attribute 'x0' is declared twice"),
+        (lambda p: p.update(label_column="x1"), "label column 'x1' is also an attribute"),
     ], ids=["unknown-kind", "boost-without-trees", "no-domains", "leaf-without-prediction",
             "betas-cut-to-one", "attribute-past-domains", "negative-attribute",
             "negative-threshold", "threshold-past-last-gap", "nan-leaf", "infinite-beta",
             "nan-output-bound", "negative-output-bound", "forest-vote-past-one",
             "nan-lc-alpha", "unknown-leaf-mechanism", "incomplete-forest-tree",
             "forest-depths-differ", "boost-with-empty-trees", "prediction-as-string",
-            "label-map-past-one", "label-map-fraction", "leaf-past-every-float"])
+            "label-map-past-one", "label-map-fraction", "leaf-past-every-float",
+            "nvpriv-fraction", "nvpriv-boolean", "lo-as-string", "hi-boolean",
+            "attribute-twice", "label-column-is-attribute"])
     def test_malformed_model_is_config_error(self, tmp_path, blocks_files, capsys, damage, key):
         data, domains = blocks_files
         model_path = tmp_path / "m.json"

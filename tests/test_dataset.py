@@ -73,6 +73,19 @@ class TestDomainSpec:
         with pytest.raises(DataError):
             parse_domain_spec(str(bad))
 
+    @pytest.mark.parametrize("text, message", [
+        ("attribute = x0 0 1 4\nattribute = x0 0 1 4\n", "attribute 'x0' is declared twice"),
+        ("label_column = y\nattribute = y 0 1 4\n", "label column 'y' is also an attribute"),
+        ("label_map = 0:-1, 1:2\nattribute = x0 0 1 4\n",
+         "label_map targets must be -1 or +1: {'0': -1, '1': 2}"),
+    ], ids=["attribute-twice", "label-column-is-attribute", "label-map-past-one"])
+    def test_a_spec_that_breaks_a_domain_spec_rule_is_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.domains"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            parse_domain_spec(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_domain_validation(self):
         with pytest.raises(DataError):
             AttributeDomain("x", 1.0, 0.0, 10)
@@ -144,6 +157,10 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown label"):
             load_csv(str(path), "y", spec)
 
+    def test_label_column_that_is_an_attribute_is_rejected(self, csv_file, spec_file):
+        with pytest.raises(DataError, match="^label column 'f2' is also an attribute$"):
+            load_csv(csv_file, "f2", parse_domain_spec(spec_file))
+
     def test_missing_column(self, tmp_path, spec_file):
         spec = parse_domain_spec(spec_file)
         path = tmp_path / "bad.csv"
@@ -155,12 +172,13 @@ class TestLoadCsv:
         "text, message",
         [
             ("f1,f2,y\n0.1,0.0,1\nnot-a-number,0.0,1\n",
-             "row 3: could not convert string to float: 'not-a-number'"),
-            ("f1,f2,y\n0.1,0.0,1\n\n0.2\n",
-             "row 4: float() argument must be a string or a real number, not 'NoneType'"),
+             "row 3: could not convert string 'not-a-number' to float64, column 1."),
+            ("f1,f2,y\n0.1,0.0,1\n\n0.2\n", "row 4: invalid column index 1 with 1 columns"),
             ("f1,f2,y\n0.1,0.0,1\n0.2,0.0, maybe \n", "row 3: unknown label 'maybe'"),
+            # a label keeps a trailing NUL, which a cast to a numpy str would drop
+            ("f1,f2,y\n0.1,0.0,1\n0.2,0.0,1\x00\n", "row 3: unknown label '1\\x00'"),
             ("f1,f2,y\n0.1,0.0,1\n\n\r\nnot-a-number,0.0,1\n",
-             "row 5: could not convert string to float: 'not-a-number'"),
+             "row 5: could not convert string 'not-a-number' to float64, column 1."),
             ("f1,f2,y\r\n\r\n0.1,0.0,1\r\n\r\n0.2,0.0,maybe\r\n", "row 5: unknown label 'maybe'"),
             ("f1,f2,y\n\n0.1,0.0,\"two\nlines\"\n", "row 4: unknown label 'two\\nlines'"),
             ("f1,y\n0.1,1\n", "columns not found: ['f2']"),
@@ -168,15 +186,11 @@ class TestLoadCsv:
             ("", "missing header row"),
             ("f1,f2,y\n", "no data rows"),
             ("f1,f2,y\n\n\r\n", "no data rows"),
-            ("f1,f2,note,y\n0.1,0.0," + "x" * 200_000 + ",1\n",
-             f"row 2: field larger than field limit ({csv.field_size_limit()})"),
-            ("f1,f2," + "n" * 200_000 + ",y\n0.1,0.0,a,1\n",
-             f"header row: field larger than field limit ({csv.field_size_limit()})"),
         ],
-        ids=["non-numeric", "short-row", "unknown-label", "non-numeric-after-blank-lines",
-             "unknown-label-after-blank-lines", "label-over-two-lines", "missing-attribute",
-             "missing-label-column", "missing-header", "header-only", "blank-lines-only",
-             "long-field-row-1", "long-header-field"],
+        ids=["non-numeric", "short-row", "unknown-label", "label-with-nul",
+             "non-numeric-after-blank-lines", "unknown-label-after-blank-lines",
+             "label-over-two-lines", "missing-attribute", "missing-label-column",
+             "missing-header", "header-only", "blank-lines-only"],
     )
     def test_error_messages(self, tmp_path, spec_file, text, message):
         path = tmp_path / "bad.csv"
@@ -185,8 +199,43 @@ class TestLoadCsv:
             load_csv(str(path), "y", parse_domain_spec(spec_file))
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("text", [
+        "f1,f2,note,y\n0.9,2.0," + "x" * 200_000 + ",0\n",
+        "f1,f2," + "n" * 200_000 + ",y\n0.9,2.0,a,0\n",
+    ], ids=["first-row", "header"])
+    def test_long_field_in_the_header_or_first_row_loads(self, tmp_path, spec_file, text):
+        # numpy's parser has no field limit, as in any later row
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        ds = load_csv(str(path), "y", parse_domain_spec(spec_file))
+        assert ds.X.tolist() == [[8, 4]] and ds.y.tolist() == [-1]
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 8192])
+    def test_a_bad_record_in_any_chunk_names_the_line_it_ends_on(self, tmp_path, chunk_lines):
+        # records over two lines and blank lines put file lines and records apart
+        header, records = "a0,a1,y,note", ['0.5,0.5,1,"two\nlines"', "", "0.25,-1,neg,x"] * 3
+        path = tmp_path / "bad.csv"
+        for bad, record in enumerate(records):
+            if not record:
+                continue
+            lines = [header, *records[:bad], "oops" + record[record.index(","):]]
+            path.write_text("\n".join(lines + records[bad + 1:]) + "\n")
+            with mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
+                with pytest.raises(DataError) as info:
+                    load_csv(str(path), None, SPEC)
+            end = "\n".join(lines).count("\n") + 1
+            assert str(info.value) == (
+                f"{path}: row {end}: could not convert string 'oops' to float64, column 1."
+            )
+
+    def test_blank_lines_before_the_header_are_dropped(self, tmp_path, spec_file):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\r\nf1,f2,y\n0.9,2.0,0\n")
+        ds = load_csv(str(path), "y", parse_domain_spec(spec_file))
+        assert ds.X.tolist() == [[8, 4]] and ds.y.tolist() == [-1]
+
     def test_long_field_after_the_first_row_loads(self, tmp_path, spec_file):
-        # numpy's parser has no field limit; csv reads only the header and row 1 here
+        # numpy's parser has no field limit
         path = tmp_path / "long.csv"
         path.write_text("f1,f2,note,y\n0.1,0.0,a,1\n0.9,2.0," + "x" * 200_000 + ",0\n")
         ds = load_csv(str(path), "y", parse_domain_spec(spec_file))
@@ -256,6 +305,10 @@ def csv_texts(draw):
 
 
 class TestLoadCsvMatchesRowLoop:
+    """numpy's parser against ``_row_loop``, the ``csv`` reader the loader had before.
+    A chunk that fails is read again record by record, the loader's row loop, which
+    names the file line the first bad record ends on."""
+
     @settings(max_examples=200, deadline=None)
     @given(csv_texts(), st.integers(1, 3))
     def test_numpy_parser_gives_the_row_loop_result(self, tmp_path_factory, text, chunk_lines):
@@ -264,75 +317,69 @@ class TestLoadCsvMatchesRowLoop:
         path = tmp_path_factory.getbasetemp() / "equivalence.csv"
         path.write_bytes(text.encode("utf-8"))
         X, y = _row_loop(path, "y", SPEC)
-        with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError), \
-                mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
-            ds = load_csv(str(path), None, SPEC)  # the per-row loop would raise
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
+            ds = load_csv(str(path), None, SPEC)
         assert np.array_equal(ds.X, X) and ds.X.flags.f_contiguous
         assert ds.X.dtype == dataset_module.bin_dtype(SPEC.attributes)
         assert np.array_equal(ds.y, y) and ds.y.dtype == np.int64
 
     def test_a_value_only_float_reads_takes_the_row_loop(self, tmp_path):
+        # float() reads 1_0 as 10; numpy's parser rejects it, so its record is named
         path = tmp_path / "underscore.csv"
         path.write_text("y,a0,a1,note\n1,0.5,1_0,x\nneg,0.25,-1,y\n")
-        with mock.patch.object(dataset_module, "_read_rows",
-                               wraps=dataset_module._read_rows) as row_loop:
-            ds = load_csv(str(path), None, SPEC)
-        assert row_loop.called
-        X, y = _row_loop(path, "y", SPEC)
-        assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
-        assert ds.X[0, 1] == 8  # float reads 1_0 as 10, above a1's [-2, 2]: its top bin
+        assert _row_loop(path, "y", SPEC)[0][0, 1] == 8
+        with pytest.raises(DataError) as info:
+            load_csv(str(path), None, SPEC)
+        assert str(info.value) == (
+            f"{path}: row 2: could not convert string '1_0' to float64, column 3."
+        )
 
     @pytest.mark.parametrize("chunk_lines", [1, 8192])
     def test_a_nan_value_takes_the_row_loop_which_names_its_row(self, tmp_path, chunk_lines):
-        # numpy's parser reads the NaN and quantizing its chunk fails; the row loop
-        # rejects the row before it quantizes anything
+        # numpy's parser reads the NaN and quantizing its chunk fails; quantizing its
+        # record alone names it
         path = tmp_path / "nan.csv"
         path.write_text("a0,a1,y\n0.5,0.5,1\n0.5,nan,neg\n0.5,0.5,1\n")
-        with mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines), \
-                mock.patch.object(dataset_module, "_read_rows",
-                                  wraps=dataset_module._read_rows) as row_loop:
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
             with pytest.raises(DataError) as info:
                 load_csv(str(path), None, SPEC)
-        assert row_loop.called
-        assert str(info.value) == f"{path}: row 3: NaN value"
+        assert str(info.value) == f"{path}: row 3: attribute 'a1': NaN value"
 
     def test_infinities_clamp_in_both_parsers(self, tmp_path):
-        # inf and -inf in one row sum to NaN; each value still clamps to its end bin
+        # inf and -inf in one row sum to NaN; each value still clamps to its end bin,
+        # in a chunk of records and in a record read alone
         path = tmp_path / "inf.csv"
         path.write_text("a0,a1,y\ninf,-inf,1\n-inf,inf,neg\n")
-        with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError):
-            by_chunks = load_csv(str(path), None, SPEC)
-        with mock.patch.object(dataset_module, "_read_columns", side_effect=ValueError):
-            by_rows = load_csv(str(path), None, SPEC)
-        assert by_chunks.X.tolist() == by_rows.X.tolist() == [[4, 0], [0, 8]]
+        for chunk_lines in (1, 8192):
+            with mock.patch.object(dataset_module, "_CHUNK_LINES", chunk_lines):
+                assert load_csv(str(path), None, SPEC).X.tolist() == [[4, 0], [0, 8]]
 
     def test_a_bad_value_in_a_later_chunk_takes_the_row_loop(self, tmp_path):
         path = tmp_path / "late.csv"
         path.write_text("a0,a1,y\n" + "0.5,0.5,1\n" * 5 + '0.5,"1\n0",neg\n0.5,0.5,1\n')
-        with mock.patch.object(dataset_module, "_CHUNK_LINES", 2), \
-                mock.patch.object(dataset_module, "_read_rows",
-                                  wraps=dataset_module._read_rows) as row_loop:
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", 2):
             with pytest.raises(DataError) as info:
                 load_csv(str(path), None, SPEC)
-        assert row_loop.called
         # the row over lines 7 and 8 is named by the line it ends on
-        assert str(info.value) == f"{path}: row 8: could not convert string to float: '1\\n0'"
+        assert str(info.value) == (
+            f"{path}: row 8: could not convert string '1\\n0' to float64, column 2."
+        )
 
-    @pytest.mark.parametrize("text", ['a0,a1,y,note\n0.5,0.5,1,a"b\n0.5,0.5,1,"c\n0.5,0.5,1,d"\n',
-                                      'a0,a1,y,note\n0.5,0.5,1,"a"b\n0.5,0.5,1,x\n'],
-                             ids=["stray-quote-then-quoted-lines", "text-after-closing-quote"])
-    def test_a_quote_outside_a_quoted_field_takes_the_row_loop(self, tmp_path, text):
+    @pytest.mark.parametrize("text, row", [
+        ('a0,a1,y,note\n0.5,0.5,1,a"b\n0.5,0.5,1,"c\n0.5,0.5,1,d"\n', 3),
+        ('a0,a1,y,note\n0.5,0.5,1,"a"b\n0.5,0.5,1,x\n', 2),
+    ], ids=["stray-quote-then-quoted-lines", "text-after-closing-quote"])
+    def test_a_quote_outside_a_quoted_field_takes_the_row_loop(self, tmp_path, text, row):
         # in the first file, the stray quote evens the count of quotes in the first two
-        # lines, so a chunk of two would end inside the quoted field the second opens
+        # lines, so a chunk of two would end inside the quoted field the second opens;
+        # the stray quote's record takes lines 2 and 3, whose count of quotes is even
         path = tmp_path / "stray.csv"
         path.write_bytes(text.encode("utf-8"))
-        with mock.patch.object(dataset_module, "_CHUNK_LINES", 2), \
-                mock.patch.object(dataset_module, "_read_rows",
-                                  wraps=dataset_module._read_rows) as row_loop:
-            ds = load_csv(str(path), None, SPEC)
-        assert row_loop.called
-        X, y = _row_loop(path, "y", SPEC)
-        assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+        assert _row_loop(path, "y", SPEC)[1].size  # csv reads it
+        with mock.patch.object(dataset_module, "_CHUNK_LINES", 2):
+            with pytest.raises(DataError) as info:
+                load_csv(str(path), None, SPEC)
+        assert str(info.value) == f"{path}: row {row}: a quote outside a quoted field"
 
     def test_a_load_holds_one_chunk_at_a_time(self, tmp_path):
         # beyond what the dataset keeps, a load's peak is one chunk's parse, whatever
@@ -360,7 +407,8 @@ class TestLoadCsvMatchesRowLoop:
         path.write_text(f"a0,a1,y\n0.5,0.5,1\n0.5,{cell},neg\n")
         with pytest.raises(DataError) as info:
             load_csv(str(path), None, SPEC)
-        assert str(info.value) == f"{path}: row 3: could not convert string to float: {cell!r}"
+        separator = cell.strip("0.5")
+        assert str(info.value) == f"{path}: row 3: a separator character {separator!r}"
 
 
 class TestDatasetInvariants:
